@@ -18,7 +18,7 @@ from .finite import (
     subspace_family,
 )
 from .limits import EmbeddingFamily, boolean_to_interval, cauchy_approx
-from .rank import NEG_INF, POS_INF, Rank, RankInterval
+from .rank import NEG_INF, POS_INF, Rank
 from .regrading import (
     ExplicitCutset,
     FiniteRegrader,
@@ -45,7 +45,6 @@ __all__ = [
     "POS_INF",
     "PlanePoint",
     "Rank",
-    "RankInterval",
     "SetPartition",
     "StepDensity",
     "Subspace",

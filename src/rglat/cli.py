@@ -27,7 +27,7 @@ from .finite import (
     subspace_family,
 )
 from .intervals import Ambient, interval_set_from_json, interval_set_to_json
-from .limits import cauchy_approx, coherence_check, EmbeddingFamily, updown_metric
+from .limits import cauchy_approx, tower_checks
 from .rank import format_fraction, parse_fraction
 from .regrading import (
     FiniteRegrader,
@@ -94,6 +94,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if cfg.grid <= 0:
         print("grid step must be positive", file=sys.stderr)
         return 2
+    if cfg.samples is not None and cfg.samples <= 0:
+        print("sample count must be positive", file=sys.stderr)
+        return 2
     results = run_suites(names, cfg)
     rows = []
     for res in results:
@@ -111,25 +114,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _family_from_spec(spec: dict):
     kind = spec.get("kind")
-    if kind == "boolean":
-        return boolean_family(int(spec["n"]))
-    if kind == "partition":
-        return partition_family(int(spec["n"]))
-    if kind == "subspace":
-        return subspace_family(int(spec["p"]), int(spec["n"]))
+    try:
+        if kind == "boolean":
+            return boolean_family(int(spec["n"]))
+        if kind == "partition":
+            return partition_family(int(spec["n"]))
+        if kind == "subspace":
+            return subspace_family(int(spec["p"]), int(spec["n"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"bad {kind} lattice spec: {spec!r}") from exc
     raise InputFormatError(f"unknown lattice kind {kind!r}")
 
 
 def cmd_regrade(args: argparse.Namespace) -> int:
     spec = _load_json(args.spec)
+    if not isinstance(spec, dict):
+        raise InputFormatError(f"regrade spec must be a JSON object, got {spec!r}")
     try:
         lattice_spec = spec["lattice"]
         cutset_spec = spec["cutset"]
-        targets = spec.get("targets", [])
     except KeyError as exc:
         raise InputFormatError(f"regrade spec is missing {exc}") from exc
+    targets = spec.get("targets", [])
+    if not isinstance(lattice_spec, dict) or not isinstance(targets, list):
+        raise InputFormatError("regrade spec needs a lattice object and a targets array")
     rows: list[list[str]] = []
     if lattice_spec.get("kind") == "interval":
+        if "ambient" not in lattice_spec:
+            raise InputFormatError("interval lattice spec is missing 'ambient'")
         ambient = Ambient(parse_fraction(lattice_spec["ambient"]))
         cutset = cutset_from_json(cutset_spec)
         if not isinstance(cutset, LevelCutset):
@@ -157,11 +169,7 @@ def cmd_regrade(args: argparse.Namespace) -> int:
         header = ["kind", "element_or_level", "grade", "projection", "regraded"]
     else:
         family = _family_from_spec(lattice_spec)
-        cutset = cutset_from_json(cutset_spec, family)
-        if isinstance(cutset, LevelCutset):
-            regrader = FiniteRegrader(family, cutset)
-        else:
-            regrader = FiniteRegrader(family, cutset)
+        regrader = FiniteRegrader(family, cutset_from_json(cutset_spec, family))
         for payload in targets:
             z = element_from_json(family, payload)
             projection = regrader.project(z)
@@ -210,21 +218,11 @@ def cmd_limit(args: argparse.Namespace) -> int:
         ]
         for row in report.rows
     ]
-    checks_ok = report.bound_ok
     summary = {"within_bound": str(report.bound_ok)}
-    booleans = EmbeddingFamily("boolean")
-    subspaces = EmbeddingFamily("subspace", p=2)
-    for family, (k, m, n) in ((booleans, (2, 4, 8)), (subspaces, (1, 2, 4))):
-        res = coherence_check(family, k, m, n)
-        summary[f"coherence_{family.kind}"] = "pass" if res.ok else f"fail: {res.witness}"
-        checks_ok = checks_ok and res.ok
-    iso_ok = True
-    for x in booleans.elements(2):
-        for y in booleans.elements(2):
-            if updown_metric(booleans.embed(x, 4), booleans.embed(y, 4)) != updown_metric(x, y):
-                iso_ok = False
-    summary["isometry_boolean"] = "pass" if iso_ok else "fail"
-    checks_ok = checks_ok and iso_ok
+    checks = tower_checks()
+    for label, res in checks.items():
+        summary[label] = "pass" if res.ok else f"fail: {res.witness}"
+    checks_ok = report.bound_ok and all(res.ok for res in checks.values())
     _emit(args, ["level", "distance_to_target", "distance_to_previous"], rows, summary)
     return 0 if checks_ok else 1
 

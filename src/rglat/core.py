@@ -109,10 +109,6 @@ def rank_modular_defect(lattice: GradedLattice, m: Element, x: Element) -> Rank:
     return join_rank + meet_rank - lattice.rank(x) - lattice.rank(m)
 
 
-def is_rank_modular(lattice: GradedLattice, m: Element, probes: Iterable[Element]) -> bool:
-    return all(rank_modular_defect(lattice, m, x) == ZERO for x in probes)
-
-
 def _require_leq(lattice: GradedLattice, lo: Element, hi: Element, label: str) -> None:
     if not lattice.leq(lo, hi):
         raise PreconditionViolation(f"{label}: {lo!r} is not below {hi!r}")

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionViolation,
     SizeCapExceeded,
 )
-from .rank import NEG_INF, POS_INF, Rank, format_fraction, parse_fraction
+from .rank import NEG_INF, POS_INF, Rank, format_fraction
 
 MAX_BOOLEAN_GROUND = 24
 MAX_PARTITION_GROUND = 7
@@ -140,9 +140,6 @@ class SetPartition:
     @classmethod
     def full(cls, n: int) -> "SetPartition":
         return cls.from_blocks(n, [range(1, n + 1)])
-
-    def block_count(self) -> int:
-        return len(self.blocks)
 
     def rank_int(self) -> int:
         return self.n - len(self.blocks)
@@ -544,11 +541,6 @@ def subspace_family(p: int, n: int, caps: EnumerationCaps = DEFAULT_CAPS) -> Fin
     )
 
 
-def family_meet_join_rank(lattice: GradedLattice, x, y) -> tuple:
-    """(meet, join, rank x, rank y) in one call; ambient mismatches propagate."""
-    return (lattice.meet(x, y), lattice.join(x, y), lattice.rank(x), lattice.rank(y))
-
-
 def _int_rank(lattice: GradedLattice, x) -> int:
     r = lattice.rank(x).fraction
     if r.denominator != 1:
@@ -698,14 +690,3 @@ def element_from_json(family: FiniteFamily, data):
         raise InputFormatError(f"bad {family.kind} element payload: {data!r}") from exc
     raise InputFormatError(f"unknown family kind {family.kind!r}")
 
-
-def plane_point_from_json(data) -> PlanePoint:
-    if data == "bottom":
-        return PlanePoint.bottom()
-    if data == "top":
-        return PlanePoint.top()
-    try:
-        a, b = data
-        return PlanePoint.point(parse_fraction(a), parse_fraction(b))
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad plane point payload: {data!r}") from exc

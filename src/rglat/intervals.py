@@ -15,7 +15,7 @@ profiles, which is what makes cutset projection solvable in closed form.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -134,22 +134,6 @@ def union(u: IntervalSet, v: IntervalSet) -> IntervalSet:
     return normalize(list(u.intervals) + list(v.intervals))
 
 
-def complement(u: IntervalSet, ambient: Ambient) -> IntervalSet:
-    """Complement within (0, upper]; requires a bounded ambient."""
-    if not ambient.bounded:
-        raise AmbientMismatch("complement needs a bounded ambient")
-    out: list[Pair] = []
-    cursor = Fraction(0)
-    for a, b in u.intervals:
-        ambient.require_contains(a, b)
-        if cursor < a:
-            out.append((cursor, a))
-        cursor = b
-    if cursor < ambient.upper:
-        out.append((cursor, ambient.upper))
-    return IntervalSet(tuple(out))
-
-
 def measure(u: IntervalSet) -> Fraction:
     return sum((b - a for a, b in u.intervals), Fraction(0))
 
@@ -171,6 +155,7 @@ class StepDensity:
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+    _prefix: "PiecewiseLinearProfile" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(Fraction(t) for t in self.breakpoints))
@@ -184,6 +169,11 @@ class StepDensity:
                 raise PreconditionViolation("density breakpoints must strictly increase")
         if any(v <= 0 for v in self.values):
             raise PreconditionViolation("density values must be strictly positive")
+        # The prefix mass t -> mass((0, t]) as a profile, built once.
+        prefix = [Fraction(0)]
+        for v, a, b in zip(self.values, self.breakpoints, self.breakpoints[1:]):
+            prefix.append(prefix[-1] + v * (b - a))
+        object.__setattr__(self, "_prefix", PiecewiseLinearProfile(self.breakpoints, tuple(prefix)))
 
     @classmethod
     def uniform(cls, upper: Fraction, value: Fraction = Fraction(1)) -> "StepDensity":
@@ -195,10 +185,7 @@ class StepDensity:
 
     @property
     def total(self) -> Fraction:
-        return sum(
-            (v * (b - a) for v, a, b in zip(self.values, self.breakpoints, self.breakpoints[1:])),
-            Fraction(0),
-        )
+        return self._prefix.values[-1]
 
     def mass(self, u: IntervalSet) -> Fraction:
         """Integral of the density over u; exact."""
@@ -213,28 +200,11 @@ class StepDensity:
         return total
 
     def prefix_mass(self, t: Fraction) -> Fraction:
-        t = Fraction(t)
-        if t <= 0:
-            return Fraction(0)
-        return self.mass(IntervalSet(((Fraction(0), min(t, self.upper)),)))
+        return self._prefix.value_at(min(max(Fraction(t), Fraction(0)), self.upper))
 
     def prefix_inverse(self, target: Fraction) -> Fraction:
-        """The point t with prefix_mass(t) == target; exact piecewise-linear solve."""
-        target = Fraction(target)
-        if not 0 <= target <= self.total:
-            raise PreconditionViolation(f"mass {target} outside [0, {self.total}]")
-        acc = Fraction(0)
-        for v, lo, hi in zip(self.values, self.breakpoints, self.breakpoints[1:]):
-            piece = v * (hi - lo)
-            if target <= acc + piece:
-                return lo + (target - acc) / v
-            acc += piece
-        return self.upper
-
-
-def nu_eval(density: StepDensity, u: IntervalSet) -> Rank:
-    """The density grading of u as a rank value."""
-    return Rank(density.mass(u))
+        """The least point t with prefix_mass(t) == target; exact piecewise-linear solve."""
+        return self._prefix.min_level_at_value(target)
 
 
 def chief_element(ambient: Ambient, level: Fraction) -> IntervalSet:
@@ -440,21 +410,6 @@ def profile_bundle(ambient: Ambient, z: IntervalSet, density: StepDensity | None
         xs, tuple(mz + p - m for p, m in zip(prefix_meas, meet_meas))
     )
     return ProfileBundle(grade_meet, grade_join, measure_meet, measure_join)
-
-
-def meet_profile(ambient: Ambient, z: IntervalSet, density: StepDensity | None = None) -> PiecewiseLinearProfile:
-    """level -> grading(z meet (0, level]), exact on [0, upper].
-
-    Breakpoints are exactly the endpoints of z together with the density
-    breakpoints (0 and the upper bound included).  Measure profiles have
-    slopes in {0, 1}.
-    """
-    return profile_bundle(ambient, z, density).grade_meet
-
-
-def join_profile(ambient: Ambient, z: IntervalSet, density: StepDensity | None = None) -> PiecewiseLinearProfile:
-    """level -> grading(z join (0, level]), exact on [0, upper]."""
-    return profile_bundle(ambient, z, density).grade_join
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import CheckResult, GradedLattice
+from .core import CheckResult, GradedLattice, updown_distance
 from .errors import PreconditionViolation
 from .finite import (
     DEFAULT_CAPS,
@@ -27,7 +27,7 @@ from .finite import (
     boolean_lattice,
     subspace_lattice,
 )
-from .intervals import IntervalSet, measure, normalize, union
+from .intervals import Ambient, IntervalSet, interval_lattice, normalize
 from .rank import Rank
 
 
@@ -45,18 +45,6 @@ def renormalized_rank(x: BitSubset | Subspace, level: int) -> Rank:
     if isinstance(x, Subspace):
         return Rank(Fraction(x.dimension(), level))
     raise PreconditionViolation(f"no renormalized rank for {type(x).__name__}")
-
-
-@dataclass(frozen=True)
-class MetricPoint:
-    """An element paired with its renormalized rank."""
-
-    element: object
-    renormalized: Rank
-
-
-def metric_point(x: BitSubset | Subspace, level: int) -> MetricPoint:
-    return MetricPoint(x, renormalized_rank(x, level))
 
 
 def embed_boolean(s: BitSubset, n: int) -> BitSubset:
@@ -138,8 +126,43 @@ def updown_metric(x: BitSubset | Subspace, y: BitSubset | Subspace) -> Rank:
         lattice = boolean_lattice(x.n)
     else:
         lattice = subspace_lattice(x.p, x.n)
-    j = renormalized_rank(lattice.join(x, y), x.n)
-    return j + j - renormalized_rank(x, x.n) - renormalized_rank(y, x.n)
+    return updown_distance(lattice, x, y) / x.n
+
+
+def embedding_check(family: EmbeddingFamily, k: int, n: int) -> CheckResult:
+    """The k -> n embedding preserves renormalized rank, the metric, meet and join.
+
+    One check per level-k element for its rank and one per pair for the rest.
+    """
+    _require_divides(k, n)
+    lattice_k = family.lattice(k)
+    lattice_n = family.lattice(n)
+    level_k = family.elements(k)
+    checked = 0
+    for x in level_k:
+        if renormalized_rank(family.embed(x, n), n) != renormalized_rank(x, k):
+            return CheckResult(False, checked, f"rank not preserved at {x!r}")
+        checked += 1
+        for y in level_k:
+            fx, fy = family.embed(x, n), family.embed(y, n)
+            if updown_metric(fx, fy) != updown_metric(x, y):
+                return CheckResult(False, checked, f"not an isometry at ({x!r}, {y!r})")
+            if lattice_n.meet(fx, fy) != family.embed(lattice_k.meet(x, y), n):
+                return CheckResult(False, checked, f"meet not preserved at ({x!r}, {y!r})")
+            if lattice_n.join(fx, fy) != family.embed(lattice_k.join(x, y), n):
+                return CheckResult(False, checked, f"join not preserved at ({x!r}, {y!r})")
+            checked += 1
+    return CheckResult(True, checked)
+
+
+def tower_checks() -> dict[str, CheckResult]:
+    """Coherence of the Boolean and F_2 subspace towers and the Boolean 2 -> 4 embedding."""
+    booleans = EmbeddingFamily("boolean")
+    return {
+        "coherence_boolean": coherence_check(booleans, 2, 4, 8),
+        "coherence_subspace": coherence_check(EmbeddingFamily("subspace", p=2), 1, 2, 4),
+        "isometry_boolean": embedding_check(booleans, 2, 4),
+    }
 
 
 def boolean_to_interval(s: BitSubset) -> IntervalSet:
@@ -147,10 +170,6 @@ def boolean_to_interval(s: BitSubset) -> IntervalSet:
     n = s.n
     pairs = [(Fraction(i - 1, n), Fraction(i, n)) for i in s.members()]
     return normalize(pairs)
-
-
-def interval_updown(u: IntervalSet, v: IntervalSet) -> Fraction:
-    return 2 * measure(union(u, v)) - measure(u) - measure(v)
 
 
 def _approximant(target: IntervalSet, level: int) -> IntervalSet:
@@ -207,6 +226,7 @@ def cauchy_approx(target: IntervalSet, levels: Sequence[int]) -> CauchyReport:
             raise PreconditionViolation(
                 f"levels must strictly increase along divisibility, got {k} then {n}"
             )
+    lattice = interval_lattice(Ambient(Fraction(1)))
     rows = []
     prev: IntervalSet | None = None
     for lv in levels:
@@ -215,8 +235,8 @@ def cauchy_approx(target: IntervalSet, levels: Sequence[int]) -> CauchyReport:
             CauchyRow(
                 level=lv,
                 approximant=approx,
-                distance_to_target=interval_updown(approx, target),
-                distance_to_previous=None if prev is None else interval_updown(approx, prev),
+                distance_to_target=updown_distance(lattice, approx, target).fraction,
+                distance_to_previous=None if prev is None else updown_distance(lattice, approx, prev).fraction,
             )
         )
         prev = approx

@@ -162,7 +162,6 @@ def _infinite(kind: int) -> Rank:
 
 POS_INF = _infinite(_POS)
 NEG_INF = _infinite(_NEG)
-ZERO = Rank(0)
 
 
 def _coerce(value: object) -> Rank:
@@ -181,33 +180,3 @@ def as_rank(value: RankLike) -> Rank:
         raise TypeError(f"cannot interpret {value!r} as a rank")
     return coerced
 
-
-class RankInterval:
-    """A closed interval of ranks; the codomain of a grading."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: RankLike, hi: RankLike):
-        self.lo = as_rank(lo)
-        self.hi = as_rank(hi)
-        if not self.lo <= self.hi:
-            raise PreconditionViolation(f"empty rank interval [{self.lo}, {self.hi}]")
-
-    def contains(self, value: RankLike) -> bool:
-        value = as_rank(value)
-        return self.lo <= value <= self.hi
-
-    @property
-    def is_bounded(self) -> bool:
-        return self.lo.is_finite and self.hi.is_finite
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RankInterval):
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi))
-
-    def __repr__(self) -> str:
-        return f"RankInterval({self.lo}, {self.hi})"

@@ -34,13 +34,15 @@ from .finite import (
     element_from_json,
     element_to_json,
     enumerate_maximal_chains,
-    product_plane_lattice,
+    PlaneLimitReport,
     PlanePoint,
+    product_plane_lattice,
 )
 from .intervals import (
     EMPTY,
     Ambient,
     IntervalSet,
+    LineScanReport,
     ProfileBundle,
     StepDensity,
     chief_element,
@@ -48,9 +50,7 @@ from .intervals import (
     density_to_json,
     grade_value,
     intersect,
-    join_profile,
     measure,
-    meet_profile,
     profile_bundle,
     union,
 )
@@ -79,15 +79,6 @@ class ExplicitCutset:
     """A finite antichain given element by element (finite lattices only)."""
 
     elements: tuple
-
-
-@dataclass(frozen=True)
-class ChainPoint:
-    """One point of the projection chain through z."""
-
-    side: str  # "meet" | "join"
-    level: Fraction
-    element: object
 
 
 @dataclass(frozen=True)
@@ -132,43 +123,6 @@ def finite_good_chain(lattice: GradedLattice, chief_elements, z) -> tuple:
         if not lattice.leq(a, b):
             raise RuntimeError(f"projection chain through {z!r} is not a chain")
     return chain
-
-
-def reversed_chain_maximal(lattice: GradedLattice, m, chain_elements) -> CheckResult:
-    """Meets and joins of a chief member along a maximal chain form a maximal chain.
-
-    Finite form: the collected elements must hit every rank between bottom
-    and top exactly once and be totally ordered.
-    """
-    by_rank: dict[Fraction, object] = {}
-    for c in chain_elements:
-        for e in (lattice.meet(m, c), lattice.join(m, c)):
-            r = lattice.rank(e).fraction
-            if by_rank.setdefault(r, e) != e:
-                return CheckResult(False, len(by_rank), f"rank {r} reached by two elements")
-    ranks = sorted(by_rank)
-    if ranks != [ranks[0] + i for i in range(len(ranks))]:
-        return CheckResult(False, len(by_rank), "ranks are not consecutive")
-    chain = [by_rank[r] for r in ranks]
-    for a, b in zip(chain, chain[1:]):
-        if not lattice.leq(a, b):
-            return CheckResult(False, len(chain), f"{a!r} and {b!r} are incomparable")
-    if chain[0] != lattice.bottom or chain[-1] != lattice.top:
-        return CheckResult(False, len(chain), "chain does not span bottom to top")
-    return CheckResult(True, len(chain))
-
-
-def affine_rescale(
-    value: Fraction,
-    source: tuple[Fraction, Fraction],
-    target: tuple[Fraction, Fraction],
-) -> Fraction:
-    """Affine map of one interval onto another; preserves rank modularity."""
-    s_lo, s_hi = Fraction(source[0]), Fraction(source[1])
-    t_lo, t_hi = Fraction(target[0]), Fraction(target[1])
-    if not s_lo < s_hi:
-        raise PreconditionViolation("source interval must be nondegenerate")
-    return t_lo + (Fraction(value) - s_lo) * (t_hi - t_lo) / (s_hi - s_lo)
 
 
 def _grid(upper: Fraction, step: Fraction) -> list[Fraction]:
@@ -218,15 +172,6 @@ class IntervalRegrader:
     def chief(self, level: Fraction) -> IntervalSet:
         return chief_element(self.ambient, level)
 
-    def chain_point(self, z: IntervalSet, level: Fraction, side: str) -> ChainPoint:
-        level = Fraction(level)
-        m = self.chief(level)
-        if side == "meet":
-            return ChainPoint("meet", level, intersect(z, m))
-        if side == "join":
-            return ChainPoint("join", level, union(z, m))
-        raise PreconditionViolation(f"side must be 'meet' or 'join', got {side!r}")
-
     def _solve(self, bundle: ProfileBundle) -> tuple[Fraction, str]:
         if bundle.grade_of_element >= self.cutset.value:
             return bundle.grade_meet.min_level_at_value(self.cutset.value), "meet"
@@ -269,11 +214,6 @@ class IntervalRegrader:
             - self.regraded(x)
         )
 
-    def rescaled(self, z: IntervalSet, target: tuple[Fraction, Fraction]) -> Fraction:
-        lo = self.regraded(EMPTY)
-        hi = self.regraded(self.top)
-        return affine_rescale(self.regraded(z), (lo, hi), target)
-
     def chain_maximality(self, z: IntervalSet, density: StepDensity | None = None) -> CheckResult:
         """The projection chain through z covers the full grading range.
 
@@ -281,8 +221,8 @@ class IntervalRegrader:
         increasing, and splice at grading(z) while spanning grading(bottom)
         to grading(top).
         """
-        meet_prof = meet_profile(self.ambient, z, density)
-        join_prof = join_profile(self.ambient, z, density)
+        bundle = profile_bundle(self.ambient, z, density)
+        meet_prof, join_prof = bundle.grade_meet, bundle.grade_join
         gz = grade_value(z, density)
         top_value = grade_value(self.top, density)
         ok = (
@@ -295,11 +235,6 @@ class IntervalRegrader:
         )
         witness = None if ok else f"profiles of {z!r} do not cover [0, {top_value}]"
         return CheckResult(ok, len(meet_prof.breakpoints) + len(join_prof.breakpoints), witness)
-
-    def reversed_chain_maximality(self, m: IntervalSet) -> CheckResult:
-        # Meets and joins of m along the prefix chain: the same profiles with
-        # the roles of m and the chain exchanged.
-        return self.chain_maximality(m)
 
     def projection_order_check(self, w: IntervalSet, z: IntervalSet) -> CheckResult:
         """For w < z above or on the cutset: levels reverse or projections agree."""
@@ -580,76 +515,56 @@ def hypothesis_bounded_interval(upper: Fraction) -> HypothesisReport:
     )
 
 
-def hypothesis_line_sets(
-    kappas: Sequence[Fraction] = (Fraction(1), Fraction(10), Fraction(1000)),
-    chief_levels: Sequence[Fraction] = (Fraction(1), Fraction(2), Fraction(3), Fraction(4)),
-) -> HypothesisReport:
+def hypothesis_line_sets(demo: LineScanReport) -> HypothesisReport:
     """Bounded measurable sets on the line: the far-away chain breaks one condition.
 
-    The chain (1, 1+k] never reaches the chief member (-1, 1], so the meet
-    scan along the chain is stuck at zero; the chief chain itself absorbs
-    every bounded set, so the chief-side condition holds.  The grading is
-    bounded below, making both inf conditions vacuous.
+    Read off the scans of :func:`bounded_chain_demo`.  The chain (1, 1+k]
+    never reaches the target (-1, 1], so the meet scan along the chain is
+    stuck at zero; the chief chain itself absorbs every bounded set, so the
+    chief-side condition holds.  The grading is bounded below, making both
+    inf conditions vacuous.
     """
-    ambient = Ambient(None)
-    m = chief_element(ambient, Fraction(2))  # (-1, 1]
-    chain_scan = [
-        Rank(measure(intersect(IntervalSet(((Fraction(1), 1 + Fraction(k)),)), m)))
-        for k in kappas
-    ]
-    z = m
-    chief_scan = [
-        Rank(measure(intersect(chief_element(ambient, Fraction(lv)), z)))
-        for lv in chief_levels
-    ]
+    target = Rank(demo.target_measure)
     return HypothesisReport(
         stage="line-sets",
         conditions=(
-            _sup_condition("chain-meet-sup", chain_scan, Rank(measure(m))),
+            _sup_condition("chain-meet-sup", [Rank(v) for _, v in demo.chain_rows], target),
             _vacuous("chain-join-inf"),
-            _sup_condition("chief-meet-sup", chief_scan, Rank(measure(z))),
+            _sup_condition("chief-meet-sup", [Rank(v) for _, v in demo.chief_rows], target),
             _vacuous("chief-join-inf"),
         ),
     )
 
 
-def hypothesis_product_plane(
-    b_values: Sequence[Fraction] = (Fraction(1), Fraction(10), Fraction(100)),
-) -> HypothesisReport:
+def hypothesis_product_plane(demo: PlaneLimitReport) -> HypothesisReport:
     """The product plane: meet with the vertical chain is discontinuous at +inf.
 
     The chief chain is the horizontal axis; the probe is its member (1, 0).
     Meets along the vertical chain plateau at the origin while the value at
-    the top is the probe itself, so exactly the first condition fails.
+    the top is the probe itself, so exactly the first condition fails.  That
+    condition is the meet scan of :func:`product_plane_limit_demo`; the
+    other three probe the same scan parameters.
     """
     lattice = product_plane_lattice()
-    m = PlanePoint.point(1, 0)
     z = PlanePoint.point(1, 0)
-    chain_up = [PlanePoint.point(0, Fraction(b)) for b in b_values]
-    chain_down = [PlanePoint.point(0, -Fraction(b)) for b in b_values]
-    chief_up = [PlanePoint.point(Fraction(b), 0) for b in b_values]
-    chief_down = [PlanePoint.point(-Fraction(b), 0) for b in b_values]
+    bs = [b for b, _ in demo.meet_rows]
     return HypothesisReport(
         stage="product-plane",
         conditions=(
-            _sup_condition(
-                "chain-meet-sup",
-                [lattice.rank(lattice.meet(m, c)) for c in chain_up],
-                lattice.rank(lattice.meet(m, lattice.top)),
-            ),
+            _sup_condition("chain-meet-sup", [r for _, r in demo.meet_rows], demo.meet_limit_value),
             _inf_condition(
                 "chain-join-inf",
-                [lattice.rank(lattice.join(m, c)) for c in chain_down],
-                lattice.rank(lattice.join(m, lattice.bottom)),
+                [lattice.rank(lattice.join(z, PlanePoint.point(0, -b))) for b in bs],
+                lattice.rank(lattice.join(z, lattice.bottom)),
             ),
             _sup_condition(
                 "chief-meet-sup",
-                [lattice.rank(lattice.meet(mm, z)) for mm in chief_up],
+                [lattice.rank(lattice.meet(PlanePoint.point(b, 0), z)) for b in bs],
                 lattice.rank(z),
             ),
             _inf_condition(
                 "chief-join-inf",
-                [lattice.rank(lattice.join(mm, z)) for mm in chief_down],
+                [lattice.rank(lattice.join(PlanePoint.point(-b, 0), z)) for b in bs],
                 lattice.rank(z),
             ),
         ),
@@ -725,6 +640,8 @@ def cutset_to_json(cutset: LevelCutset | ExplicitCutset) -> dict:
 
 
 def cutset_from_json(data: dict, family: FiniteFamily | None = None) -> LevelCutset | ExplicitCutset:
+    if not isinstance(data, dict):
+        raise InputFormatError(f"cutset must be a JSON object, got {data!r}")
     try:
         kind = data["type"]
         if kind == "level":
@@ -742,6 +659,6 @@ def cutset_from_json(data: dict, family: FiniteFamily | None = None) -> LevelCut
             return ExplicitCutset(
                 tuple(element_from_json(family, e) for e in data["elements"])
             )
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise InputFormatError(f"bad cutset payload: {data!r}") from exc
     raise InputFormatError(f"unknown cutset type {data.get('type')!r}")

@@ -58,17 +58,16 @@ from .intervals import (
     interval_lattice,
     interval_set_from_json,
     interval_set_to_json,
-    join_profile,
-    meet_profile,
+    profile_bundle,
     union,
 )
 from .limits import (
     EmbeddingFamily,
     boolean_to_interval,
     cauchy_approx,
-    coherence_check,
     embed_boolean,
-    renormalized_rank,
+    embedding_check,
+    tower_checks,
     updown_metric,
 )
 from .rank import POS_INF, Rank
@@ -140,64 +139,64 @@ def suite_lattice_axioms(cfg: SuiteConfig) -> SuiteResult:
 
 # --- balance residuals and diamond bounds -------------------------------------
 
-def _partition_stage():
+def _quadruple_suite(cfg: SuiteConfig, name: str, check: Callable, detail: str) -> SuiteResult:
+    """One per-quadruple check over random intervals and all partitions of 4.
+
+    ``check(lattice, m, ms, w, z)`` returns None or why it failed.  It runs
+    on random nested interval quadruples, then on every pair ms <= m of
+    rank-modular partitions against every pair w <= z.
+    """
+    rng = _rng(cfg, name)
+    lattice = interval_lattice(Ambient(UPPER))
+    checked = 0
+    for _ in range(cfg.samples or 1000):
+        m, ms, w, z = random_nested_quadruple(rng, UPPER)
+        why = check(lattice, m, ms, w, z)
+        if why:
+            return _fail(name, checked, f"{why} at m={m!r} ms={ms!r} w={w!r} z={z!r}")
+        checked += 1
     fam = partition_family(4)
-    lattice = fam.lattice
+    plattice = fam.lattice
     elems = fam.elements()
     mods = rank_modular_elements(fam)
-    mod_pairs = [(ms, m) for ms in mods for m in mods if lattice.leq(ms, m)]
-    comp_pairs = [(w, z) for w in elems for z in elems if lattice.leq(w, z)]
-    return lattice, mod_pairs, comp_pairs
+    mod_pairs = [(ms, m) for ms in mods for m in mods if plattice.leq(ms, m)]
+    comp_pairs = [(w, z) for w in elems for z in elems if plattice.leq(w, z)]
+    for ms, m in mod_pairs:
+        for w, z in comp_pairs:
+            why = check(plattice, m, ms, w, z)
+            if why:
+                return _fail(name, checked, f"partition {why} at m={m!r} ms={ms!r} w={w!r} z={z!r}")
+            checked += 1
+    return SuiteResult(name, True, checked, detail)
+
+
+def _balance_failure(lattice, m, ms, w, z) -> str | None:
+    r1, r2 = balance_residuals(lattice, m, ms, w, z)
+    if r1 != ZERO or r2 != ZERO:
+        return f"residuals ({r1}, {r2})"
+    return None
+
+
+def _diamond_failure(lattice, m, ms, w, z) -> str | None:
+    report = diamond_bounds(lattice, m, ms, w, z)
+    if not report.all_hold:
+        return "negative slack"
+    if report.row_slack_sums() != report.row_rhs():
+        return "row slacks do not sum to the row height"
+    return None
 
 
 def suite_balance(cfg: SuiteConfig) -> SuiteResult:
-    rng = _rng(cfg, "balance")
-    lattice = interval_lattice(Ambient(UPPER))
-    n = cfg.samples or 1000
-    checked = 0
-    for _ in range(n):
-        m, ms, w, z = random_nested_quadruple(rng, UPPER)
-        r1, r2 = balance_residuals(lattice, m, ms, w, z)
-        if r1 != ZERO or r2 != ZERO:
-            return _fail("balance", checked, f"residuals ({r1}, {r2}) at m={m!r} w={w!r} z={z!r}")
-        checked += 1
-    plattice, mod_pairs, comp_pairs = _partition_stage()
-    for ms, m in mod_pairs:
-        for w, z in comp_pairs:
-            r1, r2 = balance_residuals(plattice, m, ms, w, z)
-            if r1 != ZERO or r2 != ZERO:
-                return _fail("balance", checked, f"partition residuals ({r1}, {r2}) at m={m!r}")
-            checked += 1
-    return SuiteResult("balance", True, checked, "both balance residuals exactly zero (random interval + exhaustive partition)")
+    return _quadruple_suite(
+        cfg, "balance", _balance_failure,
+        "both balance residuals exactly zero (random interval + exhaustive partition)",
+    )
 
 
 def suite_diamond(cfg: SuiteConfig) -> SuiteResult:
-    rng = _rng(cfg, "diamond")
-    lattice = interval_lattice(Ambient(UPPER))
-    n = cfg.samples or 1000
-    checked = 0
-
-    def bad(report) -> str | None:
-        if not report.all_hold:
-            return "negative slack"
-        if report.row_slack_sums() != report.row_rhs():
-            return "row slacks do not sum to the row height"
-        return None
-
-    for _ in range(n):
-        m, ms, w, z = random_nested_quadruple(rng, UPPER)
-        why = bad(diamond_bounds(lattice, m, ms, w, z))
-        if why:
-            return _fail("diamond", checked, f"{why} at m={m!r} ms={ms!r} w={w!r} z={z!r}")
-        checked += 1
-    plattice, mod_pairs, comp_pairs = _partition_stage()
-    for ms, m in mod_pairs:
-        for w, z in comp_pairs:
-            why = bad(diamond_bounds(plattice, m, ms, w, z))
-            if why:
-                return _fail("diamond", checked, f"partition {why} at m={m!r} z={z!r}")
-            checked += 1
-    return SuiteResult("diamond", True, checked, "four diamond bounds with exact row-sum slack identity")
+    return _quadruple_suite(
+        cfg, "diamond", _diamond_failure, "four diamond bounds with exact row-sum slack identity"
+    )
 
 
 # --- Lipschitz chain scans ----------------------------------------------------
@@ -321,8 +320,8 @@ def suite_profiles(cfg: SuiteConfig) -> SuiteResult:
     for i in range(cfg.samples or 100):
         z = random_interval_set(rng, UPPER)
         density = None if i % 2 == 0 else random_density(rng, UPPER)
-        meet_prof = meet_profile(ambient, z, density)
-        join_prof = join_profile(ambient, z, density)
+        bundle = profile_bundle(ambient, z, density)
+        meet_prof, join_prof = bundle.grade_meet, bundle.grade_join
         expected_points = {Fraction(0), UPPER} | set(z.endpoints())
         if density is not None:
             expected_points |= set(density.breakpoints)
@@ -402,12 +401,25 @@ def _max_gap(rows) -> Fraction:
     return max(b - a for a, b in zip(values, values[1:]))
 
 
-def _check_sweep(stage, rows, lo, hi) -> str | None:
+def _check_sweep(rows, lo, hi) -> str | None:
     values = [r.regraded for r in rows]
     if any(a >= b for a, b in zip(values, values[1:])):
         return "regraded column not strictly increasing"
     if values[0] != lo or values[-1] != hi:
         return f"endpoints {values[0]}..{values[-1]} instead of {lo}..{hi}"
+    return None
+
+
+def _examine_sweeps(rows_coarse, rows_fine, lo, hi) -> str | None:
+    """Both sweeps increase from lo to hi, and halving the grid shrinks the max gap."""
+    why = _check_sweep(rows_coarse, lo, hi)
+    if why:
+        return why
+    why = _check_sweep(rows_fine, lo, hi)
+    if why:
+        return f"fine grid: {why}"
+    if not _max_gap(rows_fine) < _max_gap(rows_coarse):
+        return "max regraded gap did not shrink with the grid"
     return None
 
 
@@ -419,25 +431,13 @@ def suite_monotone_surjective(cfg: SuiteConfig) -> SuiteResult:
     grid = cfg.grid
     fine = grid / 2
     checked = 0
-
-    def examine(rows_coarse, rows_fine) -> str | None:
-        why = _check_sweep(stage, rows_coarse, lo, hi)
-        if why:
-            return why
-        why = _check_sweep(stage, rows_fine, lo, hi)
-        if why:
-            return f"fine grid: {why}"
-        if _max_gap(rows_fine) > 4 * (_max_gap(rows_coarse) / 2):
-            return "max regraded gap did not shrink with the grid"
-        return None
-
-    why = examine(stage.sweep_chief(grid), stage.sweep_chief(fine))
+    why = _examine_sweeps(stage.sweep_chief(grid), stage.sweep_chief(fine), lo, hi)
     if why:
         return _fail("monotone-surjective", checked, f"chief chain: {why}")
     checked += 1
     for _ in range(cfg.samples or 50):
         z = random_interval_set(rng, UPPER, max_pieces=3)
-        why = examine(stage.sweep_through(z, grid), stage.sweep_through(z, fine))
+        why = _examine_sweeps(stage.sweep_through(z, grid), stage.sweep_through(z, fine), lo, hi)
         if why:
             return _fail("monotone-surjective", checked, f"chain through {z!r}: {why}")
         checked += 1
@@ -535,30 +535,13 @@ def suite_metric(cfg: SuiteConfig) -> SuiteResult:
 
 def suite_tower(cfg: SuiteConfig) -> SuiteResult:
     checked = 0
-    booleans = EmbeddingFamily("boolean")
-    subspaces = EmbeddingFamily("subspace", p=2)
-    for family, (k, m, n) in ((booleans, (2, 4, 8)), (subspaces, (1, 2, 4))):
-        res = coherence_check(family, k, m, n)
+    checks = tower_checks()
+    checks["isometry_subspace"] = embedding_check(EmbeddingFamily("subspace", p=2), 2, 4)
+    for label, res in checks.items():
         if not res.ok:
-            return _fail("tower", checked, f"{family.kind} coherence: {res.witness}")
+            return _fail("tower", checked + res.checked, f"{label}: {res.witness}")
         checked += res.checked
-    for family, k, n in ((booleans, 2, 4), (subspaces, 2, 4)):
-        level_k = family.elements(k)
-        lattice_k = family.lattice(k)
-        lattice_n = family.lattice(n)
-        for x in level_k:
-            if renormalized_rank(family.embed(x, n), n) != renormalized_rank(x, k):
-                return _fail("tower", checked, f"rank not preserved at {x!r}")
-            checked += 1
-            for y in level_k:
-                fx, fy = family.embed(x, n), family.embed(y, n)
-                if updown_metric(fx, fy) != updown_metric(x, y):
-                    return _fail("tower", checked, f"not an isometry at ({x!r}, {y!r})")
-                if lattice_n.meet(fx, fy) != family.embed(lattice_k.meet(x, y), n):
-                    return _fail("tower", checked, f"meet not preserved at ({x!r}, {y!r})")
-                if lattice_n.join(fx, fy) != family.embed(lattice_k.join(x, y), n):
-                    return _fail("tower", checked, f"join not preserved at ({x!r}, {y!r})")
-                checked += 1
+    booleans = EmbeddingFamily("boolean")
     for k, n in ((2, 4), (4, 8)):
         for x in booleans.elements(k):
             if boolean_to_interval(embed_boolean(x, n)) != boolean_to_interval(x):
@@ -617,10 +600,10 @@ def suite_infinity_demos(cfg: SuiteConfig) -> SuiteResult:
     bounded = hypothesis_bounded_interval(UPPER)
     if bounded.failing or not all(c.vacuous for c in bounded.conditions):
         return _fail("infinity-demos", checked, "bounded stage should satisfy all conditions vacuously")
-    line_rep = hypothesis_line_sets()
+    line_rep = hypothesis_line_sets(line)
     if line_rep.failing != ("chain-meet-sup",):
         return _fail("infinity-demos", checked, f"line stage flags {line_rep.failing}")
-    plane_rep = hypothesis_product_plane()
+    plane_rep = hypothesis_product_plane(plane)
     if plane_rep.failing != ("chain-meet-sup",):
         return _fail("infinity-demos", checked, f"plane stage flags {plane_rep.failing}")
     checked += 12
@@ -644,15 +627,19 @@ def suite_counterexample(cfg: SuiteConfig) -> SuiteResult:
     report = counterexample_report()
     if not report.matches_expected:
         return _fail("counterexample", 0, f"values drifted: {report!r}")
+    # matches_expected compares each prefix row and four single values.
+    checked = len(report.prefix_rows) + 4
     if report != counterexample_report():
-        return _fail("counterexample", 0, "rerun produced different values")
+        return _fail("counterexample", checked, "rerun produced different values")
+    checked += 1
     uniform = IntervalRegrader(UPPER, LevelCutset(Fraction(1)))
     lower = IntervalSet(((Fraction(0), Fraction(1)),))
     upper_half = IntervalSet(((Fraction(1), Fraction(2)),))
     if uniform.regraded_defect(lower, upper_half) != 0:
-        return _fail("counterexample", 0, "uniform density should keep the chief chain modular")
+        return _fail("counterexample", checked, "uniform density should keep the chief chain modular")
+    checked += 1
     return SuiteResult(
-        "counterexample", True, 8,
+        "counterexample", True, checked,
         "two-speed density reproduces the expected regraded values and breaks chief modularity",
     )
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rglat.cli import main
 
@@ -46,6 +50,13 @@ class TestVerify:
 
     def test_sample_override_runs(self, capsys):
         assert main(["verify", "--suite", "balance", "--samples", "50", "--seed", "3"]) == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_non_positive_samples_are_an_input_error(self, samples, capsys):
+        assert main(["verify", "--suite", "level-set", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "sample count must be positive" in captured.err
 
 
 class TestRegrade:
@@ -98,6 +109,47 @@ class TestRegrade:
 
     def test_missing_file_is_an_input_error(self, capsys):
         assert main(["regrade", "/nonexistent/spec.json"]) == 2
+
+
+MALFORMED_SPECS = {
+    "top-level-list": [FINAL_SPEC],
+    "missing-n": {**FINAL_SPEC, "lattice": {"kind": "boolean"}, "targets": []},
+    "non-integer-n": {**FINAL_SPEC, "lattice": {"kind": "boolean", "n": "x"}, "targets": []},
+    "string-cutset": {**FINAL_SPEC, "cutset": "level"},
+    "string-lattice": {**FINAL_SPEC, "lattice": "interval"},
+    "interval-without-ambient": {**FINAL_SPEC, "lattice": {"kind": "interval"}},
+}
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS.keys())
+def test_malformed_regrade_spec_is_an_input_error(spec, tmp_path, capsys):
+    path = write_json(tmp_path / "spec.json", spec)
+    assert main(["regrade", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+NON_SPECS = JSON_VALUES | st.fixed_dictionaries(
+    {"lattice": JSON_VALUES, "cutset": JSON_VALUES}, optional={"targets": JSON_VALUES}
+)
+
+
+@settings(max_examples=150)
+@given(spec=NON_SPECS)
+def test_arbitrary_non_spec_json_is_an_input_error(spec, tmp_path_factory):
+    path = write_json(tmp_path_factory.mktemp("fuzz") / "spec.json", spec)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["regrade", path])
+    assert code == 2
+    assert err.getvalue().startswith("input error:")
+    assert "Traceback" not in err.getvalue()
 
 
 class TestCounterexample:

@@ -17,7 +17,6 @@ from rglat.finite import (
     element_from_json,
     element_to_json,
     enumerate_maximal_chains,
-    family_meet_join_rank,
     partition_family,
     product_plane_lattice,
     product_plane_limit_demo,
@@ -31,6 +30,7 @@ from oracle_helpers import (
     boolean_cutsets_bruteforce,
     count_maximal_chains,
     oracle_partition_join,
+    oracle_partition_meet,
     refines,
     rgs_partitions,
 )
@@ -48,27 +48,26 @@ class TestMeetJoinRank:
         lattice = partition_family(4).lattice
         x = part([1, 3], [2], [4])
         y = part([1, 2], [3], [4])
-        meet, join, rx, ry = family_meet_join_rank(lattice, x, y)
-        oracle = oracle_partition_join(rgs_partitions(4), blocks_of(x), blocks_of(y))
-        assert blocks_of(join) == oracle
+        join = lattice.join(x, y)
+        parts = rgs_partitions(4)
+        assert blocks_of(lattice.meet(x, y)) == oracle_partition_meet(parts, blocks_of(x), blocks_of(y))
+        assert blocks_of(join) == oracle_partition_join(parts, blocks_of(x), blocks_of(y))
         assert join == part([1, 2, 3], [4])
-        assert (rx, ry) == (Rank(1), Rank(1))
+        assert (lattice.rank(x), lattice.rank(y)) == (Rank(1), Rank(1))
 
     def test_independent_lines_meet_in_zero(self):
         lattice = subspace_family(2, 3).lattice
         e1 = Subspace.from_rows(2, 3, [[1, 0, 0]])
         e2 = Subspace.from_rows(2, 3, [[0, 1, 0]])
-        meet, join, *_ = family_meet_join_rank(lattice, e1, e2)
-        assert meet == Subspace.zero(2, 3)
-        assert join.dimension() == 2
+        assert lattice.meet(e1, e2) == Subspace.zero(2, 3)
+        assert lattice.join(e1, e2).dimension() == 2
 
     def test_boolean_set_algebra(self):
         lattice = boolean_family(4).lattice
         x = BitSubset.from_members(4, [1, 2])
         y = BitSubset.from_members(4, [2, 3])
-        meet, join, *_ = family_meet_join_rank(lattice, x, y)
-        assert meet.members() == (2,)
-        assert join.members() == (1, 2, 3)
+        assert lattice.meet(x, y).members() == (2,)
+        assert lattice.join(x, y).members() == (1, 2, 3)
 
     def test_ambient_mismatch_is_reported(self):
         lattice = boolean_family(4).lattice

@@ -11,7 +11,6 @@ from rglat.intervals import (
     StepDensity,
     bounded_chain_demo,
     chief_element,
-    complement,
     density_from_json,
     density_to_json,
     grade_value,
@@ -19,12 +18,10 @@ from rglat.intervals import (
     interval_lattice,
     interval_set_from_json,
     interval_set_to_json,
-    join_profile,
     lebesgue,
     measure,
-    meet_profile,
     normalize,
-    nu_eval,
+    profile_bundle,
     union,
 )
 from rglat.rank import Rank
@@ -78,22 +75,6 @@ class TestBooleanOps:
         u = iset((0, HALF), (1, TWO))
         assert union(u, EMPTY) == u
 
-    def test_complement_example(self):
-        u = iset((Fraction(1, 4), HALF))
-        assert complement(u, Ambient(Fraction(1))) == iset((0, Fraction(1, 4)), (HALF, 1))
-
-    def test_complement_needs_bounded_mode(self):
-        with pytest.raises(AmbientMismatch):
-            complement(iset((0, 1)), Ambient(None))
-
-    @given(u=interval_sets(), v=interval_sets())
-    def test_complement_laws(self, u, v):
-        amb = AMBIENT2
-        cu = complement(u, amb)
-        assert intersect(u, cu) == EMPTY
-        assert union(u, cu) == iset((0, TWO))
-        assert complement(union(u, v), amb) == intersect(cu, complement(v, amb))
-
     @given(u=interval_sets(), v=interval_sets(), w=interval_sets())
     def test_distributivity(self, u, v, w):
         assert intersect(u, union(v, w)) == union(intersect(u, v), intersect(u, w))
@@ -124,7 +105,7 @@ class TestMeasure:
 class TestStepDensity:
     def test_final_example_mass(self):
         assert FINAL_DENSITY.mass(iset((1, Fraction(3, 2)))) == 1
-        assert nu_eval(FINAL_DENSITY, iset((1, Fraction(3, 2)))) == Rank(1)
+        assert interval_lattice(AMBIENT2, FINAL_DENSITY).rank(iset((1, Fraction(3, 2)))) == Rank(1)
 
     def test_unit_density_is_lebesgue(self):
         unit = StepDensity.uniform(TWO)
@@ -175,16 +156,16 @@ class TestChiefElements:
 class TestProfiles:
     def test_prefix_geometry_slopes(self):
         ambient = Ambient(Fraction(1))
-        prof = meet_profile(ambient, iset((HALF, 1)))
+        prof = profile_bundle(ambient, iset((HALF, 1))).grade_meet
         assert prof.breakpoints == (Fraction(0), HALF, Fraction(1))
         assert prof.slopes() == (Fraction(0), Fraction(1))
 
     def test_full_ambient_is_the_identity_profile(self):
-        prof = meet_profile(AMBIENT2, iset((0, 2)))
+        prof = profile_bundle(AMBIENT2, iset((0, 2))).grade_meet
         assert prof.values == prof.breakpoints
 
     def test_final_example_density_profile(self):
-        prof = meet_profile(AMBIENT2, iset((1, 2)), FINAL_DENSITY)
+        prof = profile_bundle(AMBIENT2, iset((1, 2)), FINAL_DENSITY).grade_meet
         assert prof.breakpoints == (Fraction(0), Fraction(1), TWO)
         assert prof.values == (Fraction(0), Fraction(0), TWO)
         assert prof.slopes() == (Fraction(0), TWO)
@@ -193,8 +174,8 @@ class TestProfiles:
     @settings(max_examples=60)
     @given(z=interval_sets(), f=step_densities())
     def test_profile_matches_direct_evaluation(self, z, f):
-        meet_prof = meet_profile(AMBIENT2, z, f)
-        join_prof = join_profile(AMBIENT2, z, f)
+        bundle = profile_bundle(AMBIENT2, z, f)
+        meet_prof, join_prof = bundle.grade_meet, bundle.grade_join
         assert meet_prof.is_weakly_increasing and join_prof.is_weakly_increasing
         assert meet_prof.total_rise == f.mass(z)
         assert join_prof.total_rise == f.total - f.mass(z)
@@ -205,14 +186,14 @@ class TestProfiles:
             assert join_prof.value_at(level) == f.mass(union(z, probe))
 
     def test_min_level_at_value_finds_first_attainment(self):
-        prof = meet_profile(AMBIENT2, iset((1, 2)), FINAL_DENSITY)
+        prof = profile_bundle(AMBIENT2, iset((1, 2)), FINAL_DENSITY).grade_meet
         assert prof.min_level_at_value(Fraction(0)) == 0
         assert prof.min_level_at_value(Fraction(1)) == Fraction(3, 2)
         with pytest.raises(PreconditionViolation):
             prof.min_level_at_value(Fraction(5))
 
     def test_value_outside_domain_rejected(self):
-        prof = meet_profile(AMBIENT2, iset((1, 2)))
+        prof = profile_bundle(AMBIENT2, iset((1, 2))).grade_meet
         with pytest.raises(PreconditionViolation):
             prof.value_at(Fraction(5, 2))
 

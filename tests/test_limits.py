@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from rglat.errors import PreconditionViolation
 from rglat.finite import BitSubset, Subspace, boolean_family
-from rglat.intervals import IntervalSet, measure
+from rglat.core import updown_distance
+from rglat.intervals import Ambient, IntervalSet, interval_lattice, measure
 from rglat.limits import (
     EmbeddingFamily,
     boolean_to_interval,
@@ -14,8 +15,6 @@ from rglat.limits import (
     coherence_check,
     embed_boolean,
     embed_subspace,
-    interval_updown,
-    metric_point,
     renormalized_rank,
     updown_metric,
 )
@@ -41,7 +40,7 @@ class TestRenormalizedRank:
 
     def test_bottom_and_top(self):
         assert renormalized_rank(BitSubset(4, 0), 4) == Rank(0)
-        assert metric_point(BitSubset(4, 15), 4).renormalized == Rank(1)
+        assert renormalized_rank(BitSubset(4, 15), 4) == Rank(1)
 
     def test_level_mismatch(self):
         with pytest.raises(PreconditionViolation):
@@ -205,4 +204,4 @@ class TestCauchyApprox:
     def test_interval_updown_symmetric_difference(self):
         u = IntervalSet.of((0, "1/2"))
         v = IntervalSet.of(("1/4", "3/4"))
-        assert interval_updown(u, v) == Fraction(1, 2)
+        assert updown_distance(interval_lattice(Ambient(Fraction(1))), u, v) == Rank("1/2")

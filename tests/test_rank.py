@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from rglat.errors import IndeterminateFormError, PreconditionViolation
-from rglat.rank import NEG_INF, POS_INF, Rank, RankInterval, format_fraction, parse_fraction
+from rglat.rank import NEG_INF, POS_INF, Rank, format_fraction, parse_fraction
 from strategies import rationals
 
 
@@ -62,11 +62,3 @@ def test_fraction_strings_are_explicit():
     assert parse_fraction("2/1") == 2
     assert parse_fraction("2") == 2
 
-
-def test_rank_interval_validation():
-    ri = RankInterval(0, POS_INF)
-    assert ri.contains(Rank(10**6))
-    assert not ri.is_bounded
-    assert RankInterval("0", "2").is_bounded
-    with pytest.raises(PreconditionViolation):
-        RankInterval(1, 0)

@@ -12,11 +12,16 @@ from rglat.finite import (
     boolean_family,
     chief_chain,
     partition_family,
+    product_plane_limit_demo,
 )
 from rglat.gen import random_comparable_pair, random_set_with_mass
 from rglat.intervals import (
     EMPTY,
     IntervalSet,
+    bounded_chain_demo,
+    intersect,
+    measure,
+    union,
 )
 from rglat.rank import Rank
 from rglat.regrading import (
@@ -24,7 +29,6 @@ from rglat.regrading import (
     FiniteRegrader,
     IntervalRegrader,
     LevelCutset,
-    affine_rescale,
     counterexample_report,
     counterexample_stage,
     cutset_from_json,
@@ -33,7 +37,6 @@ from rglat.regrading import (
     hypothesis_bounded_interval,
     hypothesis_line_sets,
     hypothesis_product_plane,
-    reversed_chain_maximal,
 )
 
 from strategies import interval_sets
@@ -50,6 +53,12 @@ def stage() -> IntervalRegrader:
     return counterexample_stage()
 
 
+def chain_point(regrader, z, level, side):
+    """The element of the projection chain through z at a chief level."""
+    op = intersect if side == "meet" else union
+    return op(z, regrader.chief(level))
+
+
 def bracket_crossing(regrader, z, step=Fraction(1, 128)):
     """Grid-scan oracle: bracket the least level where the relevant profile
     reaches the cutset value, without touching the exact solver."""
@@ -58,7 +67,7 @@ def bracket_crossing(regrader, z, step=Fraction(1, 128)):
     prev = Fraction(0)
     level = Fraction(0)
     while level <= regrader.ambient.upper:
-        point = regrader.chain_point(z, level, side).element
+        point = chain_point(regrader, z, level, side)
         if regrader.grade(point) >= target:
             return prev, level, side
         prev = level
@@ -155,9 +164,9 @@ class TestChainMachinery:
     def test_chain_point_extremes(self):
         regrader = stage()
         z = iset(("1/4", "3/4"))
-        assert regrader.chain_point(z, 0, "meet").element == EMPTY
-        assert regrader.chain_point(z, TWO, "join").element == regrader.top
-        assert regrader.chain_point(iset((1, 2)), Fraction(3, 2), "meet").element == iset((1, "3/2"))
+        assert chain_point(regrader, z, 0, "meet") == EMPTY
+        assert chain_point(regrader, z, TWO, "join") == regrader.top
+        assert chain_point(regrader, iset((1, 2)), Fraction(3, 2), "meet") == iset((1, "3/2"))
 
     def test_chain_maximality_for_empty_seed(self):
         assert stage().chain_maximality(EMPTY).ok
@@ -168,7 +177,9 @@ class TestChainMachinery:
         assert regrader.chain_maximality(iset((1, 2)), regrader.density).ok
 
     def test_reversed_chain_via_profiles(self):
-        assert stage().reversed_chain_maximality(iset((0, 1))).ok
+        # Meets and joins of a chief member m along the prefix chain are the
+        # profiles of m with the roles of m and the chain exchanged.
+        assert stage().chain_maximality(iset((0, 1))).ok
 
     def test_finite_good_chain_is_saturated(self):
         fam = boolean_family(4)
@@ -187,12 +198,14 @@ class TestChainMachinery:
             BitSubset.from_members(4, [1, 3, 4]),
             BitSubset.from_members(4, [1, 2, 3, 4]),
         ]
-        assert reversed_chain_maximal(fam.lattice, m, chain).ok
+        reversed_chain = finite_good_chain(fam.lattice, chain, m)
+        assert [fam.lattice.rank(e).fraction for e in reversed_chain] == [0, 1, 2, 3, 4]
+        assert reversed_chain[0] == fam.lattice.bottom and reversed_chain[-1] == fam.lattice.top
 
     def test_reversed_chain_with_bottom_is_the_original(self):
         fam = boolean_family(3)
         chain = list(chief_chain(fam).elements())
-        assert reversed_chain_maximal(fam.lattice, fam.lattice.bottom, chain).ok
+        assert finite_good_chain(fam.lattice, chain, fam.lattice.bottom) == tuple(chain)
 
 
 class TestOrderAndMonotonicity:
@@ -299,7 +312,7 @@ class TestHypothesisReports:
         assert all(c.vacuous for c in report.conditions)
 
     def test_line_stage_flags_only_the_chain_meet(self):
-        report = hypothesis_line_sets()
+        report = hypothesis_line_sets(bounded_chain_demo())
         assert report.failing == ("chain-meet-sup",)
         by_name = {c.name: c for c in report.conditions}
         assert by_name["chain-meet-sup"].scan_value == Rank(0)
@@ -307,23 +320,11 @@ class TestHypothesisReports:
         assert by_name["chief-meet-sup"].holds and not by_name["chief-meet-sup"].vacuous
 
     def test_plane_stage_flags_only_the_chain_meet(self):
-        report = hypothesis_product_plane()
+        report = hypothesis_product_plane(product_plane_limit_demo())
         assert report.failing == ("chain-meet-sup",)
         by_name = {c.name: c for c in report.conditions}
         assert by_name["chain-meet-sup"].scan_value == Rank(0)
         assert by_name["chain-meet-sup"].target_value == Rank(1)
-
-
-class TestRescaling:
-    def test_affine_onto_unit_interval(self):
-        regrader = stage()
-        assert regrader.rescaled(EMPTY, (Fraction(0), Fraction(1))) == 0
-        assert regrader.rescaled(regrader.top, (Fraction(0), Fraction(1))) == 1
-        assert regrader.rescaled(iset((0, 1)), (Fraction(0), Fraction(1))) == HALF
-
-    def test_affine_rescale_requires_nondegenerate_source(self):
-        with pytest.raises(PreconditionViolation):
-            affine_rescale(Fraction(0), (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
 
 
 class TestCutsetJson:
@@ -377,9 +378,7 @@ def test_sweep_agrees_with_per_element_projection(z):
     for side in ("meet", "join"):
         rows = [r for r in regrader.sweep_through(z, Fraction(1, 8)) if r.side == side]
         for row in rows:
-            element = regrader.chain_point(z, row.level, side).element
-            from rglat.intervals import measure
-
+            element = chain_point(regrader, z, row.level, side)
             assert row.rank == measure(element)
             assert row.regraded == regrader.regraded(element)
 
