@@ -17,9 +17,9 @@ import json
 import sys
 from fractions import Fraction
 
+from . import finite
 from .errors import InputFormatError, LatticeError
 from .finite import (
-    DEFAULT_CAPS,
     boolean_family,
     element_from_json,
     element_to_json,
@@ -45,9 +45,9 @@ def _config_line(args: argparse.Namespace) -> str:
         if hasattr(args, key) and getattr(args, key) is not None:
             parts.append(f"{key}={getattr(args, key)}")
     if args.command == "verify":
-        caps = DEFAULT_CAPS
         parts.append(
-            f"caps=elements:{caps.max_elements},chains:{caps.max_chains},cutset-base:{caps.cutset_base}"
+            f"caps=elements:{finite.MAX_ELEMENTS},chains:{finite.MAX_CHAINS},"
+            f"cutset-base:{finite.CUTSET_BASE}"
         )
     return " ".join(parts)
 
@@ -112,16 +112,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _spec_size(spec: dict, key: str) -> int:
+    # JSON integers only: 2.5, "4" and true are not lattice sizes.
+    value = spec.get(key)
+    if type(value) is not int:
+        raise InputFormatError(f"lattice spec needs an integer {key!r}: {spec!r}")
+    return value
+
+
 def _family_from_spec(spec: dict):
     kind = spec.get("kind")
     try:
         if kind == "boolean":
-            return boolean_family(int(spec["n"]))
+            return boolean_family(_spec_size(spec, "n"))
         if kind == "partition":
-            return partition_family(int(spec["n"]))
+            return partition_family(_spec_size(spec, "n"))
         if kind == "subspace":
-            return subspace_family(int(spec["p"]), int(spec["n"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            return subspace_family(_spec_size(spec, "p"), _spec_size(spec, "n"))
+    except ValueError as exc:
         raise InputFormatError(f"bad {kind} lattice spec: {spec!r}") from exc
     raise InputFormatError(f"unknown lattice kind {kind!r}")
 

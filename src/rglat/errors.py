@@ -14,7 +14,7 @@ class AmbientMismatch(LatticeError):
 
 
 class SizeCapExceeded(LatticeError):
-    """An exhaustive enumeration was requested above the configured caps."""
+    """An exhaustive enumeration was requested above the cap constants in ``finite``."""
 
 
 class PreconditionViolation(LatticeError):

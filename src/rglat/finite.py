@@ -3,12 +3,14 @@
 Four families: Boolean (bitmask subsets), set partitions under refinement,
 subspaces of F_p^n in reduced row-echelon form, and the rational product
 plane with symbolic extrema.  All canonical forms are structural, so ``==``
-decides lattice equality.  Enumeration sizes are guarded by
-:class:`EnumerationCaps`.
+decides lattice equality.  Enumeration sizes are guarded by the module
+constants ``MAX_ELEMENTS``, ``MAX_CHAINS`` and ``CUTSET_BASE``, read at call
+time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,17 +29,10 @@ MAX_BOOLEAN_GROUND = 24
 MAX_PARTITION_GROUND = 7
 MAX_SUBSPACE_DIM = 6
 
-
-@dataclass(frozen=True)
-class EnumerationCaps:
-    """Limits for the exhaustive operations; exceeding them raises SizeCapExceeded."""
-
-    max_elements: int = 6000
-    max_chains: int = 250_000
-    cutset_base: int = 16
-
-
-DEFAULT_CAPS = EnumerationCaps()
+# Limits for the exhaustive operations; exceeding one raises SizeCapExceeded.
+MAX_ELEMENTS = 6000
+MAX_CHAINS = 250_000
+CUTSET_BASE = 16
 
 
 # --- Boolean lattice -------------------------------------------------------
@@ -81,6 +76,7 @@ def _check_boolean_pair(x: BitSubset, y: BitSubset) -> None:
         raise AmbientMismatch(f"ground sets differ: {x.n} vs {y.n}")
 
 
+@functools.cache
 def boolean_lattice(n: int) -> GradedLattice:
     def meet(x: BitSubset, y: BitSubset) -> BitSubset:
         _check_boolean_pair(x, y)
@@ -309,6 +305,7 @@ def _subspace_meet(x: Subspace, y: Subspace) -> Subspace:
     return Subspace.from_rows(p, n, inter)
 
 
+@functools.cache
 def subspace_lattice(p: int, n: int) -> GradedLattice:
     return GradedLattice(
         name=f"subspace-F{p}^{n}",
@@ -320,7 +317,7 @@ def subspace_lattice(p: int, n: int) -> GradedLattice:
     )
 
 
-def _all_subspaces(p: int, n: int, caps: EnumerationCaps) -> list[Subspace]:
+def _all_subspaces(p: int, n: int) -> list[Subspace]:
     vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
     zero = Subspace.zero(p, n)
     seen = {zero}
@@ -333,10 +330,8 @@ def _all_subspaces(p: int, n: int, caps: EnumerationCaps) -> list[Subspace]:
                 if t not in seen:
                     seen.add(t)
                     nxt.append(t)
-                    if len(seen) > caps.max_elements:
-                        raise SizeCapExceeded(
-                            f"more than {caps.max_elements} subspaces of F{p}^{n}"
-                        )
+                    if len(seen) > MAX_ELEMENTS:
+                        raise SizeCapExceeded(f"more than {MAX_ELEMENTS} subspaces of F{p}^{n}")
         frontier = nxt
     return sorted(seen, key=lambda s: (s.dimension(), s.rows))
 
@@ -472,39 +467,26 @@ class FiniteFamily:
 
     kind: str
     lattice: GradedLattice
-    caps: EnumerationCaps
     n: int
     p: int | None
-    _elements: Callable[[], list] = field(repr=False)
-    _chief: Callable[[], list] = field(repr=False)
-
-    def elements(self) -> list:
-        out = self._elements()
-        if len(out) > self.caps.max_elements:
-            raise SizeCapExceeded(
-                f"{self.lattice.name} has {len(out)} elements, cap {self.caps.max_elements}"
-            )
-        return out
-
-    def chief_elements(self) -> list:
-        return self._chief()
+    elements: Callable[[], list] = field(repr=False)
+    chief_elements: Callable[[], list] = field(repr=False)
 
 
-def boolean_family(n: int, caps: EnumerationCaps = DEFAULT_CAPS) -> FiniteFamily:
-    if (1 << n) > caps.max_elements:
-        raise SizeCapExceeded(f"2^{n} elements exceed the cap {caps.max_elements}")
+def boolean_family(n: int) -> FiniteFamily:
+    if (1 << n) > MAX_ELEMENTS:
+        raise SizeCapExceeded(f"2^{n} elements exceed the cap {MAX_ELEMENTS}")
     return FiniteFamily(
         kind="boolean",
         lattice=boolean_lattice(n),
-        caps=caps,
         n=n,
         p=None,
-        _elements=lambda: [BitSubset(n, m) for m in range(1 << n)],
-        _chief=lambda: [BitSubset(n, (1 << i) - 1) for i in range(n + 1)],
+        elements=lambda: [BitSubset(n, m) for m in range(1 << n)],
+        chief_elements=lambda: [BitSubset(n, (1 << i) - 1) for i in range(n + 1)],
     )
 
 
-def partition_family(n: int, caps: EnumerationCaps = DEFAULT_CAPS) -> FiniteFamily:
+def partition_family(n: int) -> FiniteFamily:
     def chief() -> list[SetPartition]:
         out = []
         for i in range(n):
@@ -515,15 +497,14 @@ def partition_family(n: int, caps: EnumerationCaps = DEFAULT_CAPS) -> FiniteFami
     return FiniteFamily(
         kind="partition",
         lattice=partition_lattice(n),
-        caps=caps,
         n=n,
         p=None,
-        _elements=lambda: _all_partitions(n),
-        _chief=chief,
+        elements=lambda: _all_partitions(n),
+        chief_elements=chief,
     )
 
 
-def subspace_family(p: int, n: int, caps: EnumerationCaps = DEFAULT_CAPS) -> FiniteFamily:
+def subspace_family(p: int, n: int) -> FiniteFamily:
     def chief() -> list[Subspace]:
         return [
             Subspace.from_rows(p, n, [[1 if j == i else 0 for j in range(n)] for i in range(k)])
@@ -533,11 +514,10 @@ def subspace_family(p: int, n: int, caps: EnumerationCaps = DEFAULT_CAPS) -> Fin
     return FiniteFamily(
         kind="subspace",
         lattice=subspace_lattice(p, n),
-        caps=caps,
         n=n,
         p=p,
-        _elements=lambda: _all_subspaces(p, n, caps),
-        _chief=chief,
+        elements=lambda: _all_subspaces(p, n),
+        chief_elements=chief,
     )
 
 
@@ -548,9 +528,8 @@ def _int_rank(lattice: GradedLattice, x) -> int:
     return r.numerator
 
 
-def enumerate_maximal_chains(family: FiniteFamily, caps: EnumerationCaps | None = None) -> list[tuple]:
+def enumerate_maximal_chains(family: FiniteFamily) -> list[tuple]:
     """All saturated bottom-to-top chains, as element tuples."""
-    caps = caps or family.caps
     lattice = family.lattice
     elems = family.elements()
     by_rank: dict[int, list] = {}
@@ -567,8 +546,8 @@ def enumerate_maximal_chains(family: FiniteFamily, caps: EnumerationCaps | None 
         r = _int_rank(lattice, last)
         if r == top_rank:
             chains.append(tuple(prefix))
-            if len(chains) > caps.max_chains:
-                raise SizeCapExceeded(f"more than {caps.max_chains} maximal chains")
+            if len(chains) > MAX_CHAINS:
+                raise SizeCapExceeded(f"more than {MAX_CHAINS} maximal chains")
             return
         for e in by_rank.get(r + 1, ()):
             if lattice.leq(last, e):
@@ -580,19 +559,14 @@ def enumerate_maximal_chains(family: FiniteFamily, caps: EnumerationCaps | None 
     return chains
 
 
-def antichain_cutsets_exhaustive(
-    family: FiniteFamily, caps: EnumerationCaps | None = None
-) -> list[tuple]:
+def antichain_cutsets_exhaustive(family: FiniteFamily) -> list[tuple]:
     """All antichains meeting every maximal chain, by bitmask brute force."""
-    caps = caps or family.caps
     elems = family.elements()
-    if len(elems) > caps.cutset_base:
-        raise SizeCapExceeded(
-            f"{len(elems)} elements exceed the antichain search cap {caps.cutset_base}"
-        )
+    if len(elems) > CUTSET_BASE:
+        raise SizeCapExceeded(f"{len(elems)} elements exceed the antichain search cap {CUTSET_BASE}")
     lattice = family.lattice
     index = {e: i for i, e in enumerate(elems)}
-    chains = enumerate_maximal_chains(family, caps)
+    chains = enumerate_maximal_chains(family)
     chain_masks = []
     for chain in chains:
         mask = 0

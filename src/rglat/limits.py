@@ -16,15 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import CheckResult, GradedLattice, updown_distance
+from .core import CheckResult, updown_distance
 from .errors import PreconditionViolation
 from .finite import (
-    DEFAULT_CAPS,
     BitSubset,
-    EnumerationCaps,
+    FiniteFamily,
     Subspace,
-    _all_subspaces,
+    boolean_family,
     boolean_lattice,
+    subspace_family,
     subspace_lattice,
 )
 from .intervals import Ambient, IntervalSet, interval_lattice, normalize
@@ -78,7 +78,6 @@ class EmbeddingFamily:
 
     kind: str
     p: int | None = None
-    caps: EnumerationCaps = DEFAULT_CAPS
 
     def __post_init__(self):
         if self.kind not in ("boolean", "subspace"):
@@ -86,17 +85,11 @@ class EmbeddingFamily:
         if self.kind == "subspace" and self.p is None:
             raise PreconditionViolation("subspace towers need a field size")
 
-    def lattice(self, level: int) -> GradedLattice:
+    def at(self, level: int) -> FiniteFamily:
+        """The finite lattice at one level, with its enumerations."""
         if self.kind == "boolean":
-            return boolean_lattice(level)
-        return subspace_lattice(self.p, level)
-
-    def elements(self, level: int) -> list:
-        if self.kind == "boolean":
-            if (1 << level) > self.caps.max_elements:
-                raise PreconditionViolation(f"level {level} too large to exhaust")
-            return [BitSubset(level, m) for m in range(1 << level)]
-        return _all_subspaces(self.p, level, self.caps)
+            return boolean_family(level)
+        return subspace_family(self.p, level)
 
     def embed(self, x, n: int):
         if self.kind == "boolean":
@@ -109,7 +102,7 @@ def coherence_check(family: EmbeddingFamily, k: int, m: int, n: int) -> CheckRes
     _require_divides(k, m)
     _require_divides(m, n)
     checked = 0
-    for x in family.elements(k):
+    for x in family.at(k).elements():
         direct = family.embed(x, n)
         composed = family.embed(family.embed(x, m), n)
         if direct != composed:
@@ -135,9 +128,10 @@ def embedding_check(family: EmbeddingFamily, k: int, n: int) -> CheckResult:
     One check per level-k element for its rank and one per pair for the rest.
     """
     _require_divides(k, n)
-    lattice_k = family.lattice(k)
-    lattice_n = family.lattice(n)
-    level_k = family.elements(k)
+    family_k = family.at(k)
+    lattice_k = family_k.lattice
+    lattice_n = family.at(n).lattice
+    level_k = family_k.elements()
     checked = 0
     for x in level_k:
         if renormalized_rank(family.embed(x, n), n) != renormalized_rank(x, k):

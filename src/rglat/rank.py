@@ -51,14 +51,6 @@ class Rank:
         return self._kind == _FIN
 
     @property
-    def is_pos_inf(self) -> bool:
-        return self._kind == _POS
-
-    @property
-    def is_neg_inf(self) -> bool:
-        return self._kind == _NEG
-
-    @property
     def fraction(self) -> Fraction:
         if self._kind != _FIN:
             raise PreconditionViolation(f"{self} has no finite value")
@@ -136,21 +128,6 @@ class Rank:
 
     def __repr__(self) -> str:
         return f"Rank({str(self)!r})"
-
-    def to_json(self) -> str:
-        if self._kind == _POS:
-            return "inf"
-        if self._kind == _NEG:
-            return "-inf"
-        return format_fraction(self._value)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Rank":
-        if text == "inf":
-            return POS_INF
-        if text == "-inf":
-            return NEG_INF
-        return cls(parse_fraction(text))
 
 
 def _infinite(kind: int) -> Rank:

@@ -214,41 +214,6 @@ class IntervalRegrader:
             - self.regraded(x)
         )
 
-    def chain_maximality(self, z: IntervalSet, density: StepDensity | None = None) -> CheckResult:
-        """The projection chain through z covers the full grading range.
-
-        Checked exactly: the meet and join profiles are continuous, weakly
-        increasing, and splice at grading(z) while spanning grading(bottom)
-        to grading(top).
-        """
-        bundle = profile_bundle(self.ambient, z, density)
-        meet_prof, join_prof = bundle.grade_meet, bundle.grade_join
-        gz = grade_value(z, density)
-        top_value = grade_value(self.top, density)
-        ok = (
-            meet_prof.is_weakly_increasing
-            and join_prof.is_weakly_increasing
-            and meet_prof.values[0] == 0
-            and meet_prof.values[-1] == gz
-            and join_prof.values[0] == gz
-            and join_prof.values[-1] == top_value
-        )
-        witness = None if ok else f"profiles of {z!r} do not cover [0, {top_value}]"
-        return CheckResult(ok, len(meet_prof.breakpoints) + len(join_prof.breakpoints), witness)
-
-    def projection_order_check(self, w: IntervalSet, z: IntervalSet) -> CheckResult:
-        """For w < z above or on the cutset: levels reverse or projections agree."""
-        if not (intersect(w, z) == w and w != z):
-            raise PreconditionViolation("need w strictly below z")
-        if self.grade(w) < self.cutset.value or self.grade(z) < self.cutset.value:
-            raise PreconditionViolation("both elements must be above or on the cutset")
-        pw, pz = self.project(w), self.project(z)
-        ok = pw.chief_level > pz.chief_level or pw.element == pz.element
-        witness = None if ok else (
-            f"levels {pw.chief_level} <= {pz.chief_level} with distinct projections"
-        )
-        return CheckResult(ok, 2, witness)
-
     def monotone_check(self, pairs: Iterable[tuple[IntervalSet, IntervalSet]]) -> CheckResult:
         checked = 0
         for w, z in pairs:

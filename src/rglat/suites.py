@@ -543,7 +543,7 @@ def suite_tower(cfg: SuiteConfig) -> SuiteResult:
         checked += res.checked
     booleans = EmbeddingFamily("boolean")
     for k, n in ((2, 4), (4, 8)):
-        for x in booleans.elements(k):
+        for x in booleans.at(k).elements():
             if boolean_to_interval(embed_boolean(x, n)) != boolean_to_interval(x):
                 return _fail("tower", checked, f"interval identification not natural at {x!r}")
             checked += 1

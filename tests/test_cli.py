@@ -115,6 +115,9 @@ MALFORMED_SPECS = {
     "top-level-list": [FINAL_SPEC],
     "missing-n": {**FINAL_SPEC, "lattice": {"kind": "boolean"}, "targets": []},
     "non-integer-n": {**FINAL_SPEC, "lattice": {"kind": "boolean", "n": "x"}, "targets": []},
+    "fractional-n": {**FINAL_SPEC, "lattice": {"kind": "boolean", "n": 2.5}, "targets": []},
+    "boolean-n": {**FINAL_SPEC, "lattice": {"kind": "boolean", "n": True}, "targets": []},
+    "float-p": {**FINAL_SPEC, "lattice": {"kind": "subspace", "p": 2.0, "n": 2}, "targets": []},
     "string-cutset": {**FINAL_SPEC, "cutset": "level"},
     "string-lattice": {**FINAL_SPEC, "lattice": "interval"},
     "interval-without-ambient": {**FINAL_SPEC, "lattice": {"kind": "interval"}},

@@ -1,10 +1,13 @@
-"""Every top-level name in the package must be used by the program itself.
+"""Every name the package defines must be used by the program itself.
 
 A name defined at module level in ``src/rglat`` counts as used when code in
 ``src/rglat`` or ``scripts`` loads it anywhere other than its own
 definition, either in its own module or through a ``from ... import`` of
-that module, or when ``rglat.__all__`` exports it.  Uses from ``tests/`` do
-not count: API that only tests call is dead weight.
+that module, or when ``rglat.__all__`` exports it.  A function defined in a
+class body counts as used when that code loads its name anywhere, as an
+attribute or a plain name; the check goes by name alone, so it errs towards
+keeping a method.  Uses from ``tests/`` do not count: API that only tests
+call is dead weight.
 """
 
 import ast
@@ -21,6 +24,10 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _top_level_names(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -28,6 +35,15 @@ def _top_level_names(tree: ast.Module):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def _methods(tree: ast.Module):
+    """(class name, function name) for each function defined in a class body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, item.name
 
 
 def _imports(tree: ast.Module) -> dict[str, tuple[str, str]]:
@@ -50,6 +66,15 @@ def _loads(path: Path):
             yield origin.get(node.id, (path.stem, node.id))
 
 
+def _loaded_identifiers(path: Path):
+    """Every plain name and attribute name the file loads."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
 def test_every_top_level_name_is_used_outside_tests():
     exported = _imports(_parse(ROOT / "src" / "rglat" / "__init__.py"))
     used = {exported[name] for name in rglat.__all__}
@@ -59,6 +84,19 @@ def test_every_top_level_name_is_used_outside_tests():
         f"{path.stem}.{name}"
         for path in PACKAGE
         for name in _top_level_names(_parse(path))
-        if (path.stem, name) not in used and not (name.startswith("__") and name.endswith("__"))
+        if (path.stem, name) not in used and not _is_dunder(name)
+    ]
+    assert unused == []
+
+
+def test_every_method_is_used_outside_tests():
+    used = set()
+    for path in PROGRAM:
+        used.update(_loaded_identifiers(path))
+    unused = [
+        f"{path.stem}.{cls}.{name}"
+        for path in PACKAGE
+        for cls, name in _methods(_parse(path))
+        if name not in used and not _is_dunder(name)
     ]
     assert unused == []

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from rglat.errors import AmbientMismatch, PreconditionViolation, SizeCapExceeded
 from rglat.finite import (
     BitSubset,
-    EnumerationCaps,
     PlanePoint,
     SetPartition,
     Subspace,
@@ -123,14 +122,15 @@ class TestEnumerations:
             ranks = [fam.lattice.rank(e).fraction for e in chain]
             assert ranks == [Fraction(i) for i in range(4)]
 
-    def test_chain_cap_is_enforced(self):
-        caps = EnumerationCaps(max_chains=5)
+    def test_chain_cap_is_enforced(self, monkeypatch):
+        monkeypatch.setattr("rglat.finite.MAX_CHAINS", 5)
         with pytest.raises(SizeCapExceeded):
-            enumerate_maximal_chains(boolean_family(4), caps)
+            enumerate_maximal_chains(boolean_family(4))
 
     def test_element_cap_is_enforced(self):
+        # 2^13 = 8192 elements exceed the cap of 6000.
         with pytest.raises(SizeCapExceeded):
-            boolean_family(13, EnumerationCaps(max_elements=4096))
+            boolean_family(13)
 
 
 class TestAntichainCutsets:

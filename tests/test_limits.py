@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rglat.errors import PreconditionViolation
+from rglat.errors import PreconditionViolation, SizeCapExceeded
 from rglat.finite import BitSubset, Subspace, boolean_family
 from rglat.core import updown_distance
 from rglat.intervals import Ambient, IntervalSet, interval_lattice, measure
@@ -82,9 +82,9 @@ class TestSubspaceEmbedding:
         assert embed_subspace(Subspace.zero(2, 2), 4) == Subspace.zero(2, 4)
 
     def test_lattice_operations_preserved_exhaustively(self):
-        lattice2 = SUBSPACES.lattice(2)
-        lattice4 = SUBSPACES.lattice(4)
-        elems = SUBSPACES.elements(2)
+        lattice2 = SUBSPACES.at(2).lattice
+        lattice4 = SUBSPACES.at(4).lattice
+        elems = SUBSPACES.at(2).elements()
         for x in elems:
             for y in elems:
                 fx, fy = embed_subspace(x, 4), embed_subspace(y, 4)
@@ -112,6 +112,10 @@ class TestCoherence:
         with pytest.raises(PreconditionViolation):
             coherence_check(BOOLEANS, 2, 3, 6)
 
+    def test_level_above_the_element_cap(self):
+        with pytest.raises(SizeCapExceeded):
+            BOOLEANS.at(13)
+
 
 class TestUpDownMetric:
     def test_identity(self):
@@ -122,13 +126,13 @@ class TestUpDownMetric:
         assert updown_metric(bits(4, 1), bits(4, 2)) == Rank("1/2")
 
     def test_embeddings_are_isometries(self):
-        elems = BOOLEANS.elements(3)
+        elems = BOOLEANS.at(3).elements()
         for x in elems:
             for y in elems:
                 assert updown_metric(embed_boolean(x, 6), embed_boolean(y, 6)) == updown_metric(x, y)
 
     def test_metric_axioms_exhaustive_level_three(self):
-        elems = BOOLEANS.elements(3)
+        elems = BOOLEANS.at(3).elements()
         zero = Rank(0)
         for x in elems:
             for y in elems:

@@ -47,16 +47,6 @@ def test_addition_matches_fractions(a, b):
     assert (Rank(a) - Rank(b)).fraction == a - b
 
 
-@given(a=rationals())
-def test_json_round_trip(a):
-    assert Rank.from_json(Rank(a).to_json()) == Rank(a)
-
-
-def test_json_round_trip_infinities():
-    assert Rank.from_json(POS_INF.to_json()) is POS_INF
-    assert Rank.from_json(NEG_INF.to_json()) is NEG_INF
-
-
 def test_fraction_strings_are_explicit():
     assert format_fraction(Fraction(2)) == "2/1"
     assert parse_fraction("2/1") == 2
