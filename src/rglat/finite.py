@@ -35,6 +35,12 @@ MAX_CHAINS = 250_000
 CUTSET_BASE = 16
 
 
+def _check_ground(n: int, limit: int) -> None:
+    # Families call this before they build anything of size n.
+    if not 1 <= n <= limit:
+        raise PreconditionViolation(f"ground size {n} outside 1..{limit}")
+
+
 # --- Boolean lattice -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -45,8 +51,7 @@ class BitSubset:
     mask: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_BOOLEAN_GROUND:
-            raise PreconditionViolation(f"ground size {self.n} outside 1..{MAX_BOOLEAN_GROUND}")
+        _check_ground(self.n, MAX_BOOLEAN_GROUND)
         if not 0 <= self.mask < (1 << self.n):
             raise PreconditionViolation(f"mask {self.mask} outside the ground set of size {self.n}")
 
@@ -110,8 +115,7 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_PARTITION_GROUND:
-            raise PreconditionViolation(f"ground size {self.n} outside 1..{MAX_PARTITION_GROUND}")
+        _check_ground(self.n, MAX_PARTITION_GROUND)
         seen: set[int] = set()
         prev_min = 0
         for block in self.blocks:
@@ -190,6 +194,7 @@ def _partition_join(x: SetPartition, y: SetPartition) -> SetPartition:
 
 
 def partition_lattice(n: int) -> GradedLattice:
+    _check_ground(n, MAX_PARTITION_GROUND)
     return GradedLattice(
         name=f"partition-{n}",
         meet=_partition_meet,
@@ -318,22 +323,23 @@ def subspace_lattice(p: int, n: int) -> GradedLattice:
 
 
 def _all_subspaces(p: int, n: int) -> list[Subspace]:
-    vectors = [v for v in itertools.product(range(p), repeat=n) if any(v)]
-    zero = Subspace.zero(p, n)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for v in vectors:
-                t = Subspace.from_rows(p, n, list(s.rows) + [list(v)])
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-                    if len(seen) > MAX_ELEMENTS:
-                        raise SizeCapExceeded(f"more than {MAX_ELEMENTS} subspaces of F{p}^{n}")
-        frontier = nxt
-    return sorted(seen, key=lambda s: (s.dimension(), s.rows))
+    """Every subspace of F_p^n, built from its reduced row-echelon basis.
+
+    A basis is a set of pivot columns plus any values in the free entries:
+    right of a row's pivot and outside the other pivot columns.
+    """
+    out: list[Subspace] = []
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [(i, c) for i, pc in enumerate(pivots) for c in range(pc + 1, n) if c not in pivots]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [[int(c == pc) for c in range(n)] for pc in pivots]
+                for (i, c), v in zip(free, values):
+                    rows[i][c] = v
+                out.append(Subspace(p, n, tuple(map(tuple, rows))))
+                if len(out) > MAX_ELEMENTS:
+                    raise SizeCapExceeded(f"more than {MAX_ELEMENTS} subspaces of F{p}^{n}")
+    return sorted(out, key=lambda s: (s.dimension(), s.rows))
 
 
 # --- Product plane with symbolic extrema ------------------------------------
@@ -474,6 +480,7 @@ class FiniteFamily:
 
 
 def boolean_family(n: int) -> FiniteFamily:
+    _check_ground(n, MAX_BOOLEAN_GROUND)
     if (1 << n) > MAX_ELEMENTS:
         raise SizeCapExceeded(f"2^{n} elements exceed the cap {MAX_ELEMENTS}")
     return FiniteFamily(

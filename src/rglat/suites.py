@@ -1,19 +1,27 @@
 """Named verification suites behind the `verify` command.
 
-Each suite checks one family of exact identities or one demo and returns a
-:class:`SuiteResult`.  Random suites draw from a Random seeded per suite
-name, so a run is reproducible from its seed alone.
+Each suite checks one family of exact identities or one demo.  A suite is a
+generator ``checks(cfg, rng)`` that yields one outcome per check: ``None``
+for a passing check, a witness string for a failing one, or a
+:class:`CheckResult` for a bulk check that counts its own ``checked``.
+:func:`run_suite` is the one place that turns outcomes into a
+:class:`SuiteResult`: it counts the passing checks, stops at the first
+failure and reports its witness.  A check that is part of another check's
+count yields only when it fails.  The ``rng`` is a Random seeded by the seed
+and the suite name, so a run is reproducible from its seed alone.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, TypeAlias
 
 from .core import (
     ChainSample,
+    CheckResult,
     adjoin_bounds,
     balance_residuals,
     check_lattice_axioms,
@@ -24,6 +32,7 @@ from .core import (
 )
 from .errors import PreconditionViolation
 from .finite import (
+    FiniteFamily,
     PlanePoint,
     antichain_cutsets_exhaustive,
     boolean_family,
@@ -105,19 +114,41 @@ class SuiteResult:
     witness: str | None = None
 
 
-def _rng(cfg: SuiteConfig, name: str) -> random.Random:
-    return random.Random(f"{cfg.seed}:{name}")
+# String aliases: a subscripted typing alias is cached by typing and would
+# keep this module alive after it is unloaded.
+Outcome: TypeAlias = "None | str | CheckResult"
+Checks: TypeAlias = "Callable[[SuiteConfig, random.Random], Iterator[Outcome]]"
 
 
-def _fail(name: str, checked: int, witness: str) -> SuiteResult:
-    return SuiteResult(name, False, checked, "failed", witness)
+@dataclass(frozen=True)
+class _FiniteStage:
+    """A small finite family with the data the exhaustive suites iterate."""
+
+    family: FiniteFamily
+    elements: tuple
+    modular: tuple
+    pairs: tuple  # every (w, z) with w <= z
+    strict: tuple  # every (w, z) with w < z, in the same order
+
+
+@functools.cache
+def _finite_stage(make: Callable[[int], FiniteFamily]) -> _FiniteStage:
+    """The Boolean-4 or partition-4 stage, built once per process."""
+    family = make(4)
+    elems = tuple(family.elements())
+    leq = family.lattice.leq
+    pairs = tuple((w, z) for w in elems for z in elems if leq(w, z))
+    strict = tuple((w, z) for w, z in pairs if w != z)
+    return _FiniteStage(family, elems, tuple(rank_modular_elements(family)), pairs, strict)
+
+
+def _stages() -> list[_FiniteStage]:
+    return [_finite_stage(boolean_family), _finite_stage(partition_family)]
 
 
 # --- lattice axioms -----------------------------------------------------------
 
-def suite_lattice_axioms(cfg: SuiteConfig) -> SuiteResult:
-    rng = _rng(cfg, "lattice-axioms")
-    checked = 0
+def suite_lattice_axioms(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     stages = []
     interval_samples = [random_interval_set(rng, UPPER, max_pieces=3) for _ in range(40)]
     interval_samples.append(EMPTY)
@@ -131,53 +162,40 @@ def suite_lattice_axioms(cfg: SuiteConfig) -> SuiteResult:
     stages.append((product_plane_lattice(), plane_samples))
     for lattice, samples in stages:
         res = check_lattice_axioms(lattice, samples, rng=rng)
-        if not res.ok:
-            return _fail("lattice-axioms", checked, f"{lattice.name}: {res.witness}")
-        checked += res.checked
-    return SuiteResult("lattice-axioms", True, checked, "idempotence, commutativity, absorption, associativity, rank monotonicity")
+        yield res if res.ok else f"{lattice.name}: {res.witness}"
 
 
 # --- balance residuals and diamond bounds -------------------------------------
 
-def _quadruple_suite(cfg: SuiteConfig, name: str, check: Callable, detail: str) -> SuiteResult:
+def _quadruple_suite(cfg: SuiteConfig, rng: random.Random, check: Callable) -> Iterator[Outcome]:
     """One per-quadruple check over random intervals and all partitions of 4.
 
     ``check(lattice, m, ms, w, z)`` returns None or why it failed.  It runs
     on random nested interval quadruples, then on every pair ms <= m of
     rank-modular partitions against every pair w <= z.
     """
-    rng = _rng(cfg, name)
     lattice = interval_lattice(Ambient(UPPER))
-    checked = 0
     for _ in range(cfg.samples or 1000):
         m, ms, w, z = random_nested_quadruple(rng, UPPER)
         why = check(lattice, m, ms, w, z)
-        if why:
-            return _fail(name, checked, f"{why} at m={m!r} ms={ms!r} w={w!r} z={z!r}")
-        checked += 1
-    fam = partition_family(4)
-    plattice = fam.lattice
-    elems = fam.elements()
-    mods = rank_modular_elements(fam)
-    mod_pairs = [(ms, m) for ms in mods for m in mods if plattice.leq(ms, m)]
-    comp_pairs = [(w, z) for w in elems for z in elems if plattice.leq(w, z)]
-    for ms, m in mod_pairs:
-        for w, z in comp_pairs:
+        yield f"{why} at m={m!r} ms={ms!r} w={w!r} z={z!r}" if why else None
+    stage = _finite_stage(partition_family)
+    plattice = stage.family.lattice
+    mods = stage.modular
+    for ms, m in [(ms, m) for ms in mods for m in mods if plattice.leq(ms, m)]:
+        for w, z in stage.pairs:
             why = check(plattice, m, ms, w, z)
-            if why:
-                return _fail(name, checked, f"partition {why} at m={m!r} ms={ms!r} w={w!r} z={z!r}")
-            checked += 1
-    return SuiteResult(name, True, checked, detail)
+            yield f"partition {why} at m={m!r} ms={ms!r} w={w!r} z={z!r}" if why else None
 
 
-def _balance_failure(lattice, m, ms, w, z) -> str | None:
+def _balance_check(lattice, m, ms, w, z) -> str | None:
     r1, r2 = balance_residuals(lattice, m, ms, w, z)
     if r1 != ZERO or r2 != ZERO:
         return f"residuals ({r1}, {r2})"
     return None
 
 
-def _diamond_failure(lattice, m, ms, w, z) -> str | None:
+def _diamond_check(lattice, m, ms, w, z) -> str | None:
     report = diamond_bounds(lattice, m, ms, w, z)
     if not report.all_hold:
         return "negative slack"
@@ -186,27 +204,12 @@ def _diamond_failure(lattice, m, ms, w, z) -> str | None:
     return None
 
 
-def suite_balance(cfg: SuiteConfig) -> SuiteResult:
-    return _quadruple_suite(
-        cfg, "balance", _balance_failure,
-        "both balance residuals exactly zero (random interval + exhaustive partition)",
-    )
-
-
-def suite_diamond(cfg: SuiteConfig) -> SuiteResult:
-    return _quadruple_suite(
-        cfg, "diamond", _diamond_failure, "four diamond bounds with exact row-sum slack identity"
-    )
-
-
 # --- Lipschitz chain scans ----------------------------------------------------
 
-def suite_lipschitz(cfg: SuiteConfig) -> SuiteResult:
-    rng = _rng(cfg, "lipschitz")
-    lattice = interval_lattice(Ambient(UPPER))
+def suite_lipschitz(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     ambient = Ambient(UPPER)
+    lattice = interval_lattice(ambient)
     one = Rank(1)
-    checked = 0
     chain = ChainSample.from_elements(
         lattice, [chief_element(ambient, Fraction(k, 8)) for k in range(0, 17)]
     )
@@ -214,109 +217,73 @@ def suite_lipschitz(cfg: SuiteConfig) -> SuiteResult:
         m = random_interval_set(rng, UPPER)
         for mode in ("meet", "join"):
             ratio = lipschitz_scan(lattice, chain, m, mode)
-            if ratio > one:
-                return _fail("lipschitz", checked, f"ratio {ratio} for m={m!r} mode={mode}")
-            checked += 1
-    fam = partition_family(4)
-    mods = rank_modular_elements(fam)
-    for chain_elems in enumerate_maximal_chains(fam):
-        sample = ChainSample.from_elements(fam.lattice, chain_elems)
-        for m in mods:
+            yield f"ratio {ratio} for m={m!r} mode={mode}" if ratio > one else None
+    stage = _finite_stage(partition_family)
+    plattice = stage.family.lattice
+    for chain_elems in enumerate_maximal_chains(stage.family):
+        sample = ChainSample.from_elements(plattice, chain_elems)
+        for m in stage.modular:
             for mode in ("meet", "join"):
-                ratio = lipschitz_scan(fam.lattice, sample, m, mode)
-                if ratio > one:
-                    return _fail("lipschitz", checked, f"partition ratio {ratio} for m={m!r}")
-                checked += 1
-    return SuiteResult("lipschitz", True, checked, "meet/join chain scans stay within slope 1")
+                ratio = lipschitz_scan(plattice, sample, m, mode)
+                yield f"partition ratio {ratio} for m={m!r}" if ratio > one else None
 
 
 # --- exchange identities ------------------------------------------------------
 
-def suite_left_modular(cfg: SuiteConfig) -> SuiteResult:
-    checked = 0
-    for fam in (boolean_family(4), partition_family(4)):
-        lattice = fam.lattice
-        elems = fam.elements()
-        mods = rank_modular_elements(fam)
-        pairs = [(w, z) for w in elems for z in elems if lattice.lt(w, z)]
-        for m in mods:
-            for w, z in pairs:
+def suite_left_modular(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
+    for stage in _stages():
+        lattice = stage.family.lattice
+        for m in stage.modular:
+            for w, z in stage.strict:
                 left = lattice.meet(lattice.join(w, m), z)
                 right = lattice.join(w, lattice.meet(m, z))
-                if left != right:
-                    return _fail(
-                        "left-modular", checked,
-                        f"(w v m) ^ z != w v (m ^ z) at m={m!r} w={w!r} z={z!r}",
-                    )
-                checked += 1
-    return SuiteResult("left-modular", True, checked, "rank-modular elements are left modular (exhaustive)")
+                yield None if left == right else f"(w v m) ^ z != w v (m ^ z) at m={m!r} w={w!r} z={z!r}"
 
 
-def suite_chief_exchange(cfg: SuiteConfig) -> SuiteResult:
-    checked = 0
-    for fam in (boolean_family(4), partition_family(4)):
-        lattice = fam.lattice
-        elems = fam.elements()
-        chief = list(chief_chain(fam).elements())
-        strict_pairs = [(z, w) for z in elems for w in elems if lattice.lt(z, w)]
+def suite_chief_exchange(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
+    for stage in _stages():
+        lattice = stage.family.lattice
+        chief = list(chief_chain(stage.family).elements())
         for m in chief:
-            for z, w in strict_pairs:
-                if lattice.meet(lattice.join(z, m), w) != lattice.join(z, lattice.meet(m, w)):
-                    return _fail("chief-exchange", checked, f"first identity fails at m={m!r} z={z!r} w={w!r}")
-                checked += 1
+            for z, w in stage.strict:
+                ok = lattice.meet(lattice.join(z, m), w) == lattice.join(z, lattice.meet(m, w))
+                yield None if ok else f"first identity fails at m={m!r} z={z!r} w={w!r}"
         for i, lo in enumerate(chief):
             for hi in chief[i + 1 :]:
-                for z in elems:
+                for z in stage.elements:
                     left = lattice.meet(lattice.join(lo, z), hi)
                     right = lattice.join(lo, lattice.meet(z, hi))
-                    if left != right:
-                        return _fail("chief-exchange", checked, f"second identity fails at lo={lo!r} hi={hi!r} z={z!r}")
-                    checked += 1
-    return SuiteResult("chief-exchange", True, checked, "both chief-chain exchange identities (exhaustive)")
+                    yield None if left == right else f"second identity fails at lo={lo!r} hi={hi!r} z={z!r}"
 
 
-def suite_interval_projection(cfg: SuiteConfig) -> SuiteResult:
-    rng = _rng(cfg, "interval-projection")
+def suite_interval_projection(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     lattice = interval_lattice(Ambient(UPPER))
-    n = cfg.samples or 500
-    checked = 0
-    for _ in range(n):
+    for _ in range(cfg.samples or 500):
         m = random_interval_set(rng, UPPER)
         w, z = random_comparable_pair(rng, UPPER)
         e = union(w, intersect(m, z))
         if not (lattice.leq(w, e) and lattice.leq(e, z)):
-            return _fail("interval-projection", checked, f"projected element escapes [w, z] at m={m!r}")
+            yield f"projected element escapes [w, z] at m={m!r}"
         for _ in range(3):
             x = random_between(rng, UPPER, w, z)
-            if rank_modular_defect(lattice, e, x) != ZERO:
-                return _fail("interval-projection", checked, f"relative defect nonzero at m={m!r} x={x!r}")
-            checked += 1
-    for fam in (boolean_family(4), partition_family(4)):
-        flattice = fam.lattice
-        elems = fam.elements()
-        mods = rank_modular_elements(fam)
-        pairs = [(w, z) for w in elems for z in elems if flattice.lt(w, z)]
-        for m in mods:
-            for w, z in pairs:
+            ok = rank_modular_defect(lattice, e, x) == ZERO
+            yield None if ok else f"relative defect nonzero at m={m!r} x={x!r}"
+    for stage in _stages():
+        flattice = stage.family.lattice
+        for m in stage.modular:
+            for w, z in stage.strict:
                 e = flattice.join(w, flattice.meet(m, z))
-                for x in elems:
+                for x in stage.elements:
                     if flattice.leq(w, x) and flattice.leq(x, z):
-                        if rank_modular_defect(flattice, e, x) != ZERO:
-                            return _fail(
-                                "interval-projection", checked,
-                                f"finite relative defect nonzero at m={m!r} w={w!r} z={z!r} x={x!r}",
-                            )
-                        checked += 1
-    return SuiteResult("interval-projection", True, checked, "w v (m ^ z) is rank modular inside [w, z]")
+                        ok = rank_modular_defect(flattice, e, x) == ZERO
+                        yield None if ok else f"finite relative defect nonzero at m={m!r} w={w!r} z={z!r} x={x!r}"
 
 
 # --- profiles and gradings ----------------------------------------------------
 
-def suite_profiles(cfg: SuiteConfig) -> SuiteResult:
-    rng = _rng(cfg, "profiles")
+def suite_profiles(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     ambient = Ambient(UPPER)
     top = IntervalSet(((Fraction(0), UPPER),))
-    checked = 0
     for i in range(cfg.samples or 100):
         z = random_interval_set(rng, UPPER)
         density = None if i % 2 == 0 else random_density(rng, UPPER)
@@ -326,7 +293,7 @@ def suite_profiles(cfg: SuiteConfig) -> SuiteResult:
         if density is not None:
             expected_points |= set(density.breakpoints)
         if set(meet_prof.breakpoints) != expected_points:
-            return _fail("profiles", checked, f"unexpected breakpoints for z={z!r}")
+            yield f"unexpected breakpoints for z={z!r}"
         gz = grade_value(z, density)
         gtop = grade_value(top, density)
         ok = (
@@ -336,24 +303,20 @@ def suite_profiles(cfg: SuiteConfig) -> SuiteResult:
             and join_prof.total_rise == gtop - gz
         )
         if not ok:
-            return _fail("profiles", checked, f"profile shape wrong for z={z!r}")
+            yield f"profile shape wrong for z={z!r}"
         allowed = {Fraction(0), Fraction(1)} if density is None else {Fraction(0)} | set(density.values)
         if not set(meet_prof.slopes()) <= allowed or not set(join_prof.slopes()) <= allowed:
-            return _fail("profiles", checked, f"illegal slope for z={z!r}")
+            yield f"illegal slope for z={z!r}"
         for _ in range(3):
             level = UPPER * rng.randint(0, 64) / 64
             probe = chief_element(ambient, level)
             if meet_prof.value_at(level) != grade_value(intersect(z, probe), density):
-                return _fail("profiles", checked, f"meet profile disagrees at level {level}")
-            if join_prof.value_at(level) != grade_value(union(z, probe), density):
-                return _fail("profiles", checked, f"join profile disagrees at level {level}")
-            checked += 1
-    return SuiteResult("profiles", True, checked, "piecewise-linear profiles match direct evaluation exactly")
+                yield f"meet profile disagrees at level {level}"
+            ok = join_prof.value_at(level) == grade_value(union(z, probe), density)
+            yield None if ok else f"join profile disagrees at level {level}"
 
 
-def suite_modular_grading(cfg: SuiteConfig) -> SuiteResult:
-    rng = _rng(cfg, "modular-grading")
-    checked = 0
+def suite_modular_grading(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     for _ in range(cfg.samples or 300):
         density = None if rng.random() < 0.5 else random_density(rng, UPPER)
         u = random_interval_set(rng, UPPER)
@@ -361,27 +324,20 @@ def suite_modular_grading(cfg: SuiteConfig) -> SuiteResult:
         lhs = grade_value(union(u, v), density) + grade_value(intersect(u, v), density)
         rhs = grade_value(u, density) + grade_value(v, density)
         if lhs != rhs:
-            return _fail("modular-grading", checked, f"grading not modular at u={u!r} v={v!r}")
+            yield f"grading not modular at u={u!r} v={v!r}"
         w, z = random_comparable_pair(rng, UPPER)
-        if not grade_value(w, density) < grade_value(z, density):
-            return _fail("modular-grading", checked, f"grading not strictly increasing at w={w!r} z={z!r}")
-        checked += 1
-    return SuiteResult("modular-grading", True, checked, "measure and density gradings are modular and strictly increasing")
+        ok = grade_value(w, density) < grade_value(z, density)
+        yield None if ok else f"grading not strictly increasing at w={w!r} z={z!r}"
 
 
 # --- regrading ------------------------------------------------------------------
 
-def suite_level_set(cfg: SuiteConfig) -> SuiteResult:
-    rng = _rng(cfg, "level-set")
+def suite_level_set(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     stage = counterexample_stage()
-    density = stage.density
     n = cfg.samples or 200
-    checked = 0
     for _ in range(n):
-        z = random_set_with_mass(rng, density, Fraction(1))
-        if stage.regraded(z) != 0:
-            return _fail("level-set", checked, f"regraded rank nonzero on the cutset at {z!r}")
-        checked += 1
+        z = random_set_with_mass(rng, stage.density, Fraction(1))
+        yield None if stage.regraded(z) == 0 else f"regraded rank nonzero on the cutset at {z!r}"
     produced = 0
     while produced < n:
         z = random_interval_set(rng, UPPER, max_pieces=4)
@@ -389,11 +345,9 @@ def suite_level_set(cfg: SuiteConfig) -> SuiteResult:
         if gz == 1:
             continue
         value = stage.regraded(z)
-        if (value > 0) != (gz > 1) or value == 0:
-            return _fail("level-set", checked, f"sign mismatch at {z!r}: grade {gz}, regraded {value}")
+        ok = (value > 0) == (gz > 1) and value != 0
+        yield None if ok else f"sign mismatch at {z!r}: grade {gz}, regraded {value}"
         produced += 1
-        checked += 1
-    return SuiteResult("level-set", True, checked, "regraded rank vanishes exactly on the cutset, signs agree off it")
 
 
 def _max_gap(rows) -> Fraction:
@@ -423,36 +377,23 @@ def _examine_sweeps(rows_coarse, rows_fine, lo, hi) -> str | None:
     return None
 
 
-def suite_monotone_surjective(cfg: SuiteConfig) -> SuiteResult:
-    rng = _rng(cfg, "monotone-surjective")
+def suite_monotone_surjective(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     stage = counterexample_stage()
     lo = stage.regraded(EMPTY)
     hi = stage.regraded(stage.top)
     grid = cfg.grid
     fine = grid / 2
-    checked = 0
     why = _examine_sweeps(stage.sweep_chief(grid), stage.sweep_chief(fine), lo, hi)
-    if why:
-        return _fail("monotone-surjective", checked, f"chief chain: {why}")
-    checked += 1
+    yield f"chief chain: {why}" if why else None
     for _ in range(cfg.samples or 50):
         z = random_interval_set(rng, UPPER, max_pieces=3)
         why = _examine_sweeps(stage.sweep_through(z, grid), stage.sweep_through(z, fine), lo, hi)
-        if why:
-            return _fail("monotone-surjective", checked, f"chain through {z!r}: {why}")
-        checked += 1
+        yield f"chain through {z!r}: {why}" if why else None
     pairs = [random_comparable_pair(rng, UPPER) for _ in range(200)]
-    res = stage.monotone_check(pairs)
-    if not res.ok:
-        return _fail("monotone-surjective", checked, res.witness)
-    checked += res.checked
-    return SuiteResult(
-        "monotone-surjective", True, checked,
-        "regraded rank strictly increasing, endpoint values attained, gaps shrink with the grid",
-    )
+    yield stage.monotone_check(pairs)
 
 
-def suite_finite_counts(cfg: SuiteConfig) -> SuiteResult:
+def suite_finite_counts(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     expected = [
         (len(rank_modular_elements(partition_family(4))), 12, "modular elements of partitions of 4"),
         (len(antichain_cutsets_exhaustive(boolean_family(2))), 3, "antichain cutsets of subsets of 2"),
@@ -461,50 +402,39 @@ def suite_finite_counts(cfg: SuiteConfig) -> SuiteResult:
         (len(enumerate_maximal_chains(partition_family(3))), 3, "maximal chains of partitions of 3"),
     ]
     for got, want, label in expected:
-        if got != want:
-            return _fail("finite-counts", 0, f"{label}: got {got}, expected {want}")
-    return SuiteResult("finite-counts", True, len(expected), "oracle counts match")
+        yield None if got == want else f"{label}: got {got}, expected {want}"
 
 
-def suite_finite_regrade(cfg: SuiteConfig) -> SuiteResult:
-    checked = 0
-    for fam in (boolean_family(4), partition_family(4)):
+def suite_finite_regrade(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
+    for stage in _stages():
+        fam = stage.family
         lattice = fam.lattice
         cutsets = antichain_cutsets_exhaustive(fam)
+        as_reprs = {tuple(sorted(map(repr, c))) for c in cutsets}
         top_rank = lattice.rank(lattice.top).fraction
         for r in range(int(top_rank) + 1):
-            level = [e for e in fam.elements() if lattice.rank(e).fraction == r]
-            if tuple(sorted(map(repr, level))) not in {
-                tuple(sorted(map(repr, c))) for c in cutsets
-            }:
-                return _fail("finite-regrade", checked, f"level {r} of {lattice.name} missing from cutsets")
+            level = [e for e in stage.elements if lattice.rank(e).fraction == r]
+            if tuple(sorted(map(repr, level))) not in as_reprs:
+                yield f"level {r} of {lattice.name} missing from cutsets"
         for cutset in cutsets:
-            regrader = FiniteRegrader(fam, ExplicitCutset(tuple(cutset)))
-            res = regrader.crosscheck()
-            if not res.ok:
-                return _fail("finite-regrade", checked, f"{lattice.name} cutset {cutset!r}: {res.witness}")
-            checked += res.checked
-    return SuiteResult("finite-regrade", True, checked, "every exhaustive cutset regrades to a level set, all chains agree")
+            res = FiniteRegrader(fam, ExplicitCutset(tuple(cutset))).crosscheck()
+            yield res if res.ok else f"{lattice.name} cutset {cutset!r}: {res.witness}"
 
 
 # --- metric -------------------------------------------------------------------
 
-def suite_metric(cfg: SuiteConfig) -> SuiteResult:
-    rng = _rng(cfg, "metric")
-    checked = 0
-    elems = boolean_family(4).elements()
+def suite_metric(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
+    elems = _finite_stage(boolean_family).elements
     for x in elems:
         for y in elems:
             d = updown_metric(x, y)
-            if d < ZERO or (d == ZERO) != (x == y) or d != updown_metric(y, x):
-                return _fail("metric", checked, f"metric axiom fails at ({x!r}, {y!r})")
-            checked += 1
+            bad = d < ZERO or (d == ZERO) != (x == y) or d != updown_metric(y, x)
+            yield f"metric axiom fails at ({x!r}, {y!r})" if bad else None
     for x in elems:
         for y in elems:
             for z in elems:
-                if updown_metric(x, z) > updown_metric(x, y) + updown_metric(y, z):
-                    return _fail("metric", checked, f"triangle fails at ({x!r}, {y!r}, {z!r})")
-                checked += 1
+                bad = updown_metric(x, z) > updown_metric(x, y) + updown_metric(y, z)
+                yield f"triangle fails at ({x!r}, {y!r}, {z!r})" if bad else None
     lattice = interval_lattice(Ambient(UPPER))
     for _ in range(cfg.samples or 100):
         x = random_interval_set(rng, UPPER)
@@ -512,66 +442,51 @@ def suite_metric(cfg: SuiteConfig) -> SuiteResult:
         z = random_interval_set(rng, UPPER)
         dxy = updown_distance(lattice, x, y)
         if dxy < ZERO or (dxy == ZERO) != (x == y):
-            return _fail("metric", checked, f"interval metric axiom fails at ({x!r}, {y!r})")
+            yield f"interval metric axiom fails at ({x!r}, {y!r})"
         if updown_distance(lattice, x, z) > dxy + updown_distance(lattice, y, z):
-            return _fail("metric", checked, f"interval triangle fails at ({x!r}, {y!r}, {z!r})")
-        if updown_distance(lattice, union(x, z), union(y, z)) > dxy:
-            return _fail("metric", checked, f"join continuity fails at ({x!r}, {y!r}, {z!r})")
-        checked += 1
-    fam = partition_family(4)
-    plattice = fam.lattice
-    pelems = fam.elements()
-    for m in rank_modular_elements(fam):
-        for x in pelems:
-            for y in pelems:
+            yield f"interval triangle fails at ({x!r}, {y!r}, {z!r})"
+        bad = updown_distance(lattice, union(x, z), union(y, z)) > dxy
+        yield f"join continuity fails at ({x!r}, {y!r}, {z!r})" if bad else None
+    stage = _finite_stage(partition_family)
+    plattice = stage.family.lattice
+    for m in stage.modular:
+        for x in stage.elements:
+            for y in stage.elements:
                 lhs = updown_distance(plattice, plattice.meet(m, x), plattice.meet(m, y))
-                if lhs > updown_distance(plattice, x, y):
-                    return _fail("metric", checked, f"meet contraction fails at m={m!r}")
-                checked += 1
-    return SuiteResult("metric", True, checked, "up-down metric axioms, join continuity, modular meet contraction")
+                yield f"meet contraction fails at m={m!r}" if lhs > updown_distance(plattice, x, y) else None
 
 
 # --- tower limits ---------------------------------------------------------------
 
-def suite_tower(cfg: SuiteConfig) -> SuiteResult:
-    checked = 0
+def suite_tower(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     checks = tower_checks()
     checks["isometry_subspace"] = embedding_check(EmbeddingFamily("subspace", p=2), 2, 4)
     for label, res in checks.items():
-        if not res.ok:
-            return _fail("tower", checked + res.checked, f"{label}: {res.witness}")
-        checked += res.checked
+        yield res if res.ok else f"{label}: {res.witness}"
     booleans = EmbeddingFamily("boolean")
     for k, n in ((2, 4), (4, 8)):
         for x in booleans.at(k).elements():
-            if boolean_to_interval(embed_boolean(x, n)) != boolean_to_interval(x):
-                return _fail("tower", checked, f"interval identification not natural at {x!r}")
-            checked += 1
+            ok = boolean_to_interval(embed_boolean(x, n)) == boolean_to_interval(x)
+            yield None if ok else f"interval identification not natural at {x!r}"
     third = IntervalSet(((Fraction(0), Fraction(1, 3)),))
     report = cauchy_approx(third, [2 ** i for i in range(1, 9)])
     dists = [r.distance_to_target for r in report.rows]
     if not report.bound_ok or any(b > a for a, b in zip(dists, dists[1:])):
-        return _fail("tower", checked, "approximant distances not shrinking within bound")
+        yield "approximant distances not shrinking within bound"
     if dists[-1] > Fraction(2, 256):
-        return _fail("tower", checked, f"level-256 distance {dists[-1]} above 2/256")
-    checked += len(dists)
+        yield f"level-256 distance {dists[-1]} above 2/256"
+    yield CheckResult(True, len(dists))
     dyadic = IntervalSet(((Fraction(1, 4), Fraction(3, 4)),))
     for row in cauchy_approx(dyadic, [4, 8, 16, 32]).rows:
-        if row.distance_to_target != 0:
-            return _fail("tower", checked, "dyadic target not exact on its grid")
-        checked += 1
+        yield None if row.distance_to_target == 0 else "dyadic target not exact on its grid"
     offgrid = IntervalSet(((Fraction(1, 3), Fraction(2, 3)),))
     for row in cauchy_approx(offgrid, [3, 6, 12, 24]).rows:
-        if row.distance_to_target != 0:
-            return _fail("tower", checked, "grid-aligned target not exact")
-        checked += 1
-    return SuiteResult("tower", True, checked, "coherence, rank preservation, isometry, naturality, Cauchy shrinkage")
+        yield None if row.distance_to_target == 0 else "grid-aligned target not exact"
 
 
 # --- discontinuity demos ---------------------------------------------------------
 
-def suite_infinity_demos(cfg: SuiteConfig) -> SuiteResult:
-    checked = 0
+def suite_infinity_demos(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     plane = product_plane_limit_demo()
     if not (
         plane.meet_scan_sup == ZERO
@@ -581,13 +496,11 @@ def suite_infinity_demos(cfg: SuiteConfig) -> SuiteResult:
         and plane.join_limit_value == Rank(-1)
         and plane.join_discontinuous
     ):
-        return _fail("infinity-demos", checked, "plane scan values differ from the fixture")
-    checked += len(plane.meet_rows) + len(plane.join_rows)
+        yield "plane scan values differ from the fixture"
+    yield CheckResult(True, len(plane.meet_rows) + len(plane.join_rows))
     lattice = product_plane_lattice()
     below = lattice.rank(lattice.meet(PlanePoint.point(0, Fraction(-5)), PlanePoint.point(1, 0)))
-    if below != Rank(-5):
-        return _fail("infinity-demos", checked, "negative scan row should equal its parameter")
-    checked += 1
+    yield None if below == Rank(-5) else "negative scan row should equal its parameter"
     line = bounded_chain_demo()
     if not (
         all(v == 0 for _, v in line.chain_rows)
@@ -595,116 +508,115 @@ def suite_infinity_demos(cfg: SuiteConfig) -> SuiteResult:
         and line.chain_discontinuous
         and line.chief_attains
     ):
-        return _fail("infinity-demos", checked, "line-set scan values differ from the fixture")
-    checked += len(line.chain_rows) + len(line.chief_rows)
+        yield "line-set scan values differ from the fixture"
+    yield CheckResult(True, len(line.chain_rows) + len(line.chief_rows))
     bounded = hypothesis_bounded_interval(UPPER)
     if bounded.failing or not all(c.vacuous for c in bounded.conditions):
-        return _fail("infinity-demos", checked, "bounded stage should satisfy all conditions vacuously")
+        yield "bounded stage should satisfy all conditions vacuously"
     line_rep = hypothesis_line_sets(line)
     if line_rep.failing != ("chain-meet-sup",):
-        return _fail("infinity-demos", checked, f"line stage flags {line_rep.failing}")
+        yield f"line stage flags {line_rep.failing}"
     plane_rep = hypothesis_product_plane(plane)
     if plane_rep.failing != ("chain-meet-sup",):
-        return _fail("infinity-demos", checked, f"plane stage flags {plane_rep.failing}")
-    checked += 12
-    unbounded = interval_lattice(Ambient(None))
-    with_top = adjoin_bounds(unbounded, top_rank=POS_INF)
-    if with_top.rank(with_top.top) != POS_INF:
-        return _fail("infinity-demos", checked, "adjoined top rank should be +inf")
+        yield f"plane stage flags {plane_rep.failing}"
+    yield CheckResult(True, sum(len(rep.conditions) for rep in (bounded, line_rep, plane_rep)))
+    with_top = adjoin_bounds(interval_lattice(Ambient(None)), top_rank=POS_INF)
+    yield None if with_top.rank(with_top.top) == POS_INF else "adjoined top rank should be +inf"
     probe = IntervalSet(((Fraction(-1), Fraction(1)),))
-    if rank_modular_defect(with_top, with_top.top, probe) != ZERO:
-        return _fail("infinity-demos", checked, "adjoined top must be rank modular")
+    ok = rank_modular_defect(with_top, with_top.top, probe) == ZERO
+    yield None if ok else "adjoined top must be rank modular"
     try:
         adjoin_bounds(interval_lattice(Ambient(UPPER)), top_rank=POS_INF)
-        return _fail("infinity-demos", checked, "adjoining over an existing top must be refused")
     except PreconditionViolation:
-        pass
-    checked += 3
-    return SuiteResult("infinity-demos", True, checked, "plane and line discontinuities, hypothesis flags, bound adjunction")
+        yield None
+    else:
+        yield "adjoining over an existing top must be refused"
 
 
-def suite_counterexample(cfg: SuiteConfig) -> SuiteResult:
+def suite_counterexample(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     report = counterexample_report()
     if not report.matches_expected:
-        return _fail("counterexample", 0, f"values drifted: {report!r}")
+        yield f"values drifted: {report!r}"
     # matches_expected compares each prefix row and four single values.
-    checked = len(report.prefix_rows) + 4
-    if report != counterexample_report():
-        return _fail("counterexample", checked, "rerun produced different values")
-    checked += 1
+    yield CheckResult(True, len(report.prefix_rows) + 4)
+    yield None if report == counterexample_report() else "rerun produced different values"
     uniform = IntervalRegrader(UPPER, LevelCutset(Fraction(1)))
     lower = IntervalSet(((Fraction(0), Fraction(1)),))
     upper_half = IntervalSet(((Fraction(1), Fraction(2)),))
-    if uniform.regraded_defect(lower, upper_half) != 0:
-        return _fail("counterexample", checked, "uniform density should keep the chief chain modular")
-    checked += 1
-    return SuiteResult(
-        "counterexample", True, checked,
-        "two-speed density reproduces the expected regraded values and breaks chief modularity",
-    )
+    ok = uniform.regraded_defect(lower, upper_half) == 0
+    yield None if ok else "uniform density should keep the chief chain modular"
 
 
 # --- serialization ----------------------------------------------------------------
 
-def suite_json_roundtrip(cfg: SuiteConfig) -> SuiteResult:
-    rng = _rng(cfg, "json-roundtrip")
-    checked = 0
+def suite_json_roundtrip(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     for _ in range(cfg.samples or 100):
         u = random_interval_set(rng, UPPER)
-        if interval_set_from_json(interval_set_to_json(u)) != u:
-            return _fail("json-roundtrip", checked, f"interval set drifts: {u!r}")
+        yield None if interval_set_from_json(interval_set_to_json(u)) == u else f"interval set drifts: {u!r}"
         density = random_density(rng, UPPER)
-        if density_from_json(density_to_json(density)) != density:
-            return _fail("json-roundtrip", checked, f"density drifts: {density!r}")
-        checked += 2
-    stage = counterexample_stage()
-    cutset = stage.cutset
+        yield None if density_from_json(density_to_json(density)) == density else f"density drifts: {density!r}"
+    cutset = counterexample_stage().cutset
     if cutset_from_json(cutset_to_json(cutset)) != cutset:
-        return _fail("json-roundtrip", checked, "level cutset drifts")
-    fam = partition_family(4)
-    for e in fam.elements():
-        if element_from_json(fam, element_to_json(e)) != e:
-            return _fail("json-roundtrip", checked, f"partition drifts: {e!r}")
-        checked += 1
-    bfam = boolean_family(4)
-    for e in bfam.elements():
-        if element_from_json(bfam, element_to_json(e)) != e:
-            return _fail("json-roundtrip", checked, f"subset drifts: {e!r}")
-        checked += 1
-    sfam = subspace_family(2, 3)
-    for e in sfam.elements():
-        if element_from_json(sfam, element_to_json(e)) != e:
-            return _fail("json-roundtrip", checked, f"subspace drifts: {e!r}")
-        checked += 1
-    return SuiteResult("json-roundtrip", True, checked, "bit-exact serialization round trips")
+        yield "level cutset drifts"
+    for fam, label in (
+        (partition_family(4), "partition"),
+        (boolean_family(4), "subset"),
+        (subspace_family(2, 3), "subspace"),
+    ):
+        for e in fam.elements():
+            yield None if element_from_json(fam, element_to_json(e)) == e else f"{label} drifts: {e!r}"
 
 
-SUITES: dict[str, Callable[[SuiteConfig], SuiteResult]] = {
-    "lattice-axioms": suite_lattice_axioms,
-    "balance": suite_balance,
-    "diamond": suite_diamond,
-    "lipschitz": suite_lipschitz,
-    "left-modular": suite_left_modular,
-    "chief-exchange": suite_chief_exchange,
-    "interval-projection": suite_interval_projection,
-    "profiles": suite_profiles,
-    "modular-grading": suite_modular_grading,
-    "level-set": suite_level_set,
-    "monotone-surjective": suite_monotone_surjective,
-    "finite-counts": suite_finite_counts,
-    "finite-regrade": suite_finite_regrade,
-    "metric": suite_metric,
-    "tower": suite_tower,
-    "infinity-demos": suite_infinity_demos,
-    "counterexample": suite_counterexample,
-    "json-roundtrip": suite_json_roundtrip,
+# Suite name -> (checks, the detail a passing run reports).
+SUITES: dict[str, tuple[Checks, str]] = {
+    "lattice-axioms": (
+        suite_lattice_axioms, "idempotence, commutativity, absorption, associativity, rank monotonicity"
+    ),
+    "balance": (
+        functools.partial(_quadruple_suite, check=_balance_check),
+        "both balance residuals exactly zero (random interval + exhaustive partition)",
+    ),
+    "diamond": (
+        functools.partial(_quadruple_suite, check=_diamond_check),
+        "four diamond bounds with exact row-sum slack identity",
+    ),
+    "lipschitz": (suite_lipschitz, "meet/join chain scans stay within slope 1"),
+    "left-modular": (suite_left_modular, "rank-modular elements are left modular (exhaustive)"),
+    "chief-exchange": (suite_chief_exchange, "both chief-chain exchange identities (exhaustive)"),
+    "interval-projection": (suite_interval_projection, "w v (m ^ z) is rank modular inside [w, z]"),
+    "profiles": (suite_profiles, "piecewise-linear profiles match direct evaluation exactly"),
+    "modular-grading": (suite_modular_grading, "measure and density gradings are modular and strictly increasing"),
+    "level-set": (suite_level_set, "regraded rank vanishes exactly on the cutset, signs agree off it"),
+    "monotone-surjective": (
+        suite_monotone_surjective,
+        "regraded rank strictly increasing, endpoint values attained, gaps shrink with the grid",
+    ),
+    "finite-counts": (suite_finite_counts, "oracle counts match"),
+    "finite-regrade": (suite_finite_regrade, "every exhaustive cutset regrades to a level set, all chains agree"),
+    "metric": (suite_metric, "up-down metric axioms, join continuity, modular meet contraction"),
+    "tower": (suite_tower, "coherence, rank preservation, isometry, naturality, Cauchy shrinkage"),
+    "infinity-demos": (suite_infinity_demos, "plane and line discontinuities, hypothesis flags, bound adjunction"),
+    "counterexample": (
+        suite_counterexample,
+        "two-speed density reproduces the expected regraded values and breaks chief modularity",
+    ),
+    "json-roundtrip": (suite_json_roundtrip, "bit-exact serialization round trips"),
 }
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name](cfg)
+    """Run one suite: count its passing checks, stop at the first failure."""
+    checks, detail = SUITES[name]
+    checked = 0
+    for outcome in checks(cfg, random.Random(f"{cfg.seed}:{name}")):
+        if outcome is None:
+            checked += 1
+        elif isinstance(outcome, CheckResult) and outcome.ok:
+            checked += outcome.checked
+        else:
+            witness = outcome.witness if isinstance(outcome, CheckResult) else outcome
+            return SuiteResult(name, False, checked, "failed", witness)
+    return SuiteResult(name, True, checked, detail)
 
 
 def run_suites(names, cfg: SuiteConfig) -> list[SuiteResult]:

@@ -140,3 +140,17 @@ def count_maximal_chains(elements, leq) -> int:
         return sum(walk(y) for y in elements if covers(x, y))
 
     return walk(bottom)
+
+
+# --- subspaces through the Gaussian binomials ---------------------------------
+
+def subspace_count(p: int, n: int) -> int:
+    """Number of subspaces of F_p^n: the sum over k of the Gaussian binomials [n k]_p."""
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (n - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total

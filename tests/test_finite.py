@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from rglat.errors import AmbientMismatch, PreconditionViolation, SizeCapExceeded
+from rglat.errors import AmbientMismatch, LatticeError, PreconditionViolation, SizeCapExceeded
 from rglat.finite import (
     BitSubset,
     PlanePoint,
@@ -32,6 +33,7 @@ from oracle_helpers import (
     oracle_partition_meet,
     refines,
     rgs_partitions,
+    subspace_count,
 )
 from strategies import set_partitions
 
@@ -131,6 +133,34 @@ class TestEnumerations:
         # 2^13 = 8192 elements exceed the cap of 6000.
         with pytest.raises(SizeCapExceeded):
             boolean_family(13)
+
+    @pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (2, 4), (3, 3), (2, 5), (5, 3), (13, 3)])
+    def test_subspace_count_matches_the_gaussian_binomials(self, p, n):
+        elems = subspace_family(p, n).elements()
+        # Bases are canonical, so distinct elements of the right count are all subspaces.
+        assert len(set(elems)) == len(elems) == subspace_count(p, n)
+        assert elems == sorted(elems, key=lambda s: (s.dimension(), s.rows))
+
+    def test_subspace_cap_is_enforced(self, monkeypatch):
+        # F_2^3 has 16 subspaces; F_13^4 has 33,704, far past the cap of 6000.
+        with pytest.raises(SizeCapExceeded):
+            subspace_family(13, 4).elements()
+        monkeypatch.setattr("rglat.finite.MAX_ELEMENTS", 16)
+        assert len(subspace_family(2, 3).elements()) == 16
+        monkeypatch.setattr("rglat.finite.MAX_ELEMENTS", 15)
+        with pytest.raises(SizeCapExceeded):
+            subspace_family(2, 3).elements()
+
+    @pytest.mark.parametrize("build, n", [(partition_family, 100_000), (boolean_family, 10**7)])
+    def test_ground_size_is_checked_before_anything_is_built(self, build, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LatticeError):
+                build(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestAntichainCutsets:

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 
+import pytest
+
+from rglat.core import CheckResult
 from rglat.regrading import SweepRow
-from rglat.suites import SuiteConfig, _examine_sweeps, run_suite
+from rglat.suites import SUITES, SuiteConfig, SuiteResult, _examine_sweeps, run_suite
 
 
 def rows(*values):
@@ -30,3 +34,51 @@ def test_counterexample_counts_the_comparisons_it_makes():
     # Four prefix rows and four single values, the rerun, the uniform density.
     result = run_suite("counterexample", SuiteConfig())
     assert result.passed and result.checked == 10
+
+
+def run_fake(monkeypatch, checks):
+    monkeypatch.setitem(SUITES, "fake", (checks, "fake detail"))
+    return run_suite("fake", SuiteConfig(seed=5))
+
+
+def outcomes(*items):
+    def checks(cfg, rng):
+        yield from items
+    return checks
+
+
+def test_runner_counts_single_and_bulk_checks(monkeypatch):
+    result = run_fake(monkeypatch, outcomes(None, CheckResult(True, 5), None))
+    assert result == SuiteResult("fake", True, 7, "fake detail")
+
+
+def test_runner_stops_at_the_first_failure(monkeypatch):
+    reached = []
+
+    def checks(cfg, rng):
+        yield None
+        yield CheckResult(True, 3)
+        yield "first witness"
+        reached.append("after the failure")
+        yield "second witness"
+
+    result = run_fake(monkeypatch, checks)
+    assert result == SuiteResult("fake", False, 4, "failed", "first witness")
+    assert reached == []
+
+
+def test_a_failing_bulk_check_adds_nothing_to_the_count(monkeypatch):
+    result = run_fake(monkeypatch, outcomes(None, CheckResult(False, 9, "bulk witness"), None))
+    assert result == SuiteResult("fake", False, 1, "failed", "bulk witness")
+
+
+def test_runner_seeds_the_random_by_seed_and_name(monkeypatch):
+    def checks(cfg, rng):
+        yield str(rng.random())
+
+    assert run_fake(monkeypatch, checks).witness == str(random.Random("5:fake").random())
+
+
+def test_an_unknown_suite_raises_key_error():
+    with pytest.raises(KeyError):
+        run_suite("no-such-suite", SuiteConfig())
