@@ -261,6 +261,9 @@ class Subspace:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # F_p^2 alone has p + 3 subspaces; the bound also keeps trial division short.
+        if self.p > MAX_ELEMENTS:
+            raise PreconditionViolation(f"field size {self.p} exceeds the element cap {MAX_ELEMENTS}")
         if not _is_prime(self.p):
             raise PreconditionViolation(f"{self.p} is not prime")
         if not 1 <= self.n <= MAX_SUBSPACE_DIM:
@@ -535,13 +538,18 @@ def _int_rank(lattice: GradedLattice, x) -> int:
     return r.numerator
 
 
+def rank_layers(family: FiniteFamily) -> dict[int, list]:
+    """The family's elements grouped by their integer rank."""
+    by_rank: dict[int, list] = {}
+    for e in family.elements():
+        by_rank.setdefault(_int_rank(family.lattice, e), []).append(e)
+    return by_rank
+
+
 def enumerate_maximal_chains(family: FiniteFamily) -> list[tuple]:
     """All saturated bottom-to-top chains, as element tuples."""
     lattice = family.lattice
-    elems = family.elements()
-    by_rank: dict[int, list] = {}
-    for e in elems:
-        by_rank.setdefault(_int_rank(lattice, e), []).append(e)
+    by_rank = rank_layers(family)
     top_rank = max(by_rank)
     chains: list[tuple] = []
     bottoms = by_rank.get(0, ())
@@ -564,6 +572,30 @@ def enumerate_maximal_chains(family: FiniteFamily) -> list[tuple]:
 
     extend([lattice.bottom])
     return chains
+
+
+def cutset_gap(family: FiniteFamily, antichain: Iterable) -> tuple | None:
+    """The cover under which a nonempty antichain misses a maximal chain, or None.
+
+    The witness is a cover x < y (rank(y) = rank(x) + 1) with x strictly
+    below a member and y below none.  A maximal chain through it misses the
+    antichain: nothing below x is a member, since members are incomparable,
+    and nothing above y is.  Conversely, on a chain that misses the antichain,
+    bottom is strictly below a member and top below none, so some step of it
+    is such a cover.
+    """
+    lattice = family.lattice
+    members = set(antichain)
+    layers = rank_layers(family)
+    below = {e for layer in layers.values() for e in layer if any(lattice.leq(e, a) for a in members)}
+    for r in sorted(layers):
+        for x in layers[r]:
+            if x not in below or x in members:
+                continue
+            for y in layers.get(r + 1, ()):
+                if y not in below and lattice.leq(x, y):
+                    return x, y
+    return None
 
 
 def antichain_cutsets_exhaustive(family: FiniteFamily) -> list[tuple]:

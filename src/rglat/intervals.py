@@ -175,10 +175,6 @@ class StepDensity:
             prefix.append(prefix[-1] + v * (b - a))
         object.__setattr__(self, "_prefix", PiecewiseLinearProfile(self.breakpoints, tuple(prefix)))
 
-    @classmethod
-    def uniform(cls, upper: Fraction, value: Fraction = Fraction(1)) -> "StepDensity":
-        return cls((Fraction(0), Fraction(upper)), (Fraction(value),))
-
     @property
     def upper(self) -> Fraction:
         return self.breakpoints[-1]

@@ -31,9 +31,9 @@ from .errors import (
 from .finite import (
     FiniteFamily,
     chief_chain,
+    cutset_gap,
     element_from_json,
     element_to_json,
-    enumerate_maximal_chains,
     PlaneLimitReport,
     PlanePoint,
     product_plane_lattice,
@@ -50,7 +50,6 @@ from .intervals import (
     density_to_json,
     grade_value,
     intersect,
-    measure,
     profile_bundle,
     union,
 )
@@ -225,11 +224,12 @@ class IntervalRegrader:
         return CheckResult(True, checked)
 
     def sweep_chief(self, step: Fraction) -> list[SweepRow]:
-        rows = []
-        for level in _grid(self.ambient.upper, Fraction(step)):
-            m = self.chief(level)
-            rows.append(SweepRow("chief", level, measure(m), self.regraded(m)))
-        return rows
+        # The chief chain is the join side of the projection chain through EMPTY.
+        join_row = _SweepEvaluator(self, EMPTY).join_row
+        return [
+            SweepRow("chief", level, *join_row(level))
+            for level in _grid(self.ambient.upper, Fraction(step))
+        ]
 
     def sweep_through(self, z: IntervalSet, step: Fraction) -> list[SweepRow]:
         """Rank-ordered sweep of the projection chain through z.
@@ -340,11 +340,10 @@ class FiniteRegrader:
                 for y in members[i + 1 :]:
                     if self.lattice.comparable(x, y):
                         raise CutsetError(f"not an antichain: {x!r} and {y!r} are comparable")
-            member_set = set(members)
-            for chain in enumerate_maximal_chains(family):
-                if not member_set.intersection(chain):
-                    raise CutsetError(f"antichain misses the maximal chain {chain!r}")
-            self._members = member_set
+            gap = cutset_gap(family, members)
+            if gap is not None:
+                raise CutsetError(f"antichain misses the maximal chains through the cover {gap[0]!r} < {gap[1]!r}")
+            self._members = set(members)
 
     def _rank(self, x) -> Fraction:
         return self.lattice.rank(x).fraction
@@ -354,68 +353,42 @@ class FiniteRegrader:
             return x in self._members
         return self._rank(x) == self.cutset.value
 
-    def good_chain(self, z) -> tuple:
-        """The saturated chain of meets and joins of z with the chief chain."""
-        return finite_good_chain(self.lattice, self.chief, z)
-
     def project(self, z) -> ProjectionResult:
-        hits = [e for e in self.good_chain(z) if self.in_cutset(e)]
+        hits = [e for e in finite_good_chain(self.lattice, self.chief, z) if self.in_cutset(e)]
         if len(hits) != 1:
             raise CutsetError(
                 f"cutset meets the chain through {z!r} in {len(hits)} points"
             )
         alpha = hits[0]
-        if self.lattice.leq(alpha, z):
-            side = "meet"
-            levels = [
-                self._rank(m) for m in self.chief if self.lattice.meet(z, m) == alpha
-            ]
-        else:
-            side = "join"
-            levels = [
-                self._rank(m) for m in self.chief if self.lattice.join(z, m) == alpha
-            ]
-        return ProjectionResult(alpha, min(levels), side)
+        side = "meet" if self.lattice.leq(alpha, z) else "join"
+        op = self.lattice.meet if side == "meet" else self.lattice.join
+        # The chief chain is in rank order, so the first hit is the least level.
+        level = next(self._rank(m) for m in self.chief if op(z, m) == alpha)
+        return ProjectionResult(alpha, level, side)
 
     def regraded(self, z) -> Fraction:
         return self._rank(z) - self._rank(self.project(z).element)
 
-    def regraded_defect(self, m, x) -> Fraction:
-        return (
-            self.regraded(self.lattice.join(m, x))
-            + self.regraded(self.lattice.meet(m, x))
-            - self.regraded(m)
-            - self.regraded(x)
-        )
-
     def crosscheck(self) -> CheckResult:
         """The regraded rank is a grading with the cutset as zero level set.
 
-        Exhaustive: strictly increasing along every maximal chain, one common
-        value set across chains, and zero exactly on the cutset.
+        One check per element: zero exactly on the cutset, one value per
+        rank, strictly increasing with the rank.  Every element lies on a
+        maximal chain at the position of its rank, so this is the same as
+        strictly increasing with one value tuple on every maximal chain.
         """
-        elems = self.family.elements()
-        values = {e: self.regraded(e) for e in elems}
-        zero_set = {e for e, v in values.items() if v == 0}
-        expected = (
-            set(self._members)
-            if self._members is not None
-            else {e for e in elems if self._rank(e) == self.cutset.value}
-        )
-        if zero_set != expected:
-            return CheckResult(False, len(elems), "zero level set differs from the cutset")
-        common: tuple | None = None
-        checked = len(elems)
-        for chain in enumerate_maximal_chains(self.family):
-            vals = tuple(values[e] for e in chain)
-            if any(a >= b for a, b in zip(vals, vals[1:])):
-                return CheckResult(False, checked, f"not increasing along {chain!r}")
-            if common is None:
-                common = vals
-            elif vals != common:
-                return CheckResult(False, checked, f"value set differs along {chain!r}")
-            checked += 1
-        return CheckResult(True, checked)
+        elems = sorted(self.family.elements(), key=self._rank)
+        last_rank = last_value = None
+        for checked, e in enumerate(elems):
+            rank, value = self._rank(e), self.regraded(e)
+            if (value == 0) != self.in_cutset(e):
+                return CheckResult(False, checked, f"zero level set differs from the cutset at {e!r}")
+            if rank == last_rank and value != last_value:
+                return CheckResult(False, checked, f"rank {rank} takes two values, at {e!r}")
+            if rank != last_rank and last_value is not None and value <= last_value:
+                return CheckResult(False, checked, f"not increasing with the rank at {e!r}")
+            last_rank, last_value = rank, value
+        return CheckResult(True, len(elems))
 
 
 # --- Monotone-limit hypotheses for unbounded gradings ------------------------
@@ -451,10 +424,6 @@ class HypothesisReport:
     @property
     def failing(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.conditions if not c.holds)
-
-    @property
-    def all_hold(self) -> bool:
-        return not self.failing
 
 
 def _sup_condition(name: str, scan: Sequence[Rank], target: Rank) -> LimitCondition:

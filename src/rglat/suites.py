@@ -43,6 +43,7 @@ from .finite import (
     partition_family,
     product_plane_lattice,
     product_plane_limit_demo,
+    rank_layers,
     rank_modular_elements,
     subspace_family,
 )
@@ -410,11 +411,9 @@ def suite_finite_regrade(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outco
         fam = stage.family
         lattice = fam.lattice
         cutsets = antichain_cutsets_exhaustive(fam)
-        as_reprs = {tuple(sorted(map(repr, c))) for c in cutsets}
-        top_rank = lattice.rank(lattice.top).fraction
-        for r in range(int(top_rank) + 1):
-            level = [e for e in stage.elements if lattice.rank(e).fraction == r]
-            if tuple(sorted(map(repr, level))) not in as_reprs:
+        as_sets = set(map(frozenset, cutsets))
+        for r, level in sorted(rank_layers(fam).items()):
+            if frozenset(level) not in as_sets:
                 yield f"level {r} of {lattice.name} missing from cutsets"
         for cutset in cutsets:
             res = FiniteRegrader(fam, ExplicitCutset(tuple(cutset))).crosscheck()

@@ -124,8 +124,8 @@ def boolean_cutsets_bruteforce(n: int) -> set[frozenset]:
     return cutsets
 
 
-def count_maximal_chains(elements, leq) -> int:
-    """Chains counted from the bare order: extend along covering steps."""
+def maximal_chains(elements, leq) -> list[tuple]:
+    """Chains built from the bare order: extend along covering steps."""
     bottom = min(elements, key=lambda x: sum(1 for y in elements if leq(y, x)))
     top = max(elements, key=lambda x: sum(1 for y in elements if leq(y, x)))
 
@@ -134,12 +134,49 @@ def count_maximal_chains(elements, leq) -> int:
             return False
         return not any(z != x and z != y and leq(x, z) and leq(z, y) for z in elements)
 
-    def walk(x) -> int:
+    def walk(x) -> list[tuple]:
         if x == top:
-            return 1
-        return sum(walk(y) for y in elements if covers(x, y))
+            return [(x,)]
+        return [(x,) + rest for y in elements if covers(x, y) for rest in walk(y)]
 
     return walk(bottom)
+
+
+def count_maximal_chains(elements, leq) -> int:
+    return len(maximal_chains(elements, leq))
+
+
+def antichains(elements, leq) -> list[tuple]:
+    """Every nonempty antichain, grown one pairwise-incomparable element at a time."""
+    out: list[tuple] = []
+
+    def grow(start: int, chosen: tuple) -> None:
+        for i in range(start, len(elements)):
+            e = elements[i]
+            if not any(leq(e, c) or leq(c, e) for c in chosen):
+                out.append(chosen + (e,))
+                grow(i + 1, chosen + (e,))
+
+    grow(0, ())
+    return out
+
+
+def meets_every_chain(chains, antichain) -> bool:
+    members = set(antichain)
+    return all(members.intersection(chain) for chain in chains)
+
+
+def chain_crosscheck(chains, values, cutset) -> bool:
+    """The regrading check walked chain by chain.
+
+    ``values`` must vanish exactly on ``cutset``, strictly increase along
+    every maximal chain and take one common value tuple on all of them.
+    """
+    elements = {e for chain in chains for e in chain}
+    if {e for e in elements if values[e] == 0} != set(cutset):
+        return False
+    tuples = {tuple(values[e] for e in chain) for chain in chains}
+    return len(tuples) == 1 and all(a < b for t in tuples for a, b in zip(t, t[1:]))
 
 
 # --- subspaces through the Gaussian binomials ---------------------------------

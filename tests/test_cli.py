@@ -133,6 +133,14 @@ def test_malformed_regrade_spec_is_an_input_error(spec, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_field_beyond_the_element_cap_is_an_input_error(tmp_path, capsys):
+    spec = {**FINAL_SPEC, "lattice": {"kind": "subspace", "p": 10**12 + 39, "n": 2}, "targets": []}
+    assert main(["regrade", write_json(tmp_path / "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field size")
+    assert "Traceback" not in err
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),

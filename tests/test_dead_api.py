@@ -4,8 +4,9 @@ A name defined at module level in ``src/rglat`` counts as used when code in
 ``src/rglat`` or ``scripts`` loads it anywhere other than its own
 definition, either in its own module or through a ``from ... import`` of
 that module, or when ``rglat.__all__`` exports it.  A function defined in a
-class body counts as used when that code loads its name anywhere, as an
-attribute or a plain name; the check goes by name alone, so it errs towards
+class body counts as used when that code loads its name as an attribute,
+since methods are reached through attributes; a local variable of the same
+name does not count.  The check goes by name alone, so it errs towards
 keeping a method.  Uses from ``tests/`` do not count: API that only tests
 call is dead weight.
 """
@@ -66,12 +67,10 @@ def _loads(path: Path):
             yield origin.get(node.id, (path.stem, node.id))
 
 
-def _loaded_identifiers(path: Path):
-    """Every plain name and attribute name the file loads."""
+def _loaded_attributes(path: Path):
+    """Every attribute name the file loads."""
     for node in ast.walk(_parse(path)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
 
 
@@ -92,7 +91,7 @@ def test_every_top_level_name_is_used_outside_tests():
 def test_every_method_is_used_outside_tests():
     used = set()
     for path in PROGRAM:
-        used.update(_loaded_identifiers(path))
+        used.update(_loaded_attributes(path))
     unused = [
         f"{path.stem}.{cls}.{name}"
         for path in PACKAGE

@@ -102,6 +102,11 @@ class TestCanonicalForms:
         with pytest.raises(PreconditionViolation):
             Subspace(4, 2, ())  # composite field size
 
+    def test_field_size_is_bounded_before_the_primality_test(self):
+        # 10**12 + 39 is prime; testing it by trial division takes about 0.1 s.
+        with pytest.raises(PreconditionViolation, match="element cap"):
+            Subspace(10**12 + 39, 2, ())
+
 
 class TestEnumerations:
     def test_boolean_chain_counts(self):

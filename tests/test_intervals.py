@@ -108,7 +108,7 @@ class TestStepDensity:
         assert interval_lattice(AMBIENT2, FINAL_DENSITY).rank(iset((1, Fraction(3, 2)))) == Rank(1)
 
     def test_unit_density_is_lebesgue(self):
-        unit = StepDensity.uniform(TWO)
+        unit = StepDensity((0, TWO), (1,))
         u = iset((0, Fraction(1, 3)), (1, Fraction(7, 4)))
         assert unit.mass(u) == measure(u)
 

@@ -1,16 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from rglat.errors import CutsetError
+from rglat.core import CheckResult
+from rglat.errors import CutsetError, SizeCapExceeded
 from rglat.finite import (
     BitSubset,
     SetPartition,
     antichain_cutsets_exhaustive,
     boolean_family,
     chief_chain,
+    cutset_gap,
+    enumerate_maximal_chains,
     partition_family,
     product_plane_limit_demo,
 )
@@ -18,6 +22,7 @@ from rglat.gen import random_comparable_pair, random_set_with_mass
 from rglat.intervals import (
     EMPTY,
     IntervalSet,
+    StepDensity,
     bounded_chain_demo,
     grade_value,
     intersect,
@@ -41,10 +46,27 @@ from rglat.regrading import (
     hypothesis_product_plane,
 )
 
+from oracle_helpers import (
+    antichains,
+    blocks_of,
+    chain_crosscheck,
+    maximal_chains,
+    meets_every_chain,
+    refines,
+)
 from strategies import interval_sets
 
 TWO = Fraction(2)
 HALF = Fraction(1, 2)
+
+# Finite families with their order taken from the bare representation, not
+# from the package's meet.
+ORDERED_FAMILIES = {
+    "boolean-3": (lambda: boolean_family(3), lambda x, y: x.mask & ~y.mask == 0),
+    "boolean-4": (lambda: boolean_family(4), lambda x, y: x.mask & ~y.mask == 0),
+    "partition-3": (lambda: partition_family(3), lambda x, y: refines(blocks_of(x), blocks_of(y))),
+    "partition-4": (lambda: partition_family(4), lambda x, y: refines(blocks_of(x), blocks_of(y))),
+}
 
 
 def iset(*pairs):
@@ -272,6 +294,25 @@ class TestSweeps:
         rows = stage().sweep_chief(TWO)
         assert [r.regraded for r in rows] == [Fraction(-1), Fraction(1)]
 
+    @pytest.mark.parametrize("step", [Fraction(1, 4), Fraction(1, 7), Fraction(1, 64), TWO])
+    @pytest.mark.parametrize(
+        "cutset",
+        [
+            LevelCutset(Fraction(1), StepDensity((0, 1, 2), (1, 2))),
+            LevelCutset(Fraction(1)),
+            LevelCutset(Fraction(15, 8)),
+            LevelCutset(Fraction(6, 5), StepDensity((0, "1/3", 2), (3, "1/5"))),
+        ],
+    )
+    def test_chief_sweep_matches_per_element_regrading(self, cutset, step):
+        regrader = IntervalRegrader(TWO, cutset)
+        rows = regrader.sweep_chief(step)
+        assert rows[0].level == 0 and rows[-1].level == TWO
+        for row in rows:
+            m = regrader.chief(row.level)
+            assert row.side == "chief"
+            assert (row.rank, row.regraded) == (measure(m), regrader.regraded(m))
+
     def test_trivial_cutset_regrades_affinely_past_the_crossing(self):
         regrader = IntervalRegrader(TWO, LevelCutset(Fraction(15, 8)))
         for row in regrader.sweep_chief(Fraction(1, 8)):
@@ -295,11 +336,56 @@ class TestFiniteRegrading:
             assert regrader.regraded(e) == fam.lattice.rank(e).fraction - 2
         assert regrader.crosscheck().ok
 
-    def test_every_exhaustive_cutset_crosschecks(self):
-        for fam in (boolean_family(4), partition_family(4)):
-            for cutset in antichain_cutsets_exhaustive(fam):
+    def test_every_exhaustive_cutset_crosschecks(self, monkeypatch):
+        # Regrading walks no maximal chain, so a chain cap of 1 cannot stop it.
+        stages = [(fam, antichain_cutsets_exhaustive(fam)) for fam in (boolean_family(4), partition_family(4))]
+        monkeypatch.setattr("rglat.finite.MAX_CHAINS", 1)
+        for fam, cutsets in stages:
+            with pytest.raises(SizeCapExceeded):
+                enumerate_maximal_chains(fam)
+            for cutset in cutsets:
                 regrader = FiniteRegrader(fam, ExplicitCutset(tuple(cutset)))
                 assert regrader.crosscheck().ok
+
+    def test_boolean_9_level_given_element_by_element(self):
+        fam = boolean_family(9)
+        level = tuple(e for e in fam.elements() if e.cardinality() == 4)
+        regrader = FiniteRegrader(fam, ExplicitCutset(level))
+        assert regrader.crosscheck() == CheckResult(True, 512)
+
+    @pytest.mark.parametrize("name, count", [("boolean-3", 19), ("boolean-4", 167), ("partition-4", 346)])
+    def test_cover_test_agrees_with_the_chain_walk(self, name, count):
+        build, leq = ORDERED_FAMILIES[name]
+        fam = build()
+        elems = fam.elements()
+        chains = maximal_chains(elems, leq)
+        found = antichains(elems, leq)
+        assert len(found) == count
+        for antichain in found:
+            gap = cutset_gap(fam, antichain)
+            assert (gap is None) == meets_every_chain(chains, antichain)
+            if gap is not None:
+                x, y = gap
+                assert any(leq(x, a) and x != a for a in antichain)
+                assert not any(leq(y, a) for a in antichain)
+                assert any(x in chain and y in chain for chain in chains)
+
+    @pytest.mark.parametrize("name", ORDERED_FAMILIES)
+    def test_crosscheck_agrees_with_the_chain_walk(self, name):
+        build, leq = ORDERED_FAMILIES[name]
+        fam = build()
+        elems = fam.elements()
+        chains = maximal_chains(elems, leq)
+        outcomes = set()
+        for cutset in antichain_cutsets_exhaustive(fam):
+            regrader = FiniteRegrader(fam, ExplicitCutset(tuple(cutset)))
+            values = {e: regrader.regraded(e) for e in elems}
+            for graded in _tampered(fam, values):
+                regrader.regraded = graded.__getitem__
+                ok = regrader.crosscheck().ok
+                assert ok == chain_crosscheck(chains, graded, cutset)
+                outcomes.add(ok)
+        assert outcomes == {True, False}
 
     def test_partition_projection_moves_along_the_good_chain(self):
         fam = partition_family(4)
@@ -319,7 +405,7 @@ class TestFiniteRegrading:
 
     def test_non_cutset_antichain_rejected(self):
         fam = boolean_family(3)
-        with pytest.raises(CutsetError):
+        with pytest.raises(CutsetError, match="cover"):
             FiniteRegrader(fam, ExplicitCutset((BitSubset.from_members(3, [1]),)))
 
     def test_level_must_be_interior(self):
@@ -329,10 +415,24 @@ class TestFiniteRegrading:
             FiniteRegrader(boolean_family(3), LevelCutset(HALF))
 
 
+def _tampered(fam, values):
+    """The grading itself, then each element shifted, each pair swapped and each rank shifted."""
+    yield values
+    for e in values:
+        for shift in (-1, 1):
+            yield values | {e: values[e] + shift}
+    for e, f in itertools.combinations(values, 2):
+        yield values | {e: values[f], f: values[e]}
+    rank = fam.lattice.rank
+    for r in {rank(e) for e in values}:
+        for shift in (-1, 1):
+            yield {e: v + shift if rank(e) == r else v for e, v in values.items()}
+
+
 class TestHypothesisReports:
     def test_bounded_stage_is_vacuous(self):
         report = hypothesis_bounded_interval(TWO)
-        assert report.all_hold
+        assert not report.failing
         assert all(c.vacuous for c in report.conditions)
 
     def test_line_stage_flags_only_the_chain_meet(self):
