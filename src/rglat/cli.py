@@ -45,10 +45,7 @@ def _config_line(args: argparse.Namespace) -> str:
         if hasattr(args, key) and getattr(args, key) is not None:
             parts.append(f"{key}={getattr(args, key)}")
     if args.command == "verify":
-        parts.append(
-            f"caps=elements:{finite.MAX_ELEMENTS},chains:{finite.MAX_CHAINS},"
-            f"cutset-base:{finite.CUTSET_BASE}"
-        )
+        parts.append(f"caps=elements:{finite.MAX_ELEMENTS},chains:{finite.MAX_CHAINS}")
     return " ".join(parts)
 
 

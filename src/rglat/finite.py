@@ -4,8 +4,7 @@ Four families: Boolean (bitmask subsets), set partitions under refinement,
 subspaces of F_p^n in reduced row-echelon form, and the rational product
 plane with symbolic extrema.  All canonical forms are structural, so ``==``
 decides lattice equality.  Enumeration sizes are guarded by the module
-constants ``MAX_ELEMENTS``, ``MAX_CHAINS`` and ``CUTSET_BASE``, read at call
-time.
+constants ``MAX_ELEMENTS`` and ``MAX_CHAINS``, read at call time.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import ChainSample, GradedLattice, rank_modular_defect
 from .errors import (
@@ -32,7 +31,6 @@ MAX_SUBSPACE_DIM = 6
 # Limits for the exhaustive operations; exceeding one raises SizeCapExceeded.
 MAX_ELEMENTS = 6000
 MAX_CHAINS = 250_000
-CUTSET_BASE = 16
 
 
 def _check_ground(n: int, limit: int) -> None:
@@ -481,6 +479,28 @@ class FiniteFamily:
     elements: Callable[[], list] = field(repr=False)
     chief_elements: Callable[[], list] = field(repr=False)
 
+    @functools.cached_property
+    def chief(self) -> ChainSample:
+        """The canonical maximal chain of rank-modular elements.
+
+        Membership in the exhaustively computed modular set is verified
+        whenever the instance is small enough to enumerate; a failure is an
+        internal error, not a user error.  The proof runs once per instance
+        and is kept on it, so no cache outlives the family.
+        """
+        try:
+            elems = self.elements()
+        except SizeCapExceeded:
+            elems = []
+        chain = self.chief_elements()
+        sample = ChainSample.from_elements(self.lattice, chain)
+        if [r.fraction for r in sample.ranks()] != list(range(len(chain))):
+            raise RuntimeError(f"chief chain of {self.lattice.name} is not saturated")
+        for m, x in itertools.product(chain, elems):
+            if rank_modular_defect(self.lattice, m, x) != Rank(0):
+                raise RuntimeError(f"chief chain member {m!r} is not rank modular against {x!r}")
+        return sample
+
 
 def boolean_family(n: int) -> FiniteFamily:
     _check_ground(n, MAX_BOOLEAN_GROUND)
@@ -588,50 +608,49 @@ def cutset_gap(family: FiniteFamily, antichain: Iterable) -> tuple | None:
     members = set(antichain)
     layers = rank_layers(family)
     below = {e for layer in layers.values() for e in layer if any(lattice.leq(e, a) for a in members)}
+    walk = _covers(lattice, layers, lambda x: x in below and x not in members, lambda y: y not in below)
+    return next(((x, ups[0]) for _, x, ups in walk if ups), None)
+
+
+def _covers(lattice: GradedLattice, layers: dict[int, list], keep_x=None, keep_y=None) -> Iterator[tuple]:
+    """(rank, x, the y covering x) for each x, rank by rank: y one rank up and above x.
+
+    ``keep_x`` and ``keep_y`` skip the x and y a caller does not need, before any order test.
+    """
     for r in sorted(layers):
         for x in layers[r]:
-            if x not in below or x in members:
-                continue
-            for y in layers.get(r + 1, ()):
-                if y not in below and lattice.leq(x, y):
-                    return x, y
-    return None
+            if keep_x is None or keep_x(x):
+                ups = layers.get(r + 1, ())
+                yield r, x, [y for y in ups if (keep_y is None or keep_y(y)) and lattice.leq(x, y)]
 
 
-def antichain_cutsets_exhaustive(family: FiniteFamily) -> list[tuple]:
-    """All antichains meeting every maximal chain, by bitmask brute force."""
-    elems = family.elements()
-    if len(elems) > CUTSET_BASE:
-        raise SizeCapExceeded(f"{len(elems)} elements exceed the antichain search cap {CUTSET_BASE}")
+def semimodularity_gap(family: FiniteFamily) -> tuple | None:
+    """(x, a, b) with a and b covering x but rank(a v b) != rank(x) + 2, or None.
+
+    None certifies upper semimodularity (a v b covers a and b whenever both
+    cover x), and then every antichain cutset is one whole rank level:
+
+    - Any two maximal chains are joined by diamond moves, each replacing a
+      in x < a < y (covers) by some b != a with x < b < y.  By induction on
+      the height: chains through one cover of the bottom are joined inside
+      the interval above it; chains through covers a != b are joined that
+      way to bottom < a < a v b < D and bottom < b < a v b < D, for one
+      chain D above a v b, and these two differ by one diamond move.
+    - An antichain cutset A meets each maximal chain exactly once, and a
+      diamond move keeps the rank where it does: if a is in A, so is b, as
+      every other element of the new chain is comparable to a.
+    - So one rank k serves every chain; every element of rank k lies on
+      some maximal chain, so A is the whole level k.
+
+    Boolean, partition and subspace lattices are upper semimodular; see G.
+    Graetzer, *Lattice Theory: Foundation* (Birkhaeuser, 2011).
+    """
     lattice = family.lattice
-    index = {e: i for i, e in enumerate(elems)}
-    chains = enumerate_maximal_chains(family)
-    chain_masks = []
-    for chain in chains:
-        mask = 0
-        for e in chain:
-            mask |= 1 << index[e]
-        chain_masks.append(mask)
-    cmp_mask = [0] * len(elems)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            if i != j and lattice.comparable(x, y):
-                cmp_mask[i] |= 1 << j
-    out: list[tuple] = []
-    for s in range(1, 1 << len(elems)):
-        probe = s
-        is_antichain = True
-        while probe:
-            low = probe & -probe
-            if cmp_mask[low.bit_length() - 1] & s:
-                is_antichain = False
-                break
-            probe ^= low
-        if not is_antichain:
-            continue
-        if all(mask & s for mask in chain_masks):
-            out.append(tuple(elems[i] for i in range(len(elems)) if s >> i & 1))
-    return out
+    for r, x, ups in _covers(lattice, rank_layers(family)):
+        for a, b in itertools.combinations(ups, 2):
+            if _int_rank(lattice, lattice.join(a, b)) != r + 2:
+                return x, a, b
+    return None
 
 
 def rank_modular_elements(family: FiniteFamily) -> list:
@@ -646,31 +665,8 @@ def rank_modular_elements(family: FiniteFamily) -> list:
 
 
 def chief_chain(family: FiniteFamily) -> ChainSample:
-    """The canonical maximal chain of rank-modular elements for the family.
-
-    Membership in the exhaustively computed modular set is verified whenever
-    the instance is small enough to enumerate; a failure is an internal
-    error, not a user error.
-    """
-    elems_for_check: list | None
-    try:
-        elems_for_check = family.elements()
-    except SizeCapExceeded:
-        elems_for_check = None
-    chain = family.chief_elements()
-    sample = ChainSample.from_elements(family.lattice, chain)
-    ranks = [r.fraction for r in sample.ranks()]
-    if ranks != [Fraction(i) for i in range(len(ranks))]:
-        raise RuntimeError(f"chief chain of {family.lattice.name} is not saturated")
-    if elems_for_check is not None:
-        zero = Rank(0)
-        for m in chain:
-            for x in elems_for_check:
-                if rank_modular_defect(family.lattice, m, x) != zero:
-                    raise RuntimeError(
-                        f"chief chain member {m!r} is not rank modular against {x!r}"
-                    )
-    return sample
+    """The family's proven chief chain (see :attr:`FiniteFamily.chief`)."""
+    return family.chief
 
 
 # --- JSON forms --------------------------------------------------------------

@@ -467,9 +467,16 @@ def interval_set_to_json(u: IntervalSet) -> dict:
     return {"intervals": [[format_fraction(a), format_fraction(b)] for a, b in u.intervals]}
 
 
+def _json_array(value) -> list:
+    if not isinstance(value, list):  # a string such as "02" iterates too
+        raise TypeError(f"expected a JSON array, got {value!r}")
+    return value
+
+
 def interval_set_from_json(data: dict, ambient: Ambient | None = None) -> IntervalSet:
     try:
-        pairs = [(parse_fraction(a), parse_fraction(b)) for a, b in data["intervals"]]
+        rows = map(_json_array, _json_array(data["intervals"]))
+        pairs = [(parse_fraction(a), parse_fraction(b)) for a, b in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad interval set payload: {data!r}") from exc
     return normalize(pairs, ambient)
@@ -485,8 +492,8 @@ def density_to_json(density: StepDensity) -> dict:
 def density_from_json(data: dict) -> StepDensity:
     try:
         return StepDensity(
-            tuple(parse_fraction(t) for t in data["breakpoints"]),
-            tuple(parse_fraction(v) for v in data["values"]),
+            tuple(parse_fraction(t) for t in _json_array(data["breakpoints"])),
+            tuple(parse_fraction(v) for v in _json_array(data["values"])),
         )
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"bad density payload: {data!r}") from exc

@@ -101,25 +101,31 @@ class SweepRow:
     regraded: Fraction
 
 
-def finite_good_chain(lattice: GradedLattice, chief_elements, z) -> tuple:
+def finite_good_chain(lattice: GradedLattice, chief_elements, z) -> tuple[ProjectionResult, ...]:
     """The saturated chain of meets and joins of z with the chief chain.
 
-    Raises RuntimeError if the collected elements fail to form a saturated
+    Each element comes as a crossing: with the least chief level giving it,
+    on the meet side if it lies below z (z too, as z ^ top), else the join
+    side.  Raises RuntimeError if the elements fail to form a saturated
     chain; with a rank-modular chief chain they always do.
     """
-    top_rank = lattice.rank(lattice.top).fraction
-    by_rank: dict[Fraction, object] = {}
+    by_rank: dict[Fraction, ProjectionResult] = {}
     for m in chief_elements:
-        for e in (lattice.meet(z, m), lattice.join(z, m)):
+        level = lattice.rank(m).fraction
+        for side, e in (("meet", lattice.meet(z, m)), ("join", lattice.join(z, m))):
             r = lattice.rank(e).fraction
-            if by_rank.setdefault(r, e) != e:
+            found = by_rank.setdefault(r, ProjectionResult(e, level, side))
+            if found.element != e:
                 raise RuntimeError(f"rank {r} reached by two distinct chain elements")
-    expected = [Fraction(i) for i in range(int(top_rank) + 1)]
+            if found.side != side == "meet":
+                # Only z is both a meet and a join; it lies below itself.
+                by_rank[r] = ProjectionResult(e, level, side)
+    expected = [Fraction(i) for i in range(int(lattice.rank(lattice.top).fraction) + 1)]
     if sorted(by_rank) != expected:
         raise RuntimeError(f"projection chain through {z!r} is not saturated")
     chain = tuple(by_rank[r] for r in expected)
     for a, b in zip(chain, chain[1:]):
-        if not lattice.leq(a, b):
+        if not lattice.leq(a.element, b.element):
             raise RuntimeError(f"projection chain through {z!r} is not a chain")
     return chain
 
@@ -322,15 +328,12 @@ class FiniteRegrader:
         self.family = family
         self.lattice: GradedLattice = family.lattice
         self.chief = tuple(chief_chain(family).elements())
-        self.top_rank = self._rank(self.lattice.top)
         self.cutset = cutset
         if isinstance(cutset, LevelCutset):
             if cutset.density is not None:
                 raise PreconditionViolation("finite families use their own rank for level sets")
-            if not 0 < cutset.value < self.top_rank or cutset.value.denominator != 1:
-                raise CutsetError(
-                    f"level {cutset.value} is not an interior rank of {self.lattice.name}"
-                )
+            if not 0 < cutset.value < self._rank(self.lattice.top) or cutset.value.denominator != 1:
+                raise CutsetError(f"level {cutset.value} is not an interior rank of {self.lattice.name}")
             self._members: set | None = None
         else:
             members = tuple(cutset.elements)
@@ -354,17 +357,10 @@ class FiniteRegrader:
         return self._rank(x) == self.cutset.value
 
     def project(self, z) -> ProjectionResult:
-        hits = [e for e in finite_good_chain(self.lattice, self.chief, z) if self.in_cutset(e)]
+        hits = [p for p in finite_good_chain(self.lattice, self.chief, z) if self.in_cutset(p.element)]
         if len(hits) != 1:
-            raise CutsetError(
-                f"cutset meets the chain through {z!r} in {len(hits)} points"
-            )
-        alpha = hits[0]
-        side = "meet" if self.lattice.leq(alpha, z) else "join"
-        op = self.lattice.meet if side == "meet" else self.lattice.join
-        # The chief chain is in rank order, so the first hit is the least level.
-        level = next(self._rank(m) for m in self.chief if op(z, m) == alpha)
-        return ProjectionResult(alpha, level, side)
+            raise CutsetError(f"cutset meets the chain through {z!r} in {len(hits)} points")
+        return hits[0]
 
     def regraded(self, z) -> Fraction:
         return self._rank(z) - self._rank(self.project(z).element)

@@ -8,6 +8,7 @@ order relation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -166,6 +167,21 @@ def meets_every_chain(chains, antichain) -> bool:
     return all(members.intersection(chain) for chain in chains)
 
 
+def bare_order(kind: str):
+    """x <= y read off the raw form of a family's elements, not its meet."""
+    if kind == "boolean":
+        return lambda x, y: x.mask & ~y.mask == 0
+    if kind == "partition":
+        return lambda x, y: refines(blocks_of(x), blocks_of(y))
+    return lambda x, y: span(x) <= span(y)
+
+
+def antichain_cutsets(elements, leq) -> list[tuple]:
+    """Every antichain that meets every maximal chain of the bare order."""
+    chains = maximal_chains(elements, leq)
+    return [a for a in antichains(elements, leq) if meets_every_chain(chains, a)]
+
+
 def chain_crosscheck(chains, values, cutset) -> bool:
     """The regrading check walked chain by chain.
 
@@ -180,6 +196,15 @@ def chain_crosscheck(chains, values, cutset) -> bool:
 
 
 # --- subspaces through the Gaussian binomials ---------------------------------
+
+@functools.cache
+def span(w) -> frozenset:
+    """Every vector spanned by a subspace's basis rows, by enumerating coefficients."""
+    vectors = set()
+    for coeffs in itertools.product(range(w.p), repeat=len(w.rows)):
+        vectors.add(tuple(sum(c * r[j] for c, r in zip(coeffs, w.rows)) % w.p for j in range(w.n)))
+    return frozenset(vectors)
+
 
 def subspace_count(p: int, n: int) -> int:
     """Number of subspaces of F_p^n: the sum over k of the Gaussian binomials [n k]_p."""

@@ -121,6 +121,25 @@ MALFORMED_SPECS = {
     "string-cutset": {**FINAL_SPEC, "cutset": "level"},
     "string-lattice": {**FINAL_SPEC, "lattice": "interval"},
     "interval-without-ambient": {**FINAL_SPEC, "lattice": {"kind": "interval"}},
+    "string-pair": {**FINAL_SPEC, "targets": [{"intervals": ["02"]}]},
+    "string-intervals": {**FINAL_SPEC, "targets": [{"intervals": "02"}]},
+    "object-pair": {**FINAL_SPEC, "targets": [{"intervals": [{"0/1": 0, "2/1": 0}]}]},
+    "string-breakpoints": {
+        **FINAL_SPEC,
+        "cutset": {
+            "type": "level",
+            "grading": {"density": {"breakpoints": "02", "values": "1"}},
+            "value": "1/1",
+        },
+    },
+    "string-values": {
+        **FINAL_SPEC,
+        "cutset": {
+            "type": "level",
+            "grading": {"density": {"breakpoints": ["0/1", "2/1"], "values": "1"}},
+            "value": "1/1",
+        },
+    },
 }
 
 
@@ -199,6 +218,14 @@ class TestLimit:
     def test_non_divisible_levels_are_an_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "target.json", {"intervals": [["0/1", "1/3"]]})
         assert main(["limit", path, "--levels", "2,3"]) == 2
+
+    def test_string_pair_is_an_input_error(self, tmp_path, capsys):
+        # The string "01" would otherwise unpack as the pair (0, 1].
+        path = write_json(tmp_path / "target.json", {"intervals": ["01"]})
+        assert main(["limit", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
 
     def test_target_outside_unit_interval_rejected(self, tmp_path, capsys):
         path = write_json(tmp_path / "target.json", {"intervals": [["0/1", "2/1"]]})

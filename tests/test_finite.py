@@ -1,17 +1,21 @@
-import itertools
+import dataclasses
+import functools
+import gc
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+from rglat.core import GradedLattice, rank_modular_defect
 from rglat.errors import AmbientMismatch, LatticeError, PreconditionViolation, SizeCapExceeded
 from rglat.finite import (
     BitSubset,
     PlanePoint,
     SetPartition,
+    FiniteFamily,
     Subspace,
-    antichain_cutsets_exhaustive,
     boolean_family,
     chief_chain,
     element_from_json,
@@ -20,19 +24,26 @@ from rglat.finite import (
     partition_family,
     product_plane_lattice,
     product_plane_limit_demo,
+    rank_layers,
     rank_modular_elements,
+    semimodularity_gap,
     subspace_family,
 )
 from rglat.rank import NEG_INF, POS_INF, Rank
+from rglat.regrading import FiniteRegrader, LevelCutset
 
 from oracle_helpers import (
+    antichain_cutsets,
+    bare_order,
     blocks_of,
     boolean_cutsets_bruteforce,
     count_maximal_chains,
     oracle_partition_join,
     oracle_partition_meet,
+    partition_rank,
     refines,
     rgs_partitions,
+    span,
     subspace_count,
 )
 from strategies import set_partitions
@@ -168,19 +179,43 @@ class TestEnumerations:
         assert peak < 100_000
 
 
+SEMIMODULAR = {
+    **{f"boolean-{n}": functools.partial(boolean_family, n) for n in range(1, 5)},
+    **{f"partition-{n}": functools.partial(partition_family, n) for n in range(1, 5)},
+    "subspace-F2^2": functools.partial(subspace_family, 2, 2),
+    "subspace-F2^3": functools.partial(subspace_family, 2, 3),
+    "subspace-F3^2": functools.partial(subspace_family, 3, 2),
+}
+
+
+def dual_family(fam: FiniteFamily) -> FiniteFamily:
+    """The order dual: meet and join swapped, rank measured down from the top."""
+    lattice = fam.lattice
+    height = lattice.rank(lattice.top).fraction
+    dual = GradedLattice(
+        name=f"dual-{lattice.name}",
+        meet=lattice.join,
+        join=lattice.meet,
+        rank=lambda x: Rank(height - lattice.rank(x).fraction),
+        bottom=lattice.top,
+        top=lattice.bottom,
+    )
+    return dataclasses.replace(fam, lattice=dual, chief_elements=lambda: fam.chief_elements()[::-1])
+
+
 class TestAntichainCutsets:
     def test_b2_matches_bruteforce_oracle(self):
         fam = boolean_family(2)
         got = {
             frozenset(frozenset(e.members()) for e in cutset)
-            for cutset in antichain_cutsets_exhaustive(fam)
+            for cutset in antichain_cutsets(fam.elements(), bare_order("boolean"))
         }
         assert got == boolean_cutsets_bruteforce(2)
         assert len(got) == 3
 
     def test_level_sets_are_always_returned(self):
         fam = boolean_family(3)
-        cutsets = antichain_cutsets_exhaustive(fam)
+        cutsets = antichain_cutsets(fam.elements(), bare_order("boolean"))
         as_sets = [set(c) for c in cutsets]
         for r in range(4):
             level = {e for e in fam.elements() if e.cardinality() == r}
@@ -189,13 +224,64 @@ class TestAntichainCutsets:
     def test_every_cutset_meets_every_chain(self):
         fam = boolean_family(3)
         chains = [set(c) for c in enumerate_maximal_chains(fam)]
-        for cutset in antichain_cutsets_exhaustive(fam):
+        for cutset in antichain_cutsets(fam.elements(), bare_order("boolean")):
             members = set(cutset)
             assert all(members & chain for chain in chains)
 
-    def test_cutset_base_cap(self):
-        with pytest.raises(SizeCapExceeded):
-            antichain_cutsets_exhaustive(boolean_family(5))
+
+class TestSemimodularity:
+    @pytest.mark.parametrize("build", SEMIMODULAR.values(), ids=SEMIMODULAR.keys())
+    def test_certified_families_have_only_level_cutsets(self, build):
+        fam = build()
+        assert semimodularity_gap(fam) is None
+        cutsets = antichain_cutsets(fam.elements(), bare_order(fam.kind))
+        levels = rank_layers(fam).values()
+        assert {frozenset(c) for c in cutsets} == {frozenset(level) for level in levels}
+        assert len(cutsets) == len(levels)
+
+    def test_the_dual_partition_lattice_is_not_upper_semimodular(self):
+        fam = dual_family(partition_family(4))
+        gap = semimodularity_gap(fam)
+        assert gap is not None
+        x, a, b = gap
+        # Read back in the partition order: a and b are distinct lower covers
+        # of x, and their meet is not two ranks below x.
+        parts = rgs_partitions(4)
+        rank = functools.partial(partition_rank, 4)
+        bx, ba, bb = blocks_of(x), blocks_of(a), blocks_of(b)
+        assert ba != bb
+        for bc in (ba, bb):
+            assert refines(bc, bx) and rank(bc) == rank(bx) - 1
+        assert rank(oracle_partition_meet(parts, ba, bb)) != rank(bx) - 2
+
+
+class TestChiefChainProof:
+    def test_a_second_regrader_reruns_no_proof(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rank_modular_defect(*args)
+
+        monkeypatch.setattr("rglat.finite.rank_modular_defect", counted)
+        fam = partition_family(4)
+        FiniteRegrader(fam, LevelCutset(Fraction(1)))
+        proof = len(calls)
+        assert proof == 4 * 15
+        FiniteRegrader(fam, LevelCutset(Fraction(2)))
+        assert chief_chain(fam) is chief_chain(fam)
+        assert len(calls) == proof
+        # A new family object is a new proof: nothing is shared across instances.
+        FiniteRegrader(partition_family(4), LevelCutset(Fraction(2)))
+        assert len(calls) == 2 * proof
+
+    def test_the_proof_does_not_keep_its_family_alive(self):
+        fam = boolean_family(3)
+        FiniteRegrader(fam, LevelCutset(Fraction(1)))
+        ref = weakref.ref(fam)
+        del fam
+        gc.collect()
+        assert ref() is None
 
 
 class TestRankModularElements:
@@ -266,16 +352,6 @@ class TestProductPlane:
 
 
 class TestSubspaceOps:
-    def _span(self, w: Subspace) -> frozenset:
-        vectors = set()
-        rows = [list(r) for r in w.rows]
-        for coeffs in itertools.product(range(w.p), repeat=len(rows)):
-            vec = tuple(
-                sum(c * r[j] for c, r in zip(coeffs, rows)) % w.p for j in range(w.n)
-            )
-            vectors.add(vec)
-        return frozenset(vectors)
-
     def test_meet_is_the_set_intersection_of_spans(self):
         fam = subspace_family(2, 3)
         elems = fam.elements()
@@ -283,7 +359,7 @@ class TestSubspaceOps:
         for x in elems:
             for y in elems:
                 meet = fam.lattice.meet(x, y)
-                assert self._span(meet) == self._span(x) & self._span(y)
+                assert span(meet) == span(x) & span(y)
 
     def test_join_spans_the_union(self):
         fam = subspace_family(3, 2)
@@ -291,7 +367,7 @@ class TestSubspaceOps:
         for x in elems:
             for y in elems:
                 join = fam.lattice.join(x, y)
-                assert self._span(join) >= self._span(x) | self._span(y)
+                assert span(join) >= span(x) | span(y)
                 assert join.dimension() <= x.dimension() + y.dimension()
 
 

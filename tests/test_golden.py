@@ -21,6 +21,7 @@ CASES = [
     (["regrade", "{golden}/boolean3_spec.json"], "regrade_boolean3.csv"),
     (["verify", "--suite", "tower"], "verify_tower.txt"),
     (["verify", "--suite", "finite-counts"], "verify_finite_counts.txt"),
+    (["verify", "--suite", "finite-regrade"], "verify_finite_regrade.txt"),
 ]
 
 

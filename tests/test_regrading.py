@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -10,13 +11,13 @@ from rglat.errors import CutsetError, SizeCapExceeded
 from rglat.finite import (
     BitSubset,
     SetPartition,
-    antichain_cutsets_exhaustive,
     boolean_family,
     chief_chain,
     cutset_gap,
     enumerate_maximal_chains,
     partition_family,
     product_plane_limit_demo,
+    subspace_family,
 )
 from rglat.gen import random_comparable_pair, random_set_with_mass
 from rglat.intervals import (
@@ -36,6 +37,7 @@ from rglat.regrading import (
     FiniteRegrader,
     IntervalRegrader,
     LevelCutset,
+    ProjectionResult,
     counterexample_report,
     counterexample_stage,
     cutset_from_json,
@@ -47,12 +49,12 @@ from rglat.regrading import (
 )
 
 from oracle_helpers import (
+    antichain_cutsets,
     antichains,
-    blocks_of,
+    bare_order,
     chain_crosscheck,
     maximal_chains,
     meets_every_chain,
-    refines,
 )
 from strategies import interval_sets
 
@@ -62,10 +64,10 @@ HALF = Fraction(1, 2)
 # Finite families with their order taken from the bare representation, not
 # from the package's meet.
 ORDERED_FAMILIES = {
-    "boolean-3": (lambda: boolean_family(3), lambda x, y: x.mask & ~y.mask == 0),
-    "boolean-4": (lambda: boolean_family(4), lambda x, y: x.mask & ~y.mask == 0),
-    "partition-3": (lambda: partition_family(3), lambda x, y: refines(blocks_of(x), blocks_of(y))),
-    "partition-4": (lambda: partition_family(4), lambda x, y: refines(blocks_of(x), blocks_of(y))),
+    "boolean-3": (lambda: boolean_family(3), bare_order("boolean")),
+    "boolean-4": (lambda: boolean_family(4), bare_order("boolean")),
+    "partition-3": (lambda: partition_family(3), bare_order("partition")),
+    "partition-4": (lambda: partition_family(4), bare_order("partition")),
 }
 
 
@@ -237,7 +239,7 @@ class TestChainMachinery:
         chief = list(chief_chain(fam).elements())
         chain = finite_good_chain(fam.lattice, chief, BitSubset.from_members(4, [1, 3]))
         assert len(chain) == 5
-        assert [fam.lattice.rank(e).fraction for e in chain] == [0, 1, 2, 3, 4]
+        assert [fam.lattice.rank(p.element).fraction for p in chain] == [0, 1, 2, 3, 4]
 
     def test_reversed_chain_finite_example(self):
         fam = boolean_family(4)
@@ -249,14 +251,14 @@ class TestChainMachinery:
             BitSubset.from_members(4, [1, 3, 4]),
             BitSubset.from_members(4, [1, 2, 3, 4]),
         ]
-        reversed_chain = finite_good_chain(fam.lattice, chain, m)
+        reversed_chain = [p.element for p in finite_good_chain(fam.lattice, chain, m)]
         assert [fam.lattice.rank(e).fraction for e in reversed_chain] == [0, 1, 2, 3, 4]
         assert reversed_chain[0] == fam.lattice.bottom and reversed_chain[-1] == fam.lattice.top
 
     def test_reversed_chain_with_bottom_is_the_original(self):
         fam = boolean_family(3)
         chain = list(chief_chain(fam).elements())
-        assert finite_good_chain(fam.lattice, chain, fam.lattice.bottom) == tuple(chain)
+        assert [p.element for p in finite_good_chain(fam.lattice, chain, fam.lattice.bottom)] == chain
 
 
 class TestOrderAndMonotonicity:
@@ -338,7 +340,8 @@ class TestFiniteRegrading:
 
     def test_every_exhaustive_cutset_crosschecks(self, monkeypatch):
         # Regrading walks no maximal chain, so a chain cap of 1 cannot stop it.
-        stages = [(fam, antichain_cutsets_exhaustive(fam)) for fam in (boolean_family(4), partition_family(4))]
+        families = (boolean_family(4), partition_family(4))
+        stages = [(fam, antichain_cutsets(fam.elements(), bare_order(fam.kind))) for fam in families]
         monkeypatch.setattr("rglat.finite.MAX_CHAINS", 1)
         for fam, cutsets in stages:
             with pytest.raises(SizeCapExceeded):
@@ -377,7 +380,7 @@ class TestFiniteRegrading:
         elems = fam.elements()
         chains = maximal_chains(elems, leq)
         outcomes = set()
-        for cutset in antichain_cutsets_exhaustive(fam):
+        for cutset in antichain_cutsets(elems, leq):
             regrader = FiniteRegrader(fam, ExplicitCutset(tuple(cutset)))
             values = {e: regrader.regraded(e) for e in elems}
             for graded in _tampered(fam, values):
@@ -386,6 +389,26 @@ class TestFiniteRegrading:
                 assert ok == chain_crosscheck(chains, graded, cutset)
                 outcomes.add(ok)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            functools.partial(boolean_family, 4),
+            functools.partial(partition_family, 4),
+            functools.partial(subspace_family, 2, 3),
+        ],
+        ids=["boolean-4", "partition-4", "subspace-F2^3"],
+    )
+    def test_one_pass_projection_matches_the_two_pass_rule(self, build):
+        fam = build()
+        elems = fam.elements()
+        top = int(fam.lattice.rank(fam.lattice.top).fraction)
+        cutsets = [LevelCutset(Fraction(k)) for k in range(1, top)]
+        cutsets += [ExplicitCutset(c) for c in antichain_cutsets(elems, bare_order(fam.kind))]
+        for cutset in cutsets:
+            regrader = FiniteRegrader(fam, cutset)
+            for z in elems:
+                assert regrader.project(z) == _two_pass_projection(regrader, z)
 
     def test_partition_projection_moves_along_the_good_chain(self):
         fam = partition_family(4)
@@ -413,6 +436,23 @@ class TestFiniteRegrading:
             FiniteRegrader(boolean_family(3), LevelCutset(Fraction(3)))
         with pytest.raises(CutsetError):
             FiniteRegrader(boolean_family(3), LevelCutset(HALF))
+
+
+def _two_pass_projection(regrader, z):
+    """The crossing found by a second pass: collect the chain, then search the chief chain.
+
+    The side is meet when the crossing lies below z; the level is the least
+    chief rank whose meet (or join) with z is the crossing.
+    """
+    lattice = regrader.lattice
+    chain = {e for m in regrader.chief for e in (lattice.meet(z, m), lattice.join(z, m))}
+    hits = [e for e in chain if regrader.in_cutset(e)]
+    assert len(hits) == 1
+    alpha = hits[0]
+    side = "meet" if lattice.leq(alpha, z) else "join"
+    op = lattice.meet if side == "meet" else lattice.join
+    level = next(lattice.rank(m).fraction for m in regrader.chief if op(z, m) == alpha)
+    return ProjectionResult(alpha, level, side)
 
 
 def _tampered(fam, values):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rglat.core import CheckResult
+from rglat.finite import BitSubset
 from rglat.regrading import SweepRow
 from rglat.suites import SUITES, SuiteConfig, SuiteResult, _examine_sweeps, run_suite
 
@@ -82,3 +83,11 @@ def test_runner_seeds_the_random_by_seed_and_name(monkeypatch):
 def test_an_unknown_suite_raises_key_error():
     with pytest.raises(KeyError):
         run_suite("no-such-suite", SuiteConfig())
+
+
+def test_finite_regrade_fails_with_the_semimodularity_witness(monkeypatch):
+    x, a, b = BitSubset(4, 0), BitSubset(4, 1), BitSubset(4, 2)
+    monkeypatch.setattr("rglat.suites.semimodularity_gap", lambda family: (x, a, b))
+    result = run_suite("finite-regrade", SuiteConfig())
+    witness = f"boolean-4 is not upper semimodular: {a!r} and {b!r} cover {x!r}"
+    assert result == SuiteResult("finite-regrade", False, 0, "failed", witness)
