@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import ChainSample, GradedLattice, rank_modular_defect
 from .errors import (
@@ -57,8 +57,8 @@ class BitSubset:
     def from_members(cls, n: int, members: Iterable[int]) -> "BitSubset":
         mask = 0
         for i in members:
-            if not 1 <= i <= n:
-                raise PreconditionViolation(f"member {i} outside 1..{n}")
+            if type(i) is not int or not 1 <= i <= n:
+                raise PreconditionViolation(f"member {i!r} is not an integer in 1..{n}")
             mask |= 1 << (i - 1)
         return cls(n, mask)
 
@@ -114,7 +114,11 @@ class SetPartition:
 
     def __post_init__(self):
         _check_ground(self.n, MAX_PARTITION_GROUND)
-        seen: set[int] = set()
+        members = [i for block in self.blocks for i in block]
+        if set(map(type, members)) - {int}:
+            raise PreconditionViolation(f"partition members must be integers: {self.blocks!r}")
+        if sorted(members) != list(range(1, self.n + 1)):
+            raise PreconditionViolation(f"blocks do not partition 1..{self.n}, each member once")
         prev_min = 0
         for block in self.blocks:
             if not block or list(block) != sorted(block):
@@ -122,9 +126,6 @@ class SetPartition:
             if block[0] <= prev_min:
                 raise PreconditionViolation("blocks must be sorted by least member")
             prev_min = block[0]
-            seen.update(block)
-        if seen != set(range(1, self.n + 1)):
-            raise PreconditionViolation(f"blocks do not partition 1..{self.n}")
 
     @classmethod
     def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> "SetPartition":
@@ -250,6 +251,13 @@ def _rref(rows: Sequence[Sequence[int]], width: int, p: int) -> tuple[tuple[int,
     return tuple(tuple(v % p for v in row) for row in work[:r])
 
 
+def _check_rows(rows: Sequence[Sequence[int]], n: int) -> None:
+    # Row reduction indexes n entries per row and reads them as integers mod p.
+    for row in rows:
+        if len(row) != n or set(map(type, row)) - {int}:
+            raise PreconditionViolation(f"row {row!r} is not {n} integers")
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of F_p^n with basis in reduced row-echelon form."""
@@ -266,12 +274,15 @@ class Subspace:
             raise PreconditionViolation(f"{self.p} is not prime")
         if not 1 <= self.n <= MAX_SUBSPACE_DIM:
             raise PreconditionViolation(f"dimension {self.n} outside 1..{MAX_SUBSPACE_DIM}")
+        _check_rows(self.rows, self.n)
         if self.rows != _rref(self.rows, self.n, self.p):
             raise PreconditionViolation("basis must be in reduced row-echelon form")
 
     @classmethod
     def from_rows(cls, p: int, n: int, rows: Iterable[Sequence[int]]) -> "Subspace":
-        return cls(p, n, _rref(list(rows), n, p))
+        rows = list(rows)
+        _check_rows(rows, n)
+        return cls(p, n, _rref(rows, n, p))
 
     @classmethod
     def zero(cls, p: int, n: int) -> "Subspace":
@@ -594,36 +605,6 @@ def enumerate_maximal_chains(family: FiniteFamily) -> list[tuple]:
     return chains
 
 
-def cutset_gap(family: FiniteFamily, antichain: Iterable) -> tuple | None:
-    """The cover under which a nonempty antichain misses a maximal chain, or None.
-
-    The witness is a cover x < y (rank(y) = rank(x) + 1) with x strictly
-    below a member and y below none.  A maximal chain through it misses the
-    antichain: nothing below x is a member, since members are incomparable,
-    and nothing above y is.  Conversely, on a chain that misses the antichain,
-    bottom is strictly below a member and top below none, so some step of it
-    is such a cover.
-    """
-    lattice = family.lattice
-    members = set(antichain)
-    layers = rank_layers(family)
-    below = {e for layer in layers.values() for e in layer if any(lattice.leq(e, a) for a in members)}
-    walk = _covers(lattice, layers, lambda x: x in below and x not in members, lambda y: y not in below)
-    return next(((x, ups[0]) for _, x, ups in walk if ups), None)
-
-
-def _covers(lattice: GradedLattice, layers: dict[int, list], keep_x=None, keep_y=None) -> Iterator[tuple]:
-    """(rank, x, the y covering x) for each x, rank by rank: y one rank up and above x.
-
-    ``keep_x`` and ``keep_y`` skip the x and y a caller does not need, before any order test.
-    """
-    for r in sorted(layers):
-        for x in layers[r]:
-            if keep_x is None or keep_x(x):
-                ups = layers.get(r + 1, ())
-                yield r, x, [y for y in ups if (keep_y is None or keep_y(y)) and lattice.leq(x, y)]
-
-
 def semimodularity_gap(family: FiniteFamily) -> tuple | None:
     """(x, a, b) with a and b covering x but rank(a v b) != rank(x) + 2, or None.
 
@@ -646,10 +627,13 @@ def semimodularity_gap(family: FiniteFamily) -> tuple | None:
     Graetzer, *Lattice Theory: Foundation* (Birkhaeuser, 2011).
     """
     lattice = family.lattice
-    for r, x, ups in _covers(lattice, rank_layers(family)):
-        for a, b in itertools.combinations(ups, 2):
-            if _int_rank(lattice, lattice.join(a, b)) != r + 2:
-                return x, a, b
+    layers = rank_layers(family)
+    for r in sorted(layers):
+        for x in layers[r]:
+            ups = [y for y in layers.get(r + 1, ()) if lattice.leq(x, y)]
+            for a, b in itertools.combinations(ups, 2):
+                if _int_rank(lattice, lattice.join(a, b)) != r + 2:
+                    return x, a, b
     return None
 
 

@@ -9,10 +9,10 @@ maximal chain, so A becomes a level set.
 
 Two engines share this logic: :class:`IntervalRegrader` solves the crossing
 exactly on piecewise-linear profiles of the bounded interval lattice;
-:class:`FiniteRegrader` scans the saturated chain of a finite family.  The
-regraded rank in general destroys rank modularity of the original chief
-chain; :func:`counterexample_report` pins the two-speed density instance
-where that failure is visible.
+:class:`FiniteRegrader` reads it off the saturated chain of a finite family
+at the cutset's rank level.  The regraded rank in general destroys rank
+modularity of the original chief chain; :func:`counterexample_report` pins
+the two-speed density instance where that failure is visible.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from .errors import (
 from .finite import (
     FiniteFamily,
     chief_chain,
-    cutset_gap,
     element_from_json,
     element_to_json,
     PlaneLimitReport,
     PlanePoint,
     product_plane_lattice,
+    rank_layers,
 )
 from .intervals import (
     EMPTY,
@@ -177,10 +177,17 @@ class IntervalRegrader:
     def chief(self, level: Fraction) -> IntervalSet:
         return chief_element(self.ambient, level)
 
-    def _solve(self, bundle: ProfileBundle) -> tuple[Fraction, str]:
+    def _solve(self, bundle: ProfileBundle) -> tuple[Fraction, str, Fraction]:
+        """The least chief level giving the crossing, its side, and its measure.
+
+        The measure is read off the parallel measure profile at that level,
+        so no element is materialized.
+        """
         if bundle.grade_of_element >= self.cutset.value:
-            return bundle.grade_meet.min_level_at_value(self.cutset.value), "meet"
-        return bundle.grade_join.min_level_at_value(self.cutset.value), "join"
+            level = bundle.grade_meet.min_level_at_value(self.cutset.value)
+            return level, "meet", bundle.measure_meet.value_at(level)
+        level = bundle.grade_join.min_level_at_value(self.cutset.value)
+        return level, "join", bundle.measure_join.value_at(level)
 
     def project(self, z: IntervalSet) -> ProjectionResult:
         """Exact crossing of the projection chain through z with the cutset.
@@ -190,25 +197,16 @@ class IntervalRegrader:
         profile, solved exactly, at the least solving level.
         """
         bundle = profile_bundle(self.ambient, z, self.cutset.density)
-        level, side = self._solve(bundle)
+        level, side, _ = self._solve(bundle)
         alpha = intersect(z, self.chief(level)) if side == "meet" else union(z, self.chief(level))
         if self.grade(alpha) != self.cutset.value:
             raise RuntimeError("projection missed the cutset level")
         return ProjectionResult(alpha, level, side)
 
     def regraded(self, z: IntervalSet) -> Fraction:
-        """measure(z) minus measure of its projection; zero exactly on the cutset.
-
-        The projection's measure is read off the parallel measure profile at
-        the solved level, so no element is materialized.
-        """
+        """measure(z) minus measure of its projection; zero exactly on the cutset."""
         bundle = profile_bundle(self.ambient, z, self.cutset.density)
-        level, side = self._solve(bundle)
-        if side == "meet":
-            alpha_measure = bundle.measure_meet.value_at(level)
-        else:
-            alpha_measure = bundle.measure_join.value_at(level)
-        return bundle.measure_of_element - alpha_measure
+        return bundle.measure_of_element - self._solve(bundle)[2]
 
     def regraded_defect(self, m: IntervalSet, x: IntervalSet) -> Fraction:
         """Modular defect of the regraded rank; nonzero values are expected."""
@@ -270,8 +268,8 @@ class _SweepEvaluator:
         self.bundle = profile_bundle(regrader.ambient, z, regrader.cutset.density)
         self.density = regrader.cutset.density
         self.level = regrader.cutset.value
-        self._meet_alpha: Fraction | None = None
-        self._join_alpha: Fraction | None = None
+        # The measure of z's own crossing, shared by every row on z's side of the cutset.
+        self.alpha = regrader._solve(self.bundle)[2]
 
     def _prefix_grade(self, level: Fraction) -> Fraction:
         return self.density.prefix_mass(level) if self.density is not None else level
@@ -284,11 +282,8 @@ class _SweepEvaluator:
         grade = b.grade_meet.value_at(level)
         rank = b.measure_meet.value_at(level)
         if grade >= self.level:
-            # Above the cutset the crossing is shared with z itself.
-            if self._meet_alpha is None:
-                solved = b.grade_meet.min_level_at_value(self.level)
-                self._meet_alpha = b.measure_meet.value_at(solved)
-            return rank, rank - self._meet_alpha
+            # Above the cutset the crossing is shared with z itself, which lies above it too.
+            return rank, rank - self.alpha
         prefix = self._prefix_grade(level)
         if self.level <= prefix:
             # (z ^ m_level) v m_mu = (z v m_mu) ^ m_level for mu <= level.
@@ -305,11 +300,8 @@ class _SweepEvaluator:
         grade = b.grade_join.value_at(level)
         rank = b.measure_join.value_at(level)
         if grade < self.level:
-            # Below the cutset every join-side element shares z's crossing.
-            if self._join_alpha is None:
-                solved = b.grade_join.min_level_at_value(self.level)
-                self._join_alpha = b.measure_join.value_at(solved)
-            return rank, rank - self._join_alpha
+            # Below the cutset every join-side element shares z's crossing, as z lies below it too.
+            return rank, rank - self.alpha
         prefix = self._prefix_grade(level)
         if self.level <= prefix:
             alpha = self._prefix_grade_inverse(self.level)
@@ -322,45 +314,57 @@ class _SweepEvaluator:
 
 
 class FiniteRegrader:
-    """Regrading on a finite family along its canonical chief chain."""
+    """Regrading on a finite family along its canonical chief chain.
+
+    Either kind of cutset is held as one rank level, ``self.level``.
+    """
 
     def __init__(self, family: FiniteFamily, cutset: LevelCutset | ExplicitCutset):
         self.family = family
         self.lattice: GradedLattice = family.lattice
         self.chief = tuple(chief_chain(family).elements())
-        self.cutset = cutset
         if isinstance(cutset, LevelCutset):
             if cutset.density is not None:
                 raise PreconditionViolation("finite families use their own rank for level sets")
             if not 0 < cutset.value < self._rank(self.lattice.top) or cutset.value.denominator != 1:
                 raise CutsetError(f"level {cutset.value} is not an interior rank of {self.lattice.name}")
-            self._members: set | None = None
-        else:
-            members = tuple(cutset.elements)
-            if not members:
-                raise CutsetError("an explicit cutset cannot be empty")
-            for i, x in enumerate(members):
-                for y in members[i + 1 :]:
-                    if self.lattice.comparable(x, y):
-                        raise CutsetError(f"not an antichain: {x!r} and {y!r} are comparable")
-            gap = cutset_gap(family, members)
-            if gap is not None:
-                raise CutsetError(f"antichain misses the maximal chains through the cover {gap[0]!r} < {gap[1]!r}")
-            self._members = set(members)
+            self.level = int(cutset.value)
+            return
+        # A whole rank level meets every maximal chain exactly once, so it is an
+        # antichain cutset of any graded lattice.  On an upper semimodular family
+        # every antichain cutset is a whole level (finite.semimodularity_gap), and
+        # all three FiniteFamily kinds are upper semimodular, so this rejects
+        # exactly the antichains that are not cutsets.
+        layers = rank_layers(family)
+        rank_of = {e: r for r, layer in layers.items() for e in layer}
+        members: dict = {}
+        for x in cutset.elements:
+            if x not in rank_of:
+                raise CutsetError(f"{x!r} is not an element of {self.lattice.name}")
+            if x in members:
+                raise CutsetError(f"{x!r} is listed twice")
+            members[x] = rank_of[x]
+        if not members:
+            raise CutsetError("an explicit cutset cannot be empty")
+        first, self.level = next(iter(members.items()))
+        for x, r in members.items():
+            if r != self.level:
+                raise CutsetError(f"not one rank level: {first!r} has rank {self.level}, {x!r} rank {r}")
+        for y in layers[self.level]:
+            if y not in members:
+                raise CutsetError(
+                    f"antichain misses the maximal chains through {y!r}, which has rank {self.level} but is not listed"
+                )
 
     def _rank(self, x) -> Fraction:
         return self.lattice.rank(x).fraction
 
     def in_cutset(self, x) -> bool:
-        if self._members is not None:
-            return x in self._members
-        return self._rank(x) == self.cutset.value
+        return self._rank(x) == self.level
 
     def project(self, z) -> ProjectionResult:
-        hits = [p for p in finite_good_chain(self.lattice, self.chief, z) if self.in_cutset(p.element)]
-        if len(hits) != 1:
-            raise CutsetError(f"cutset meets the chain through {z!r} in {len(hits)} points")
-        return hits[0]
+        # The good chain is saturated, so its element of rank k sits at index k.
+        return finite_good_chain(self.lattice, self.chief, z)[self.level]
 
     def regraded(self, z) -> Fraction:
         return self._rank(z) - self._rank(self.project(z).element)

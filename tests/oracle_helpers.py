@@ -3,7 +3,9 @@
 Everything here avoids the package's own meet/join/measure code paths:
 partitions are compared through the raw refinement predicate, measures are
 counted on a common denominator grid, and chains are built from the bare
-order relation.
+order relation.  The one exception is ``cutset_gap``, the general cover test
+on the family's own order, which pins the rank-level check of explicit
+cutsets.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+
+from rglat.finite import rank_layers
 
 Blocks = frozenset  # frozenset of frozensets of ints
 
@@ -180,6 +184,29 @@ def antichain_cutsets(elements, leq) -> list[tuple]:
     """Every antichain that meets every maximal chain of the bare order."""
     chains = maximal_chains(elements, leq)
     return [a for a in antichains(elements, leq) if meets_every_chain(chains, a)]
+
+
+def cutset_gap(family, antichain) -> tuple | None:
+    """The cover under which a nonempty antichain misses a maximal chain, or None.
+
+    The witness is a cover x < y (rank(y) = rank(x) + 1) with x strictly
+    below a member and y below none.  A maximal chain through it misses the
+    antichain: nothing below x is a member, since members are incomparable,
+    and nothing above y is.  Conversely, on a chain that misses the antichain,
+    bottom is strictly below a member and top below none, so some step of it
+    is such a cover.
+    """
+    lattice = family.lattice
+    members = set(antichain)
+    layers = rank_layers(family)
+    below = {e for layer in layers.values() for e in layer if any(lattice.leq(e, a) for a in members)}
+    for r in sorted(layers):
+        for x in layers[r]:
+            if x in below and x not in members:
+                ups = [y for y in layers.get(r + 1, ()) if y not in below and lattice.leq(x, y)]
+                if ups:
+                    return x, ups[0]
+    return None
 
 
 def chain_crosscheck(chains, values, cutset) -> bool:

@@ -143,6 +143,26 @@ MALFORMED_SPECS = {
 }
 
 
+def finite_spec(kind, targets, **sizes):
+    return {
+        "lattice": {"kind": kind, **sizes},
+        "cutset": {"type": "level", "grading": "rank", "value": "1/1"},
+        "targets": targets,
+    }
+
+
+MALFORMED_SPECS |= {
+    "short-subspace-row-0": finite_spec("subspace", [[[0]]], p=2, n=3),
+    "short-subspace-row-1": finite_spec("subspace", [[[1]]], p=2, n=3),
+    "long-subspace-row": finite_spec("subspace", [[[0, 1, 0, 1]]], p=2, n=3),
+    "float-subspace-entry": finite_spec("subspace", [[[1.0, 0, 0]]], p=2, n=3),
+    "partition-member-twice": finite_spec("partition", [[[1, 1], [2], [3]]], n=3),
+    "float-partition-member": finite_spec("partition", [[[1.0, 2], [3]]], n=3),
+    "boolean-true-member": finite_spec("boolean", [[True, 2]], n=3),
+    "boolean-float-member": finite_spec("boolean", [[1.0]], n=3),
+}
+
+
 @pytest.mark.parametrize("spec", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS.keys())
 def test_malformed_regrade_spec_is_an_input_error(spec, tmp_path, capsys):
     path = write_json(tmp_path / "spec.json", spec)
@@ -179,6 +199,22 @@ def test_arbitrary_non_spec_json_is_an_input_error(spec, tmp_path_factory):
         code = main(["regrade", path])
     assert code == 2
     assert err.getvalue().startswith("input error:")
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150)
+@given(
+    lattice=st.sampled_from([("boolean", {"n": 3}), ("partition", {"n": 3}), ("subspace", {"p": 2, "n": 2})]),
+    targets=st.lists(JSON_VALUES, max_size=3),
+)
+def test_arbitrary_finite_targets_exit_0_or_2(lattice, targets, tmp_path_factory):
+    kind, sizes = lattice
+    path = write_json(tmp_path_factory.mktemp("fuzz") / "spec.json", finite_spec(kind, targets, **sizes))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["regrade", path])
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("input error:")
     assert "Traceback" not in err.getvalue()
 
 

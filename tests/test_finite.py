@@ -113,6 +113,30 @@ class TestCanonicalForms:
         with pytest.raises(PreconditionViolation):
             Subspace(4, 2, ())  # composite field size
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SetPartition(3, ((1, 2), (2, 3))),
+            lambda: SetPartition(3, ((1, 1), (2,), (3,))),
+            lambda: SetPartition(2, ((True, 2),)),
+            lambda: SetPartition.from_blocks(3, [[1.0, 2], [3]]),
+            lambda: Subspace(2, 3, ((0, 1, 0, 1),)),
+            lambda: Subspace(2, 2, ((1, 0.0),)),
+            lambda: Subspace.from_rows(2, 3, [[1]]),
+            lambda: Subspace.from_rows(2, 2, [[False, 1]]),
+            lambda: BitSubset.from_members(3, [True, 2]),
+            lambda: BitSubset.from_members(3, [1.0]),
+        ],
+        ids=[
+            "partition-overlap", "partition-member-twice", "partition-bool-member", "partition-float-member",
+            "subspace-long-row", "subspace-float-entry", "subspace-short-row", "subspace-bool-entry",
+            "boolean-bool-member", "boolean-float-member",
+        ],
+    )
+    def test_malformed_members_and_rows_rejected(self, build):
+        with pytest.raises(PreconditionViolation):
+            build()
+
     def test_field_size_is_bounded_before_the_primality_test(self):
         # 10**12 + 39 is prime; testing it by trial division takes about 0.1 s.
         with pytest.raises(PreconditionViolation, match="element cap"):

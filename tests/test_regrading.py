@@ -1,11 +1,14 @@
 import functools
 import itertools
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+from rglat.cli import main
 from rglat.core import CheckResult
 from rglat.errors import CutsetError, SizeCapExceeded
 from rglat.finite import (
@@ -13,10 +16,10 @@ from rglat.finite import (
     SetPartition,
     boolean_family,
     chief_chain,
-    cutset_gap,
     enumerate_maximal_chains,
     partition_family,
     product_plane_limit_demo,
+    rank_layers,
     subspace_family,
 )
 from rglat.gen import random_comparable_pair, random_set_with_mass
@@ -53,6 +56,7 @@ from oracle_helpers import (
     antichains,
     bare_order,
     chain_crosscheck,
+    cutset_gap,
     maximal_chains,
     meets_every_chain,
 )
@@ -428,8 +432,75 @@ class TestFiniteRegrading:
 
     def test_non_cutset_antichain_rejected(self):
         fam = boolean_family(3)
-        with pytest.raises(CutsetError, match="cover"):
+        with pytest.raises(CutsetError, match="not listed"):
             FiniteRegrader(fam, ExplicitCutset((BitSubset.from_members(3, [1]),)))
+
+    @pytest.mark.parametrize(
+        "build, leq, count, cutsets",
+        [
+            (functools.partial(boolean_family, 3), bare_order("boolean"), 19, 4),
+            (functools.partial(boolean_family, 4), bare_order("boolean"), 167, 5),
+            (functools.partial(partition_family, 3), bare_order("partition"), 9, 3),
+            (functools.partial(partition_family, 4), bare_order("partition"), 346, 4),
+            (functools.partial(subspace_family, 2, 3), bare_order("subspace"), 459, 4),
+            (functools.partial(subspace_family, 3, 2), bare_order("subspace"), 17, 3),
+        ],
+        ids=["boolean-3", "boolean-4", "partition-3", "partition-4", "subspace-F2^3", "subspace-F3^2"],
+    )
+    def test_whole_level_check_agrees_with_the_cover_test(self, build, leq, count, cutsets):
+        fam = build()
+        found = antichains(fam.elements(), leq)
+        assert len(found) == count
+        built = 0
+        for antichain in found:
+            try:
+                FiniteRegrader(fam, ExplicitCutset(antichain))
+            except CutsetError:
+                assert cutset_gap(fam, antichain) is not None
+            else:
+                assert cutset_gap(fam, antichain) is None
+                built += 1
+        assert built == cutsets
+
+    def test_element_listed_twice_rejected(self):
+        fam = boolean_family(3)
+        level = [e for e in fam.elements() if e.cardinality() == 1]
+        with pytest.raises(CutsetError, match="listed twice"):
+            FiniteRegrader(fam, ExplicitCutset(tuple(level + level[:1])))
+
+    def test_members_of_two_ranks_rejected(self):
+        fam = partition_family(3)
+        bottom, middle = fam.lattice.bottom, SetPartition.from_blocks(3, [[1, 2], [3]])
+        with pytest.raises(CutsetError, match="not one rank level"):
+            FiniteRegrader(fam, ExplicitCutset((middle, bottom)))
+
+    @pytest.mark.parametrize("name", ["boolean-4", "partition-4"])
+    def test_level_with_a_member_left_out_names_it(self, name):
+        build, leq = ORDERED_FAMILIES[name]
+        fam = build()
+        chains = maximal_chains(fam.elements(), leq)
+        for r, level in rank_layers(fam).items():
+            if len(level) < 2:
+                continue  # leaving out the only element leaves an empty cutset
+            for y in level:
+                rest = tuple(e for e in level if e != y)
+                with pytest.raises(CutsetError, match=re.escape(f"through {y!r}, which has rank {r}")):
+                    FiniteRegrader(fam, ExplicitCutset(rest))
+                through_y = [chain for chain in chains if y in chain]
+                assert through_y and not any(meets_every_chain([chain], rest) for chain in through_y)
+
+    def test_cli_rejects_a_partial_level(self, tmp_path, capsys):
+        spec = {
+            "lattice": {"kind": "boolean", "n": 3},
+            "cutset": {"type": "explicit", "elements": [[1], [2]]},
+            "targets": [[1]],
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["regrade", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: antichain misses the maximal chains through BitSubset(3, {3})")
+        assert "Traceback" not in err
 
     def test_level_must_be_interior(self):
         with pytest.raises(CutsetError):
