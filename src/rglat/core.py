@@ -312,13 +312,12 @@ def check_lattice_axioms(
     lattice: GradedLattice,
     samples: Sequence[Element],
     rng: random.Random | None = None,
-    max_pairs: int = 4000,
-    max_triples: int = 4000,
 ) -> CheckResult:
     """Idempotence, commutativity, absorption, associativity, rank monotonicity.
 
-    Pairs and triples are exhausted when small, sampled otherwise.
+    Pairs and triples are exhausted up to 4000 of each, sampled beyond that.
     """
+    cap = 4000
     elems = list(samples)
     checked = 0
     for x in elems:
@@ -327,9 +326,9 @@ def check_lattice_axioms(
         checked += 1
 
     pairs = list(itertools.combinations(range(len(elems)), 2))
-    if len(pairs) > max_pairs:
+    if len(pairs) > cap:
         rng = rng or random.Random(0)
-        pairs = [tuple(rng.sample(range(len(elems)), 2)) for _ in range(max_pairs)]
+        pairs = [tuple(rng.sample(range(len(elems)), 2)) for _ in range(cap)]
     for i, j in pairs:
         x, y = elems[i], elems[j]
         m1, m2 = lattice.meet(x, y), lattice.meet(y, x)
@@ -347,9 +346,9 @@ def check_lattice_axioms(
     n = len(elems)
     if n >= 3:
         triples = list(itertools.combinations(range(n), 3))
-        if len(triples) > max_triples:
+        if len(triples) > cap:
             rng = rng or random.Random(0)
-            triples = [tuple(rng.sample(range(n), 3)) for _ in range(max_triples)]
+            triples = [tuple(rng.sample(range(n), 3)) for _ in range(cap)]
         for i, j, k in triples:
             x, y, z = elems[i], elems[j], elems[k]
             if lattice.meet(lattice.meet(x, y), z) != lattice.meet(x, lattice.meet(y, z)):

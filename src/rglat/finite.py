@@ -296,7 +296,7 @@ class Subspace:
         return len(self.rows)
 
     def __repr__(self) -> str:
-        return f"Subspace(F{self.p}^{self.n}, dim={self.dimension()})"
+        return f"Subspace(F{self.p}^{self.n}, {[list(r) for r in self.rows]})"
 
 
 def _check_subspace_pair(x: Subspace, y: Subspace) -> None:
@@ -452,12 +452,8 @@ class PlaneLimitReport:
         return self.join_scan_inf != self.join_limit_value
 
 
-def product_plane_limit_demo(
-    b_values: Sequence[Fraction] = (Fraction(1), Fraction(10), Fraction(100)),
-) -> PlaneLimitReport:
-    bs = [Fraction(b) for b in b_values]
-    if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
-        raise PreconditionViolation("scan parameters must strictly increase")
+def product_plane_limit_demo() -> PlaneLimitReport:
+    bs = (Fraction(1), Fraction(10), Fraction(100))
     lattice = product_plane_lattice()
     meet_probe = PlanePoint.point(1, 0)
     join_probe = PlanePoint.point(-1, 0)

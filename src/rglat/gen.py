@@ -14,15 +14,10 @@ from .intervals import Ambient, EMPTY, IntervalSet, StepDensity, intersect, norm
 _DENOMINATORS = (8, 16, 32, 64)
 
 
-def random_interval_set(
-    rng: random.Random,
-    upper: Fraction,
-    max_pieces: int = 3,
-    allow_empty: bool = True,
-) -> IntervalSet:
+def random_interval_set(rng: random.Random, upper: Fraction, max_pieces: int = 3) -> IntervalSet:
     """A canonical union of up to max_pieces intervals inside (0, upper]."""
     upper = Fraction(upper)
-    k = rng.randint(0 if allow_empty else 1, max_pieces)
+    k = rng.randint(0, max_pieces)
     if k == 0:
         return EMPTY
     den = rng.choice(_DENOMINATORS)
@@ -32,14 +27,13 @@ def random_interval_set(
     for lo, hi in zip(cuts[::2], cuts[1::2]):
         if lo < hi:
             pairs.append((upper * lo / den, upper * hi / den))
-    if not pairs and not allow_empty:
-        return IntervalSet(((Fraction(0), upper),))
     return normalize(pairs)
 
 
-def random_density(rng: random.Random, upper: Fraction, max_pieces: int = 3) -> StepDensity:
+def random_density(rng: random.Random, upper: Fraction) -> StepDensity:
+    """A step density of one to three pieces on (0, upper]."""
     upper = Fraction(upper)
-    k = rng.randint(1, max_pieces)
+    k = rng.randint(1, 3)
     den = rng.choice(_DENOMINATORS)
     interior = sorted(rng.sample(range(1, den), k - 1)) if k > 1 else []
     breakpoints = [Fraction(0)] + [upper * c / den for c in interior] + [upper]
@@ -47,11 +41,9 @@ def random_density(rng: random.Random, upper: Fraction, max_pieces: int = 3) -> 
     return StepDensity(tuple(breakpoints), tuple(values))
 
 
-def random_comparable_pair(
-    rng: random.Random, upper: Fraction, max_tries: int = 50
-) -> tuple[IntervalSet, IntervalSet]:
+def random_comparable_pair(rng: random.Random, upper: Fraction) -> tuple[IntervalSet, IntervalSet]:
     """A strict pair w < z, forced comparable via meet and join."""
-    for _ in range(max_tries):
+    for _ in range(50):
         u = random_interval_set(rng, upper)
         v = random_interval_set(rng, upper)
         w, z = intersect(u, v), union(u, v)
@@ -78,12 +70,7 @@ def random_between(
     return union(w, intersect(z, random_interval_set(rng, upper)))
 
 
-def random_set_with_mass(
-    rng: random.Random,
-    density: StepDensity,
-    target: Fraction,
-    max_pieces: int = 5,
-) -> IntervalSet:
+def random_set_with_mass(rng: random.Random, density: StepDensity, target: Fraction) -> IntervalSet:
     """A random set whose density mass is exactly the target.
 
     Piece masses and gaps are laid out in mass space and mapped back through
@@ -94,7 +81,7 @@ def random_set_with_mass(
     total = density.total
     if not 0 < target < total:
         raise ValueError(f"target mass {target} outside (0, {total})")
-    k = rng.randint(1, max_pieces)
+    k = rng.randint(1, 5)
     weights = [rng.randint(1, 9) for _ in range(k)]
     scale = sum(weights)
     masses = [target * wt / scale for wt in weights]

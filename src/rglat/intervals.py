@@ -15,6 +15,7 @@ profiles, which is what makes cutset projection solvable in closed form.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -189,17 +190,11 @@ class StepDensity:
         for a, b in u.intervals:
             if not (0 <= a and b <= self.upper):
                 raise AmbientMismatch(f"({a}, {b}] outside the density domain")
-            for v, lo, hi in zip(self.values, self.breakpoints, self.breakpoints[1:]):
-                cut_lo, cut_hi = max(a, lo), min(b, hi)
-                if cut_lo < cut_hi:
-                    total += v * (cut_hi - cut_lo)
+            total += self._prefix.value_at(b) - self._prefix.value_at(a)
         return total
 
-    def prefix_mass(self, t: Fraction) -> Fraction:
-        return self._prefix.value_at(min(max(Fraction(t), Fraction(0)), self.upper))
-
     def prefix_inverse(self, target: Fraction) -> Fraction:
-        """The least point t with prefix_mass(t) == target; exact piecewise-linear solve."""
+        """The least point t with mass((0, t]) == target; exact piecewise-linear solve."""
         return self._prefix.min_level_at_value(target)
 
 
@@ -270,7 +265,7 @@ class PiecewiseLinearProfile:
             )
         )
 
-    @property
+    @functools.cached_property
     def is_weakly_increasing(self) -> bool:
         return all(v1 <= v2 for v1, v2 in zip(self.values, self.values[1:]))
 
@@ -298,13 +293,11 @@ class PiecewiseLinearProfile:
         vs, xs = self.values, self.breakpoints
         if not vs[0] <= target <= vs[-1]:
             raise PreconditionViolation(f"value {target} not attained by profile")
-        if target == vs[0]:
+        # The first sample reaching target; the one before it lies strictly below.
+        i = bisect.bisect_left(vs, target)
+        if i == 0:
             return xs[0]
-        for i in range(len(xs) - 1):
-            if vs[i] < target <= vs[i + 1]:
-                slope = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
-                return xs[i] + (target - vs[i]) / slope
-        raise AssertionError("unreachable: increasing profile must attain the value")
+        return xs[i - 1] + (target - vs[i - 1]) * (xs[i] - xs[i - 1]) / (vs[i] - vs[i - 1])
 
 
 def grade_value(u: IntervalSet, density: StepDensity | None = None) -> Fraction:
@@ -433,24 +426,18 @@ class LineScanReport:
         return self.chief_scan_sup == self.target_measure
 
 
-def bounded_chain_demo(
-    kappas: Sequence[Fraction] = (Fraction(1), Fraction(10), Fraction(1000)),
-    chief_levels: Sequence[Fraction] = (Fraction(1), Fraction(2), Fraction(3), Fraction(4)),
-) -> LineScanReport:
+def bounded_chain_demo() -> LineScanReport:
     """Contrast the chain (1, 1+k] against the symmetric chief chain."""
     ambient = Ambient(None)
     target = IntervalSet(((Fraction(-1), Fraction(1)),))
-    chain_rows = []
-    for k in kappas:
-        k = Fraction(k)
-        if k <= 0:
-            raise PreconditionViolation("chain parameters must be positive")
-        c = IntervalSet(((Fraction(1), 1 + k),))
-        chain_rows.append((k, measure(intersect(c, target))))
-    chief_rows = []
-    for lv in chief_levels:
-        m = chief_element(ambient, Fraction(lv))
-        chief_rows.append((Fraction(lv), measure(intersect(m, target))))
+    chain_rows = [
+        (k, measure(intersect(IntervalSet(((Fraction(1), 1 + k),)), target)))
+        for k in (Fraction(1), Fraction(10), Fraction(1000))
+    ]
+    chief_rows = [
+        (lv, measure(intersect(chief_element(ambient, lv), target)))
+        for lv in (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
+    ]
     return LineScanReport(
         target=target,
         target_measure=measure(target),

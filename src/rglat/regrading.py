@@ -17,6 +17,7 @@ the two-speed density instance where that failure is visible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -133,16 +134,7 @@ def finite_good_chain(lattice: GradedLattice, chief_elements, z) -> tuple[Projec
 def _grid(upper: Fraction, step: Fraction) -> list[Fraction]:
     if step <= 0:
         raise PreconditionViolation("grid step must be positive")
-    levels = []
-    k = 0
-    while True:
-        v = k * step
-        if v >= upper:
-            break
-        levels.append(v)
-        k += 1
-    levels.append(upper)
-    return levels
+    return [k * step for k in range(math.ceil(upper / step))] + [upper]
 
 
 class IntervalRegrader:
@@ -260,22 +252,22 @@ class _SweepEvaluator:
 
     Every element of the chain is a meet or join of z with a prefix, so the
     exchange identities reduce each crossing to values of z's own four
-    profiles plus the prefix grading and its inverse.  A sweep then costs a
-    single profile bundle instead of one projection per grid point.
+    profiles.  The prefix grading cancels out of every branch through the
+    modularity the join profiles are built from, leaving only the chief
+    chain's own crossing measure t*.  A sweep then costs one profile bundle
+    instead of one projection per grid point.
     """
 
     def __init__(self, regrader: "IntervalRegrader", z: IntervalSet):
-        self.bundle = profile_bundle(regrader.ambient, z, regrader.cutset.density)
-        self.density = regrader.cutset.density
+        density = regrader.cutset.density
+        self.bundle = profile_bundle(regrader.ambient, z, density)
         self.level = regrader.cutset.value
         # The measure of z's own crossing, shared by every row on z's side of the cutset.
         self.alpha = regrader._solve(self.bundle)[2]
-
-    def _prefix_grade(self, level: Fraction) -> Fraction:
-        return self.density.prefix_mass(level) if self.density is not None else level
-
-    def _prefix_grade_inverse(self, value: Fraction) -> Fraction:
-        return self.density.prefix_inverse(value) if self.density is not None else value
+        # t*, the chief chain's own crossing: the prefix (0, level] grades at least
+        # the cutset value exactly when level >= t*.  At level t* the branches on
+        # either side of the test give the same row.
+        self.chief_alpha = regrader._solve(profile_bundle(regrader.ambient, EMPTY, density))[2]
 
     def meet_row(self, level: Fraction) -> tuple[Fraction, Fraction]:
         b = self.bundle
@@ -284,16 +276,12 @@ class _SweepEvaluator:
         if grade >= self.level:
             # Above the cutset the crossing is shared with z itself, which lies above it too.
             return rank, rank - self.alpha
-        prefix = self._prefix_grade(level)
-        if self.level <= prefix:
-            # (z ^ m_level) v m_mu = (z v m_mu) ^ m_level for mu <= level.
-            target = self.level - prefix + b.grade_join.value_at(level)
-            mu = b.grade_join.min_level_at_value(target)
-            alpha = b.measure_join.value_at(mu) + level - b.measure_join.value_at(level)
-        else:
+        if level < self.chief_alpha:
             # The crossing happens on the bare prefix chain above m_level.
-            alpha = self._prefix_grade_inverse(self.level)
-        return rank, rank - alpha
+            return rank, rank - self.chief_alpha
+        # (z ^ m_level) v m_mu = (z v m_mu) ^ m_level for mu <= level.
+        mu = b.grade_join.min_level_at_value(self.level + b.grade_of_element - grade)
+        return rank, b.measure_of_element - b.measure_join.value_at(mu)
 
     def join_row(self, level: Fraction) -> tuple[Fraction, Fraction]:
         b = self.bundle
@@ -302,15 +290,12 @@ class _SweepEvaluator:
         if grade < self.level:
             # Below the cutset every join-side element shares z's crossing, as z lies below it too.
             return rank, rank - self.alpha
-        prefix = self._prefix_grade(level)
-        if self.level <= prefix:
-            alpha = self._prefix_grade_inverse(self.level)
-        else:
-            # (z v m_level) ^ m_mu = m_level v (z ^ m_mu) for mu >= level.
-            target = self.level - prefix + b.grade_meet.value_at(level)
-            mu = b.grade_meet.min_level_at_value(target)
-            alpha = level + b.measure_meet.value_at(mu) - b.measure_meet.value_at(level)
-        return rank, rank - alpha
+        if level >= self.chief_alpha:
+            # m_level lies above the chief crossing, which is then the crossing.
+            return rank, rank - self.chief_alpha
+        # (z v m_level) ^ m_mu = m_level v (z ^ m_mu) for mu >= level.
+        mu = b.grade_meet.min_level_at_value(self.level + b.grade_of_element - grade)
+        return rank, b.measure_of_element - b.measure_meet.value_at(mu)
 
 
 class FiniteRegrader:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from rglat.core import GradedLattice, rank_modular_defect
-from rglat.errors import AmbientMismatch, LatticeError, PreconditionViolation, SizeCapExceeded
+from rglat.errors import AmbientMismatch, CutsetError, LatticeError, PreconditionViolation, SizeCapExceeded
 from rglat.finite import (
     BitSubset,
     PlanePoint,
@@ -30,7 +30,7 @@ from rglat.finite import (
     subspace_family,
 )
 from rglat.rank import NEG_INF, POS_INF, Rank
-from rglat.regrading import FiniteRegrader, LevelCutset
+from rglat.regrading import ExplicitCutset, FiniteRegrader, LevelCutset
 
 from oracle_helpers import (
     antichain_cutsets,
@@ -370,10 +370,6 @@ class TestProductPlane:
         assert lattice.rank(lattice.bottom) is NEG_INF
         assert lattice.rank(lattice.top) is POS_INF
 
-    def test_demo_requires_increasing_scan(self):
-        with pytest.raises(PreconditionViolation):
-            product_plane_limit_demo((Fraction(2), Fraction(1)))
-
 
 class TestSubspaceOps:
     def test_meet_is_the_set_intersection_of_spans(self):
@@ -393,6 +389,23 @@ class TestSubspaceOps:
                 join = fam.lattice.join(x, y)
                 assert span(join) >= span(x) | span(y)
                 assert join.dimension() <= x.dimension() + y.dimension()
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
+    def test_every_subspace_has_its_own_repr(self, p, n):
+        elems = subspace_family(p, n).elements()
+        assert len({repr(x) for x in elems}) == len(elems)
+        assert repr(Subspace.from_rows(2, 3, [[0, 1, 0]])) == "Subspace(F2^3, [[0, 1, 0]])"
+
+    def test_cutset_errors_name_the_missing_subspace(self):
+        fam = subspace_family(2, 3)
+        level = rank_layers(fam)[1]
+        texts = set()
+        for left_out in level[:2]:
+            with pytest.raises(CutsetError) as info:
+                FiniteRegrader(fam, ExplicitCutset(tuple(x for x in level if x != left_out)))
+            assert repr(left_out) in str(info.value)
+            texts.add(str(info.value))
+        assert len(texts) == 2
 
 
 @settings(max_examples=60)

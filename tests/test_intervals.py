@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rglat.errors import AmbientMismatch, InputFormatError, PreconditionViolation
 from rglat.intervals import (
     EMPTY,
     Ambient,
     IntervalSet,
+    PiecewiseLinearProfile,
     StepDensity,
     bounded_chain_demo,
     chief_element,
@@ -38,6 +40,18 @@ FINAL_DENSITY = StepDensity((Fraction(0), Fraction(1), TWO), (Fraction(1), TWO))
 
 def iset(*pairs):
     return IntervalSet.of(*pairs)
+
+
+def _scan_min_level(prof, target):
+    """The least argument attaining target, by a scan of every profile segment."""
+    vs, xs = prof.values, prof.breakpoints
+    if target == vs[0]:
+        return xs[0]
+    for i in range(len(xs) - 1):
+        if vs[i] < target <= vs[i + 1]:
+            slope = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
+            return xs[i] + (target - vs[i]) / slope
+    raise AssertionError("a weakly increasing profile attains every value in its range")
 
 
 class TestNormalize:
@@ -127,7 +141,7 @@ class TestStepDensity:
     def test_prefix_inverse_round_trip(self):
         for k in range(13):
             mass = Fraction(k, 4)
-            assert FINAL_DENSITY.prefix_mass(FINAL_DENSITY.prefix_inverse(mass)) == mass
+            assert FINAL_DENSITY.mass(chief_element(AMBIENT2, FINAL_DENSITY.prefix_inverse(mass))) == mass
 
     def test_validation(self):
         with pytest.raises(PreconditionViolation):
@@ -191,6 +205,19 @@ class TestProfiles:
         assert prof.min_level_at_value(Fraction(1)) == Fraction(3, 2)
         with pytest.raises(PreconditionViolation):
             prof.min_level_at_value(Fraction(5))
+
+    @given(data=st.data())
+    def test_min_level_at_value_matches_the_linear_scan(self, data):
+        n = data.draw(st.integers(2, 8))
+        xs = sorted(data.draw(st.lists(st.fractions(0, 4, max_denominator=8), min_size=n, max_size=n, unique=True)))
+        # Mostly zero rises, so the profile has plateaus, often several in a row.
+        rises = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, Fraction(1, 3), 2]), min_size=n - 1, max_size=n - 1))
+        vs = [Fraction(data.draw(st.integers(-2, 2)))]
+        for rise in rises:
+            vs.append(vs[-1] + rise)
+        prof = PiecewiseLinearProfile(tuple(xs), tuple(vs))
+        target = data.draw(st.sampled_from(vs) | st.fractions(vs[0], vs[-1], max_denominator=6))
+        assert prof.min_level_at_value(target) == _scan_min_level(prof, target)
 
     def test_value_outside_domain_rejected(self):
         prof = profile_bundle(AMBIENT2, iset((1, 2))).grade_meet

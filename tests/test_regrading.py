@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rglat.cli import main
 from rglat.core import CheckResult
@@ -60,7 +61,7 @@ from oracle_helpers import (
     maximal_chains,
     meets_every_chain,
 )
-from strategies import interval_sets
+from strategies import interval_sets, step_densities
 
 TWO = Fraction(2)
 HALF = Fraction(1, 2)
@@ -604,18 +605,33 @@ def test_good_chains_are_maximal_for_random_seeds(z):
     assert chain_maximality(regrader, z, regrader.density)
 
 
-@settings(max_examples=30)
-@given(z=interval_sets())
-def test_sweep_agrees_with_per_element_projection(z):
+@st.composite
+def sweep_stages(draw):
+    """A regrader on (0, 2] under Lebesgue or a step density, at a random level.
+
+    Half the levels are the grade of a prefix (0, k/8], which puts the chief
+    crossing t* on the 1/8 sweep grid, where the sweep changes branch.
+    """
+    density = draw(st.none() | step_densities())
+    total = grade_value(iset((0, 2)), density)
+    if draw(st.booleans()):
+        level = grade_value(iset((0, Fraction(draw(st.integers(1, 15)), 8))), density)
+    else:
+        level = total * Fraction(draw(st.integers(1, 47)), 48)
+    return IntervalRegrader(TWO, LevelCutset(level, density))
+
+
+@settings(max_examples=60)
+@given(z=interval_sets(), regrader=sweep_stages())
+def test_sweep_agrees_with_per_element_projection(z, regrader):
     # Two routes to the same numbers: the closed-form sweep off z's profiles,
     # and a fresh projection of each materialized chain element.
-    regrader = counterexample_stage()
-    for side in ("meet", "join"):
-        rows = [r for r in regrader.sweep_through(z, Fraction(1, 8)) if r.side == side]
-        for row in rows:
-            element = chain_point(regrader, z, row.level, side)
-            assert row.rank == measure(element)
-            assert row.regraded == regrader.regraded(element)
+    step = Fraction(1, 8)
+    rows = [(r, chain_point(regrader, z, r.level, r.side)) for r in regrader.sweep_through(z, step)]
+    rows += [(r, regrader.chief(r.level)) for r in regrader.sweep_chief(step)]
+    for row, element in rows:
+        assert row.rank == measure(element)
+        assert row.regraded == regrader.regraded(element)
 
 
 def test_sweep_matches_hand_computed_chain():
