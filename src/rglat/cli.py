@@ -173,6 +173,8 @@ def cmd_regrade(args: argparse.Namespace) -> int:
                 ])
         header = ["kind", "element_or_level", "grade", "projection", "regraded"]
     else:
+        if args.grid is not None:
+            raise InputFormatError("--grid sweeps the chief chain of interval specs only")
         family = _family_from_spec(lattice_spec)
         regrader = FiniteRegrader(family, cutset_from_json(cutset_spec, family))
         for payload in targets:
@@ -250,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_regrade = sub.add_parser("regrade", help="project targets onto a cutset and regrade")
     p_regrade.add_argument("spec", help="JSON file with lattice, cutset, targets")
-    p_regrade.add_argument("--grid", default=None, help="also sweep the chief chain at this step")
+    p_regrade.add_argument(
+        "--grid", default=None, help="also sweep the chief chain at this step (interval specs only)"
+    )
     p_regrade.add_argument("--out", default=None)
     p_regrade.add_argument("--format", choices=("csv", "json"), default="csv")
     p_regrade.set_defaults(func=cmd_regrade)

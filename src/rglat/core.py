@@ -192,11 +192,13 @@ def diamond_bounds(
     rk = lattice.rank
     height = rk(z) - rk(w)
     drop = rk(m) - rk(m_small)
+    meet_mz = rk(lattice.meet(m, z))
+    join_mz = rk(lattice.join(m, z))
     checks = (
-        BoundCheck("meet along w<z", rk(lattice.meet(m, z)) - rk(lattice.meet(m, w)), height),
-        BoundCheck("join along w<z", rk(lattice.join(m, z)) - rk(lattice.join(m, w)), height),
-        BoundCheck("meet along m_small<m", rk(lattice.meet(m, z)) - rk(lattice.meet(m_small, z)), drop),
-        BoundCheck("join along m_small<m", rk(lattice.join(m, z)) - rk(lattice.join(m_small, z)), drop),
+        BoundCheck("meet along w<z", meet_mz - rk(lattice.meet(m, w)), height),
+        BoundCheck("join along w<z", join_mz - rk(lattice.join(m, w)), height),
+        BoundCheck("meet along m_small<m", meet_mz - rk(lattice.meet(m_small, z)), drop),
+        BoundCheck("join along m_small<m", join_mz - rk(lattice.join(m_small, z)), drop),
     )
     return DiamondReport(checks)
 

@@ -158,6 +158,9 @@ class IntervalRegrader:
                 f"level {cutset.value} is not strictly inside (0, {total}); "
                 "the level set is not an antichain cutset"
             )
+        # t*, the chief chain's own crossing: the prefix (0, level] grades at least
+        # the cutset value exactly when level >= t*.  It depends on the cutset alone.
+        self.chief_alpha = self._solve(profile_bundle(ambient, EMPTY, cutset.density))[2]
 
     @property
     def density(self) -> StepDensity | None:
@@ -228,23 +231,19 @@ class IntervalRegrader:
         ]
 
     def sweep_through(self, z: IntervalSet, step: Fraction) -> list[SweepRow]:
-        """Rank-ordered sweep of the projection chain through z.
+        """Rank-ordered sweep of the projection chain through z: one row per side and level.
 
-        Consecutive duplicates are dropped: the chain parameter plateaus
-        across the gaps of z, repeating the same element.  One profile
-        bundle of z serves the whole sweep (see _SweepEvaluator).
+        The chain parameter plateaus across the gaps of z, so consecutive rows
+        can repeat one element, with equal rank and value.  One profile bundle
+        of z serves the whole sweep (see _SweepEvaluator).
         """
         evaluator = _SweepEvaluator(self, z)
-        rows: list[SweepRow] = []
-        for side in ("meet", "join"):
-            row_fn = evaluator.meet_row if side == "meet" else evaluator.join_row
-            for level in _grid(self.ambient.upper, Fraction(step)):
-                rank, value = row_fn(level)
-                row = SweepRow(side, level, rank, value)
-                if rows and rows[-1].rank == row.rank:
-                    continue
-                rows.append(row)
-        return rows
+        levels = _grid(self.ambient.upper, Fraction(step))
+        return [
+            SweepRow(side, level, *row_fn(level))
+            for side, row_fn in (("meet", evaluator.meet_row), ("join", evaluator.join_row))
+            for level in levels
+        ]
 
 
 class _SweepEvaluator:
@@ -259,15 +258,12 @@ class _SweepEvaluator:
     """
 
     def __init__(self, regrader: "IntervalRegrader", z: IntervalSet):
-        density = regrader.cutset.density
-        self.bundle = profile_bundle(regrader.ambient, z, density)
+        self.bundle = profile_bundle(regrader.ambient, z, regrader.cutset.density)
         self.level = regrader.cutset.value
         # The measure of z's own crossing, shared by every row on z's side of the cutset.
         self.alpha = regrader._solve(self.bundle)[2]
-        # t*, the chief chain's own crossing: the prefix (0, level] grades at least
-        # the cutset value exactly when level >= t*.  At level t* the branches on
-        # either side of the test give the same row.
-        self.chief_alpha = regrader._solve(profile_bundle(regrader.ambient, EMPTY, density))[2]
+        # At level t* the branches on either side of the test give the same row.
+        self.chief_alpha = regrader.chief_alpha
 
     def meet_row(self, level: Fraction) -> tuple[Fraction, Fraction]:
         b = self.bundle

@@ -180,6 +180,16 @@ def test_field_beyond_the_element_cap_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_grid_on_a_finite_spec_is_an_input_error(tmp_path, capsys):
+    # The grid sweeps the interval chief chain; a finite spec has none to sweep.
+    path = write_json(tmp_path / "spec.json", finite_spec("boolean", [[1]], n=3))
+    assert main(["regrade", path, "--grid", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "--grid" in captured.err
+    assert "Traceback" not in captured.err
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),

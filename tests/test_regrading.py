@@ -51,6 +51,7 @@ from rglat.regrading import (
     hypothesis_line_sets,
     hypothesis_product_plane,
 )
+from rglat.suites import _coarse_rows
 
 from oracle_helpers import (
     antichain_cutsets,
@@ -327,12 +328,19 @@ class TestSweeps:
                 assert row.regraded == row.rank - Fraction(15, 8)
 
     def test_good_chain_sweep_attains_endpoints(self):
+        # One row per side and level; the meet side plateaus at rank 0 over the
+        # gap (0, 1] of z, and the join side starts at z, where the meet side ends.
         regrader = stage()
         rows = regrader.sweep_through(iset((1, "7/4")), Fraction(1, 8))
-        values = [r.regraded for r in rows]
-        assert values[0] == regrader.regraded(EMPTY)
-        assert values[-1] == regrader.regraded(regrader.top)
-        assert all(a < b for a, b in zip(values, values[1:]))
+        assert len(rows) == 2 * 17
+        assert rows[0].regraded == regrader.regraded(EMPTY)
+        assert rows[-1].regraded == regrader.regraded(regrader.top)
+        assert any(a.rank == b.rank for a, b in zip(rows, rows[1:]))
+        for a, b in zip(rows, rows[1:]):
+            if a.rank == b.rank:
+                assert a.regraded == b.regraded
+            else:
+                assert a.rank < b.rank and a.regraded < b.regraded
 
 
 class TestFiniteRegrading:
@@ -632,6 +640,24 @@ def test_sweep_agrees_with_per_element_projection(z, regrader):
     for row, element in rows:
         assert row.rank == measure(element)
         assert row.regraded == regrader.regraded(element)
+
+
+def collapse(rows):
+    """(rank, regraded) of each element a sweep passes; equal-rank neighbours are one."""
+    return [(rank, next(run).regraded) for rank, run in itertools.groupby(rows, key=lambda r: r.rank)]
+
+
+@settings(max_examples=60)
+@given(
+    z=interval_sets(),
+    regrader=sweep_stages(),
+    grid=st.sampled_from([Fraction(1, 8), Fraction(1, 7), Fraction(3, 10), Fraction(2, 3), Fraction(3, 4), TWO]),
+)
+def test_coarse_rows_of_the_fine_sweep_are_the_coarse_sweep(z, regrader, grid):
+    # The oracle is a separate sweep at the coarse grid.
+    for sweep in (functools.partial(regrader.sweep_through, z), regrader.sweep_chief):
+        coarse = _coarse_rows(sweep(grid / 2), grid, regrader.ambient.upper)
+        assert collapse(coarse) == collapse(sweep(grid))
 
 
 def test_sweep_matches_hand_computed_chain():
