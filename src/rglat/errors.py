@@ -14,7 +14,11 @@ class AmbientMismatch(LatticeError):
 
 
 class SizeCapExceeded(LatticeError):
-    """An exhaustive enumeration was requested above the cap constants in ``finite``."""
+    """Work was requested above a cap constant.
+
+    The caps are ``finite.MAX_ELEMENTS``, ``finite.MAX_CHAINS`` and
+    ``regrading.MAX_GRID_LEVELS``.
+    """
 
 
 class PreconditionViolation(LatticeError):

@@ -186,11 +186,14 @@ class StepDensity:
 
     def mass(self, u: IntervalSet) -> Fraction:
         """Integral of the density over u; exact."""
-        total = Fraction(0)
         for a, b in u.intervals:
             if not (0 <= a and b <= self.upper):
                 raise AmbientMismatch(f"({a}, {b}] outside the density domain")
-            total += self._prefix.value_at(b) - self._prefix.value_at(a)
+        # The endpoints of a canonical set increase, so one walk evaluates them all.
+        prefix = self._prefix.values_on(u.endpoints())
+        total = Fraction(0)
+        for k in range(0, len(prefix), 2):
+            total += prefix[k + 1] - prefix[k]
         return total
 
     def prefix_inverse(self, target: Fraction) -> Fraction:
@@ -219,15 +222,17 @@ def chief_element(ambient: Ambient, level: Fraction) -> IntervalSet:
     return IntervalSet(((-level / 2, level / 2),))
 
 
+def _require_density_fits(ambient: Ambient, density: StepDensity) -> None:
+    if density.upper != ambient.upper:
+        raise AmbientMismatch(f"density ends at {density.upper}, ambient at {ambient.upper}")
+
+
 def interval_lattice(ambient: Ambient, density: StepDensity | None = None) -> GradedLattice:
     """The interval lattice graded by measure, or by a step density if given."""
     if density is not None:
         if not ambient.bounded:
             raise AmbientMismatch("density gradings need a bounded ambient")
-        if density.upper != ambient.upper:
-            raise AmbientMismatch(
-                f"density ends at {density.upper}, ambient at {ambient.upper}"
-            )
+        _require_density_fits(ambient, density)
         rank = lambda u: Rank(density.mass(u))
         name = "interval-lattice/density"
     else:
@@ -256,6 +261,7 @@ class PiecewiseLinearProfile:
             if not a < b:
                 raise PreconditionViolation("profile breakpoints must strictly increase")
 
+    @functools.cached_property
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(
             (v2 - v1) / (x2 - x1)
@@ -285,6 +291,29 @@ class PiecewiseLinearProfile:
         v1, v2 = self.values[i], self.values[i + 1]
         return v1 + (v2 - v1) * (x - x1) / (x2 - x1)
 
+    def values_on(self, points: Sequence[Fraction]) -> list[Fraction]:
+        """The value at each of an increasing sequence of points, in one walk.
+
+        Agrees with ``value_at`` point by point; the breakpoints are passed
+        once, so a sorted grid costs one forward pass instead of one bisect
+        per point.
+        """
+        if not points:
+            return []
+        xs, vs = self.breakpoints, self.values
+        for x in (points[0], points[-1]):
+            if not xs[0] <= x <= xs[-1]:
+                raise PreconditionViolation(f"{x} outside profile domain [{xs[0]}, {xs[-1]}]")
+        slopes = self.slopes
+        last = len(xs) - 1
+        out = []
+        i = 0
+        for x in points:
+            while i < last and xs[i + 1] <= x:
+                i += 1
+            out.append(vs[i] if i == last else vs[i] + slopes[i] * (x - xs[i]))
+        return out
+
     def min_level_at_value(self, target: Fraction) -> Fraction:
         """Least argument where the profile attains target (profile must be increasing)."""
         target = Fraction(target)
@@ -305,52 +334,57 @@ def grade_value(u: IntervalSet, density: StepDensity | None = None) -> Fraction:
     return density.mass(u) if density is not None else measure(u)
 
 
-def _profile_breakpoints(ambient: Ambient, z: IntervalSet, density: StepDensity | None) -> tuple[Fraction, ...]:
-    pts = {Fraction(0), ambient.upper}
-    pts.update(z.endpoints())
-    if density is not None:
-        pts.update(density.breakpoints)
-    return tuple(sorted(pts))
-
-
-def _cumulative_profile_values(
+def _prefix_sums(
     ambient: Ambient, z: IntervalSet, density: StepDensity | None
 ) -> tuple[tuple[Fraction, ...], list[Fraction], list[Fraction], list[Fraction], list[Fraction]]:
-    # One left-to-right sweep accumulating the graded and plain measures of
-    # z ^ (0, x] and of (0, x].  Every z endpoint and density breakpoint is a
-    # profile breakpoint, so each segment lies wholly inside or outside z and
-    # carries one density value; a midpoint probe decides both.
-    xs = _profile_breakpoints(ambient, z, density)
-    meet_vals = [Fraction(0)]
-    prefix_vals = [Fraction(0)]
-    meet_meas = [Fraction(0)]
-    prefix_meas = [Fraction(0)]
-    acc_meet = Fraction(0)
-    acc_prefix = Fraction(0)
-    acc_meet_meas = Fraction(0)
-    z_index = 0
-    d_index = 0
-    for x1, x2 in zip(xs, xs[1:]):
-        mid = (x1 + x2) / 2
-        if density is None:
-            value = Fraction(1)
-        else:
-            while density.breakpoints[d_index + 1] < mid:
-                d_index += 1
-            value = density.values[d_index]
-        length = x2 - x1
-        weight = value * length
-        acc_prefix += weight
-        while z_index < len(z.intervals) and z.intervals[z_index][1] < mid:
-            z_index += 1
-        if z_index < len(z.intervals) and z.intervals[z_index][0] < mid <= z.intervals[z_index][1]:
-            acc_meet += weight
-            acc_meet_meas += length
-        meet_vals.append(acc_meet)
-        prefix_vals.append(acc_prefix)
-        meet_meas.append(acc_meet_meas)
-        prefix_meas.append(x2)
-    return xs, meet_vals, prefix_vals, meet_meas, prefix_meas
+    """Breakpoints of z's prefix profiles and running sums at each, in one merge pass.
+
+    The breakpoints merge z's endpoints (canonical, so increasing) with the
+    density breakpoints, or with (0, upper) under Lebesgue measure.  At each
+    breakpoint x come the measures of z ^ (0, x] and of (0, x] minus z,
+    then the same two under the density (empty lists without one).
+    Crossing a z endpoint switches between inside and outside z; the
+    density value holds up to the next density breakpoint.  z must lie in
+    (0, upper].
+    """
+    if density is None:
+        cuts, values = (Fraction(0), ambient.upper), (None,)
+    else:
+        cuts, values = density.breakpoints, density.values
+    ends = z.endpoints()
+    x = zero = Fraction(0)
+    xs = [x]
+    in_meas, out_meas = [zero], [zero]
+    in_mass, out_mass = ([zero], [zero]) if density is not None else ([], [])
+    acc_in = acc_out = mass_in = mass_out = zero
+    i = 0  # z endpoints crossed so far
+    inside = False  # whether the segment right of x lies in z
+    for value, cut in zip(values, cuts[1:]):
+        at_cut = False
+        while not at_cut:
+            if i < len(ends) and ends[i] == x:
+                inside = not inside
+                i += 1
+            # The density piece ends at cut, unless a z endpoint comes first.
+            at_cut = i == len(ends) or cut <= ends[i]
+            nx = cut if at_cut else ends[i]
+            length = nx - x
+            if inside:
+                acc_in += length
+                if value is not None:
+                    mass_in += value * length
+            else:
+                acc_out += length
+                if value is not None:
+                    mass_out += value * length
+            xs.append(nx)
+            in_meas.append(acc_in)
+            out_meas.append(acc_out)
+            if value is not None:
+                in_mass.append(mass_in)
+                out_mass.append(mass_out)
+            x = nx
+    return tuple(xs), in_meas, out_meas, in_mass, out_mass
 
 
 @dataclass(frozen=True)
@@ -378,27 +412,26 @@ class ProfileBundle:
 def profile_bundle(ambient: Ambient, z: IntervalSet, density: StepDensity | None = None) -> ProfileBundle:
     """Meet and join profiles of z for both the grading and plain measure.
 
-    Join values come from the meet sweep through modularity:
-    grade(z v prefix) = grade(z) + grade(prefix) - grade(z ^ prefix).
+    Join values come from the part of the prefix outside z:
+    grade(z v prefix) = grade(z) + grade(prefix minus z).
     """
     if not ambient.bounded:
         raise AmbientMismatch("profiles need a bounded ambient")
-    xs, meet_vals, prefix_vals, meet_meas, prefix_meas = _cumulative_profile_values(
-        ambient, z, density
-    )
-    gz = meet_vals[-1]
-    mz = meet_meas[-1]
-    grade_meet = PiecewiseLinearProfile(xs, tuple(meet_vals))
-    grade_join = PiecewiseLinearProfile(
-        xs, tuple(gz + p - m for p, m in zip(prefix_vals, meet_vals))
-    )
+    if not z.is_empty:
+        ambient.require_contains(z.intervals[0][0], z.intervals[-1][1])
+    if density is not None:
+        _require_density_fits(ambient, density)
+    xs, in_meas, out_meas, in_mass, out_mass = _prefix_sums(ambient, z, density)
+
+    def meet_and_join(inside: list[Fraction], outside: list[Fraction]):
+        whole = inside[-1]
+        join = tuple(whole + v for v in outside)
+        return PiecewiseLinearProfile(xs, tuple(inside)), PiecewiseLinearProfile(xs, join)
+
+    measure_meet, measure_join = meet_and_join(in_meas, out_meas)
     if density is None:
-        return ProfileBundle(grade_meet, grade_join, grade_meet, grade_join)
-    measure_meet = PiecewiseLinearProfile(xs, tuple(meet_meas))
-    measure_join = PiecewiseLinearProfile(
-        xs, tuple(mz + p - m for p, m in zip(prefix_meas, meet_meas))
-    )
-    return ProfileBundle(grade_meet, grade_join, measure_meet, measure_join)
+        return ProfileBundle(measure_meet, measure_join, measure_meet, measure_join)
+    return ProfileBundle(*meet_and_join(in_mass, out_mass), measure_meet, measure_join)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .errors import (
     CutsetError,
     InputFormatError,
     PreconditionViolation,
+    SizeCapExceeded,
 )
 from .finite import (
     FiniteFamily,
@@ -131,10 +132,19 @@ def finite_good_chain(lattice: GradedLattice, chief_elements, z) -> tuple[Projec
     return chain
 
 
+# Levels per side of a sweep; a finer grid raises SizeCapExceeded.
+MAX_GRID_LEVELS = 10_000
+
+
 def _grid(upper: Fraction, step: Fraction) -> list[Fraction]:
     if step <= 0:
         raise PreconditionViolation("grid step must be positive")
-    return [k * step for k in range(math.ceil(upper / step))] + [upper]
+    count = math.ceil(upper / step)
+    if count + 1 > MAX_GRID_LEVELS:
+        raise SizeCapExceeded(
+            f"grid step {step} on (0, {upper}] needs {count + 1} levels, over the cap {MAX_GRID_LEVELS}"
+        )
+    return [k * step for k in range(count)] + [upper]
 
 
 class IntervalRegrader:
@@ -224,11 +234,9 @@ class IntervalRegrader:
 
     def sweep_chief(self, step: Fraction) -> list[SweepRow]:
         # The chief chain is the join side of the projection chain through EMPTY.
-        join_row = _SweepEvaluator(self, EMPTY).join_row
-        return [
-            SweepRow("chief", level, *join_row(level))
-            for level in _grid(self.ambient.upper, Fraction(step))
-        ]
+        levels = _grid(self.ambient.upper, Fraction(step))
+        rows = _SweepEvaluator(self, EMPTY).join_rows(levels)
+        return [SweepRow("chief", level, *row) for level, row in zip(levels, rows)]
 
     def sweep_through(self, z: IntervalSet, step: Fraction) -> list[SweepRow]:
         """Rank-ordered sweep of the projection chain through z: one row per side and level.
@@ -237,12 +245,12 @@ class IntervalRegrader:
         can repeat one element, with equal rank and value.  One profile bundle
         of z serves the whole sweep (see _SweepEvaluator).
         """
-        evaluator = _SweepEvaluator(self, z)
         levels = _grid(self.ambient.upper, Fraction(step))
+        evaluator = _SweepEvaluator(self, z)
         return [
-            SweepRow(side, level, *row_fn(level))
-            for side, row_fn in (("meet", evaluator.meet_row), ("join", evaluator.join_row))
-            for level in levels
+            SweepRow(side, level, *row)
+            for side, rows in (("meet", evaluator.meet_rows(levels)), ("join", evaluator.join_rows(levels)))
+            for level, row in zip(levels, rows)
         ]
 
 
@@ -251,10 +259,10 @@ class _SweepEvaluator:
 
     Every element of the chain is a meet or join of z with a prefix, so the
     exchange identities reduce each crossing to values of z's own four
-    profiles.  The prefix grading cancels out of every branch through the
-    modularity the join profiles are built from, leaving only the chief
-    chain's own crossing measure t*.  A sweep then costs one profile bundle
-    instead of one projection per grid point.
+    profiles.  The prefix grading cancels out of every branch through
+    modularity, leaving only the chief chain's own crossing measure t*.  A sweep then costs one profile bundle
+    instead of one projection per grid point, and each profile is read on the
+    increasing level list in one walk.
     """
 
     def __init__(self, regrader: "IntervalRegrader", z: IntervalSet):
@@ -265,33 +273,43 @@ class _SweepEvaluator:
         # At level t* the branches on either side of the test give the same row.
         self.chief_alpha = regrader.chief_alpha
 
-    def meet_row(self, level: Fraction) -> tuple[Fraction, Fraction]:
+    def meet_rows(self, levels: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
+        """(rank, regraded) of z ^ m_level for each level, in order."""
         b = self.bundle
-        grade = b.grade_meet.value_at(level)
-        rank = b.measure_meet.value_at(level)
-        if grade >= self.level:
-            # Above the cutset the crossing is shared with z itself, which lies above it too.
-            return rank, rank - self.alpha
-        if level < self.chief_alpha:
-            # The crossing happens on the bare prefix chain above m_level.
-            return rank, rank - self.chief_alpha
-        # (z ^ m_level) v m_mu = (z v m_mu) ^ m_level for mu <= level.
-        mu = b.grade_join.min_level_at_value(self.level + b.grade_of_element - grade)
-        return rank, b.measure_of_element - b.measure_join.value_at(mu)
+        rows = []
+        for level, grade, rank in zip(
+            levels, b.grade_meet.values_on(levels), b.measure_meet.values_on(levels)
+        ):
+            if grade >= self.level:
+                # Above the cutset the crossing is shared with z itself, which lies above it too.
+                rows.append((rank, rank - self.alpha))
+            elif level < self.chief_alpha:
+                # The crossing happens on the bare prefix chain above m_level.
+                rows.append((rank, rank - self.chief_alpha))
+            else:
+                # (z ^ m_level) v m_mu = (z v m_mu) ^ m_level for mu <= level.
+                mu = b.grade_join.min_level_at_value(self.level + b.grade_of_element - grade)
+                rows.append((rank, b.measure_of_element - b.measure_join.value_at(mu)))
+        return rows
 
-    def join_row(self, level: Fraction) -> tuple[Fraction, Fraction]:
+    def join_rows(self, levels: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
+        """(rank, regraded) of z v m_level for each level, in order."""
         b = self.bundle
-        grade = b.grade_join.value_at(level)
-        rank = b.measure_join.value_at(level)
-        if grade < self.level:
-            # Below the cutset every join-side element shares z's crossing, as z lies below it too.
-            return rank, rank - self.alpha
-        if level >= self.chief_alpha:
-            # m_level lies above the chief crossing, which is then the crossing.
-            return rank, rank - self.chief_alpha
-        # (z v m_level) ^ m_mu = m_level v (z ^ m_mu) for mu >= level.
-        mu = b.grade_meet.min_level_at_value(self.level + b.grade_of_element - grade)
-        return rank, b.measure_of_element - b.measure_meet.value_at(mu)
+        rows = []
+        for level, grade, rank in zip(
+            levels, b.grade_join.values_on(levels), b.measure_join.values_on(levels)
+        ):
+            if grade < self.level:
+                # Below the cutset every join-side element shares z's crossing, as z lies below it too.
+                rows.append((rank, rank - self.alpha))
+            elif level >= self.chief_alpha:
+                # m_level lies above the chief crossing, which is then the crossing.
+                rows.append((rank, rank - self.chief_alpha))
+            else:
+                # (z v m_level) ^ m_mu = m_level v (z ^ m_mu) for mu >= level.
+                mu = b.grade_meet.min_level_at_value(self.level + b.grade_of_element - grade)
+                rows.append((rank, b.measure_of_element - b.measure_meet.value_at(mu)))
+        return rows
 
 
 class FiniteRegrader:

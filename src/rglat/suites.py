@@ -307,7 +307,7 @@ def suite_profiles(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
         if not ok:
             yield f"profile shape wrong for z={z!r}"
         allowed = {Fraction(0), Fraction(1)} if density is None else {Fraction(0)} | set(density.values)
-        if not set(meet_prof.slopes()) <= allowed or not set(join_prof.slopes()) <= allowed:
+        if not set(meet_prof.slopes) <= allowed or not set(join_prof.slopes) <= allowed:
             yield f"illegal slope for z={z!r}"
         for _ in range(3):
             level = UPPER * rng.randint(0, 64) / 64

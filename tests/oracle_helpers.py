@@ -108,6 +108,43 @@ def grid_density_mass(pairs, breakpoints, values, lo=Fraction(0)) -> Fraction:
     return total
 
 
+def oracle_profiles(upper: Fraction, pairs, density=None) -> dict[str, tuple[tuple, tuple]]:
+    """The four prefix-chain profiles of the union z of (a, b] pairs in (0, upper].
+
+    ``density`` is None (Lebesgue measure) or a (breakpoints, values) pair.
+    The breakpoints are 0, upper, every endpoint of z and every density
+    breakpoint, collected in a set and sorted.  At each breakpoint x the
+    grading and the plain measure of z ^ (0, x] and z v (0, x] are counted
+    cell by cell, each cell classified by its midpoint.  Returns
+    ``{name: (breakpoints, values)}`` keyed like the package's ProfileBundle.
+    """
+    upper = Fraction(upper)
+    pairs = [(Fraction(a), Fraction(b)) for a, b in pairs]
+    points = {Fraction(0), upper}
+    for a, b in pairs:
+        points.update((a, b))
+    if density is not None:
+        points.update(Fraction(t) for t in density[0])
+    xs = tuple(sorted(points))
+
+    def grade(ps) -> Fraction:
+        if density is None:
+            return grid_measure(ps, Fraction(0), upper)
+        return grid_density_mass(ps, *density)
+
+    columns: dict[str, list[Fraction]] = {
+        "grade_meet": [], "grade_join": [], "measure_meet": [], "measure_join": []
+    }
+    for x in xs:
+        meet = [(a, min(b, x)) for a, b in pairs if a < min(b, x)]
+        join = pairs + [(Fraction(0), x)]  # cells are counted once however pairs overlap
+        columns["grade_meet"].append(grade(meet))
+        columns["grade_join"].append(grade(join))
+        columns["measure_meet"].append(grid_measure(meet, Fraction(0), upper))
+        columns["measure_join"].append(grid_measure(join, Fraction(0), upper))
+    return {name: (xs, tuple(values)) for name, values in columns.items()}
+
+
 # --- subsets through the containment order ------------------------------------
 
 def boolean_cutsets_bruteforce(n: int) -> set[frozenset]:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,23 @@ def test_grid_on_a_finite_spec_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error:") and "--grid" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "monotone-surjective", "--grid", "1/1000000"],
+        ["regrade", str(Path(__file__).parent / "golden" / "density_spec.json"), "--grid", "1/1000000"],
+    ],
+    ids=["verify", "regrade"],
+)
+def test_grid_beyond_the_level_cap_is_an_input_error(argv, capsys):
+    # Refused before any level is built, so this returns at once.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid step") and "cap" in captured.err
     assert "Traceback" not in captured.err
 
 

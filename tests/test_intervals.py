@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rglat.errors import AmbientMismatch, InputFormatError, PreconditionViolation
@@ -28,7 +28,7 @@ from rglat.intervals import (
 )
 from rglat.rank import Rank
 
-from oracle_helpers import grid_density_mass, grid_measure
+from oracle_helpers import grid_density_mass, grid_measure, oracle_profiles
 from strategies import interval_sets, step_densities
 
 HALF = Fraction(1, 2)
@@ -52,6 +52,30 @@ def _scan_min_level(prof, target):
             slope = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i])
             return xs[i] + (target - vs[i]) / slope
     raise AssertionError("a weakly increasing profile attains every value in its range")
+
+
+@st.composite
+def increasing_profiles(draw) -> PiecewiseLinearProfile:
+    """A weakly increasing profile on up to 8 breakpoints, often with plateaus."""
+    n = draw(st.integers(2, 8))
+    xs = sorted(draw(st.lists(st.fractions(0, 4, max_denominator=8), min_size=n, max_size=n, unique=True)))
+    # Mostly zero rises, so the profile has plateaus, often several in a row.
+    rises = draw(st.lists(st.sampled_from([0, 0, 0, 1, Fraction(1, 3), 2]), min_size=n - 1, max_size=n - 1))
+    vs = [Fraction(draw(st.integers(-2, 2)))]
+    for rise in rises:
+        vs.append(vs[-1] + rise)
+    return PiecewiseLinearProfile(tuple(xs), tuple(vs))
+
+
+def _interpolate(prof, x):
+    """The profile's value at x, by a scan for the segment holding x."""
+    xs, vs = prof.breakpoints, prof.values
+    if x == xs[-1]:
+        return vs[-1]
+    for k in range(len(xs) - 1):
+        if xs[k] <= x < xs[k + 1]:
+            return vs[k] + (vs[k + 1] - vs[k]) * (x - xs[k]) / (xs[k + 1] - xs[k])
+    raise AssertionError(f"{x} outside the profile domain")
 
 
 class TestNormalize:
@@ -172,7 +196,7 @@ class TestProfiles:
         ambient = Ambient(Fraction(1))
         prof = profile_bundle(ambient, iset((HALF, 1))).grade_meet
         assert prof.breakpoints == (Fraction(0), HALF, Fraction(1))
-        assert prof.slopes() == (Fraction(0), Fraction(1))
+        assert prof.slopes == (Fraction(0), Fraction(1))
 
     def test_full_ambient_is_the_identity_profile(self):
         prof = profile_bundle(AMBIENT2, iset((0, 2))).grade_meet
@@ -182,7 +206,7 @@ class TestProfiles:
         prof = profile_bundle(AMBIENT2, iset((1, 2)), FINAL_DENSITY).grade_meet
         assert prof.breakpoints == (Fraction(0), Fraction(1), TWO)
         assert prof.values == (Fraction(0), Fraction(0), TWO)
-        assert prof.slopes() == (Fraction(0), TWO)
+        assert prof.slopes == (Fraction(0), TWO)
         assert prof.value_at(TWO) == 2
 
     @settings(max_examples=60)
@@ -208,16 +232,47 @@ class TestProfiles:
 
     @given(data=st.data())
     def test_min_level_at_value_matches_the_linear_scan(self, data):
-        n = data.draw(st.integers(2, 8))
-        xs = sorted(data.draw(st.lists(st.fractions(0, 4, max_denominator=8), min_size=n, max_size=n, unique=True)))
-        # Mostly zero rises, so the profile has plateaus, often several in a row.
-        rises = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, Fraction(1, 3), 2]), min_size=n - 1, max_size=n - 1))
-        vs = [Fraction(data.draw(st.integers(-2, 2)))]
-        for rise in rises:
-            vs.append(vs[-1] + rise)
-        prof = PiecewiseLinearProfile(tuple(xs), tuple(vs))
+        prof = data.draw(increasing_profiles())
+        vs = prof.values
         target = data.draw(st.sampled_from(vs) | st.fractions(vs[0], vs[-1], max_denominator=6))
         assert prof.min_level_at_value(target) == _scan_min_level(prof, target)
+
+    @given(data=st.data())
+    def test_values_on_matches_the_interpolation(self, data):
+        prof = data.draw(increasing_profiles())
+        xs = prof.breakpoints
+        lo, hi = xs[0], xs[-1]
+        # Breakpoints (both domain ends among them) and points between them, with repeats.
+        point = st.sampled_from(xs) | st.fractions(lo, hi, max_denominator=12)
+        points = sorted(data.draw(st.lists(point, max_size=12)))
+        assert prof.values_on(points) == [_interpolate(prof, x) for x in points]
+        assert prof.values_on([]) == []
+        assert prof.values_on([lo, lo, hi, hi]) == [prof.values[0]] * 2 + [prof.values[-1]] * 2
+        outside = data.draw(st.sampled_from([lo - Fraction(1, 8), hi + Fraction(1, 8)]))
+        with pytest.raises(PreconditionViolation):
+            prof.values_on(sorted(points + [outside]))
+
+    @settings(max_examples=150)
+    @example(z=iset((0, HALF), (Fraction(3, 2), 2)), f=FINAL_DENSITY)  # touches 0 and upper
+    @example(z=iset((HALF, 1), (Fraction(3, 2), 2)), f=FINAL_DENSITY)  # ends on a density breakpoint
+    @example(z=iset((1, Fraction(3, 2))), f=FINAL_DENSITY)  # starts on one
+    @example(z=iset((0, 2)), f=None)
+    @example(z=EMPTY, f=FINAL_DENSITY)
+    @given(z=interval_sets(), f=st.none() | step_densities())
+    def test_bundle_matches_the_sorted_set_oracle(self, z, f):
+        bundle = profile_bundle(AMBIENT2, z, f)
+        expected = oracle_profiles(TWO, z.intervals, None if f is None else (f.breakpoints, f.values))
+        for name, (xs, values) in expected.items():
+            prof = getattr(bundle, name)
+            assert (prof.breakpoints, prof.values) == (xs, values), name
+
+    def test_bundle_rejects_sets_and_densities_beyond_the_ambient(self):
+        with pytest.raises(AmbientMismatch):
+            profile_bundle(AMBIENT2, iset((1, 3)))
+        with pytest.raises(AmbientMismatch):
+            profile_bundle(AMBIENT2, iset((-1, 1)), FINAL_DENSITY)
+        with pytest.raises(AmbientMismatch):
+            profile_bundle(Ambient(Fraction(3)), EMPTY, FINAL_DENSITY)
 
     def test_value_outside_domain_rejected(self):
         prof = profile_bundle(AMBIENT2, iset((1, 2))).grade_meet

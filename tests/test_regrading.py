@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rglat.cli import main
 from rglat.core import CheckResult
-from rglat.errors import CutsetError, SizeCapExceeded
+from rglat.errors import AmbientMismatch, CutsetError, SizeCapExceeded
 from rglat.finite import (
     BitSubset,
     SetPartition,
@@ -37,6 +37,7 @@ from rglat.intervals import (
 )
 from rglat.rank import Rank
 from rglat.regrading import (
+    MAX_GRID_LEVELS,
     ExplicitCutset,
     FiniteRegrader,
     IntervalRegrader,
@@ -50,6 +51,7 @@ from rglat.regrading import (
     hypothesis_bounded_interval,
     hypothesis_line_sets,
     hypothesis_product_plane,
+    _grid,
 )
 from rglat.suites import _coarse_rows
 
@@ -174,6 +176,22 @@ class TestProjection:
         with pytest.raises(CutsetError):
             IntervalRegrader(TWO, LevelCutset(Fraction(0)))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda r, z: r.project(z),
+            lambda r, z: r.regraded(z),
+            lambda r, z: r.sweep_through(z, Fraction(1, 4)),
+        ],
+        ids=["project", "regraded", "sweep_through"],
+    )
+    @pytest.mark.parametrize("density", [None, StepDensity((0, 1, 2), (1, 2))], ids=["measure", "density"])
+    @pytest.mark.parametrize("z", [iset((1, 3)), iset((-1, 1))], ids=["past-upper", "below-zero"])
+    def test_set_outside_the_ambient_is_rejected(self, call, density, z):
+        regrader = IntervalRegrader(TWO, LevelCutset(Fraction(1), density))
+        with pytest.raises(AmbientMismatch):
+            call(regrader, z)
+
 
 class TestRegradedRank:
     def test_prefix_values_match_the_pinned_table(self):
@@ -297,6 +315,12 @@ class TestSweeps:
         values = [r.regraded for r in rows]
         assert values[0] == -1 and values[-1] == 1
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_grid_is_capped_at_max_grid_levels(self):
+        upper = TWO
+        assert len(_grid(upper, upper / (MAX_GRID_LEVELS - 1))) == MAX_GRID_LEVELS
+        with pytest.raises(SizeCapExceeded, match=f"over the cap {MAX_GRID_LEVELS}"):
+            _grid(upper, upper / MAX_GRID_LEVELS)
 
     def test_degenerate_two_point_grid(self):
         rows = stage().sweep_chief(TWO)
