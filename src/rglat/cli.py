@@ -26,7 +26,7 @@ from .finite import (
     partition_family,
     subspace_family,
 )
-from .intervals import Ambient, interval_set_from_json, interval_set_to_json
+from .intervals import Ambient, interval_set_from_json, interval_set_to_json, measure
 from .limits import cauchy_approx, tower_checks
 from .rank import format_fraction, parse_fraction
 from .regrading import (
@@ -154,13 +154,14 @@ def cmd_regrade(args: argparse.Namespace) -> int:
         regrader = IntervalRegrader(ambient, cutset)
         for payload in targets:
             z = interval_set_from_json(payload, ambient)
+            # The regraded rank is read off the projection, so z is projected once.
             projection = regrader.project(z)
             rows.append([
                 "target",
                 json.dumps(interval_set_to_json(z)["intervals"]),
                 format_fraction(regrader.grade(z)),
                 json.dumps(interval_set_to_json(projection.element)["intervals"]),
-                format_fraction(regrader.regraded(z)),
+                format_fraction(measure(z) - measure(projection.element)),
             ])
         if args.grid is not None:
             for row in regrader.sweep_chief(parse_fraction(args.grid)):
@@ -180,12 +181,13 @@ def cmd_regrade(args: argparse.Namespace) -> int:
         for payload in targets:
             z = element_from_json(family, payload)
             projection = regrader.project(z)
+            rank = family.lattice.rank(z)
             rows.append([
                 "target",
                 json.dumps(element_to_json(z)),
-                str(family.lattice.rank(z)),
+                str(rank),
                 json.dumps(element_to_json(projection.element)),
-                format_fraction(regrader.regraded(z)),
+                format_fraction((rank - family.lattice.rank(projection.element)).fraction),
             ])
         header = ["kind", "element", "rank", "projection", "regraded"]
     _emit(args, header, rows, {})

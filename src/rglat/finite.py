@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolation,
     SizeCapExceeded,
 )
-from .rank import NEG_INF, POS_INF, Rank, format_fraction
+from .rank import NEG_INF, POS_INF, Rank, format_fraction, json_array
 
 MAX_BOOLEAN_GROUND = 24
 MAX_PARTITION_GROUND = 7
@@ -669,6 +669,7 @@ def element_to_json(x):
 
 def element_from_json(family: FiniteFamily, data):
     try:
+        json_array(data)  # a string or an object would iterate as members too
         if family.kind == "boolean":
             return BitSubset.from_members(family.n, data)
         if family.kind == "partition":

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .core import GradedLattice
 from .errors import AmbientMismatch, InputFormatError, PreconditionViolation
-from .rank import Rank, format_fraction, parse_fraction
+from .rank import Rank, format_fraction, json_array, parse_fraction
 
 Pair = tuple[Fraction, Fraction]
 
@@ -66,6 +66,13 @@ class IntervalSet:
             prev_hi = b
 
     @classmethod
+    def _trusted(cls, intervals: tuple[Pair, ...]) -> "IntervalSet":
+        """Wrap intervals the kernels built canonical, skipping the checks above."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "intervals", intervals)
+        return u
+
+    @classmethod
     def of(cls, *pairs) -> "IntervalSet":
         return normalize(pairs)
 
@@ -94,7 +101,11 @@ def normalize(raw: Iterable[Sequence], ambient: Ambient | None = None) -> Interv
     """Sort, merge (overlaps and adjacencies), and validate raw (a, b] pairs."""
     items: list[list[Fraction]] = []
     for pair in raw:
-        a, b = Fraction(pair[0]), Fraction(pair[1])
+        a, b = pair[0], pair[1]
+        if not isinstance(a, Fraction):
+            a = Fraction(a)
+        if not isinstance(b, Fraction):
+            b = Fraction(b)
         if not a < b:
             raise PreconditionViolation(f"raw interval ({a}, {b}] is empty or reversed")
         if ambient is not None:
@@ -108,7 +119,8 @@ def normalize(raw: Iterable[Sequence], ambient: Ambient | None = None) -> Interv
                 merged[-1][1] = b
         else:
             merged.append([a, b])
-    return IntervalSet(tuple((a, b) for a, b in merged))
+    # Sorted and merged on <=, so the pieces are disjoint and non-adjacent.
+    return IntervalSet._trusted(tuple((a, b) for a, b in merged))
 
 
 def intersect(u: IntervalSet, v: IntervalSet) -> IntervalSet:
@@ -124,15 +136,33 @@ def intersect(u: IntervalSet, v: IntervalSet) -> IntervalSet:
             i += 1
         else:
             j += 1
-    return IntervalSet(tuple(out))
+    # Two pieces can only touch where u or v has a gap, and canonical gaps are
+    # nonempty, so the result is canonical too.
+    return IntervalSet._trusted(tuple(out))
 
 
 def union(u: IntervalSet, v: IntervalSet) -> IntervalSet:
+    """Merge walk of two canonical sets in order of left endpoint."""
     if u.is_empty:
         return v
     if v.is_empty:
         return u
-    return normalize(list(u.intervals) + list(v.intervals))
+    ui, vi = u.intervals, v.intervals
+    out: list[Pair] = []
+    i = j = 0
+    while i < len(ui) or j < len(vi):
+        if j == len(vi) or (i < len(ui) and ui[i][0] <= vi[j][0]):
+            a, b = ui[i]
+            i += 1
+        else:
+            a, b = vi[j]
+            j += 1
+        if out and a <= out[-1][1]:  # overlapping or adjacent: extend the last piece
+            if b > out[-1][1]:
+                out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return IntervalSet._trusted(tuple(out))
 
 
 def measure(u: IntervalSet) -> Fraction:
@@ -260,6 +290,14 @@ class PiecewiseLinearProfile:
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
             if not a < b:
                 raise PreconditionViolation("profile breakpoints must strictly increase")
+
+    @classmethod
+    def _trusted(cls, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> "PiecewiseLinearProfile":
+        """Wrap samples the kernels built valid, skipping the checks above."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "breakpoints", breakpoints)
+        object.__setattr__(p, "values", values)
+        return p
 
     @functools.cached_property
     def slopes(self) -> tuple[Fraction, ...]:
@@ -426,7 +464,8 @@ def profile_bundle(ambient: Ambient, z: IntervalSet, density: StepDensity | None
     def meet_and_join(inside: list[Fraction], outside: list[Fraction]):
         whole = inside[-1]
         join = tuple(whole + v for v in outside)
-        return PiecewiseLinearProfile(xs, tuple(inside)), PiecewiseLinearProfile(xs, join)
+        # xs strictly increases by construction (see _prefix_sums), so no check.
+        return PiecewiseLinearProfile._trusted(xs, tuple(inside)), PiecewiseLinearProfile._trusted(xs, join)
 
     measure_meet, measure_join = meet_and_join(in_meas, out_meas)
     if density is None:
@@ -487,15 +526,9 @@ def interval_set_to_json(u: IntervalSet) -> dict:
     return {"intervals": [[format_fraction(a), format_fraction(b)] for a, b in u.intervals]}
 
 
-def _json_array(value) -> list:
-    if not isinstance(value, list):  # a string such as "02" iterates too
-        raise TypeError(f"expected a JSON array, got {value!r}")
-    return value
-
-
 def interval_set_from_json(data: dict, ambient: Ambient | None = None) -> IntervalSet:
     try:
-        rows = map(_json_array, _json_array(data["intervals"]))
+        rows = map(json_array, json_array(data["intervals"]))
         pairs = [(parse_fraction(a), parse_fraction(b)) for a, b in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad interval set payload: {data!r}") from exc
@@ -512,8 +545,8 @@ def density_to_json(density: StepDensity) -> dict:
 def density_from_json(data: dict) -> StepDensity:
     try:
         return StepDensity(
-            tuple(parse_fraction(t) for t in _json_array(data["breakpoints"])),
-            tuple(parse_fraction(v) for v in _json_array(data["values"])),
+            tuple(parse_fraction(t) for t in json_array(data["breakpoints"])),
+            tuple(parse_fraction(v) for v in json_array(data["values"])),
         )
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"bad density payload: {data!r}") from exc

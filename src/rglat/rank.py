@@ -32,6 +32,13 @@ def parse_fraction(text: str) -> Fraction:
         raise InputFormatError(f"not a rational: {text!r}") from exc
 
 
+def json_array(value) -> list:
+    """A JSON array payload as is; anything else raises TypeError."""
+    if not isinstance(value, list):  # a string such as "02" iterates too
+        raise TypeError(f"expected a JSON array, got {value!r}")
+    return value
+
+
 @functools.total_ordering
 class Rank:
     """An exact rational rank, or one of the endpoints ``-inf`` / ``+inf``.
@@ -44,7 +51,8 @@ class Rank:
 
     def __init__(self, value: Fraction | int | str = 0):
         self._kind = _FIN
-        self._value = Fraction(value)
+        # Finite arithmetic hands over a Fraction it just made; wrap only the rest.
+        self._value = value if type(value) is Fraction else Fraction(value)
 
     @property
     def is_finite(self) -> bool:
@@ -98,13 +106,16 @@ class Rank:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other._kind == _FIN:
+            return Rank(self._value - other._value) if self._kind == _FIN else self
+        # The negation of an infinity is the other constant, so nothing is allocated.
         return self + (-other)
 
     def __rsub__(self, other: RankLike) -> "Rank":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __abs__(self) -> "Rank":
         if self._kind == _FIN:

@@ -55,7 +55,7 @@ from .intervals import (
     profile_bundle,
     union,
 )
-from .rank import Rank, format_fraction, parse_fraction
+from .rank import Rank, format_fraction, json_array, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -590,7 +590,7 @@ def cutset_from_json(data: dict, family: FiniteFamily | None = None) -> LevelCut
             if family is None:
                 raise InputFormatError("explicit cutsets need a finite family context")
             return ExplicitCutset(
-                tuple(element_from_json(family, e) for e in data["elements"])
+                tuple(element_from_json(family, e) for e in json_array(data["elements"]))
             )
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"bad cutset payload: {data!r}") from exc

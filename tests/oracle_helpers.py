@@ -90,6 +90,30 @@ def grid_measure(pairs, lo: Fraction = Fraction(0), hi: Fraction = Fraction(2)) 
     return Fraction(count, den)
 
 
+def grid_union(*pair_lists) -> tuple:
+    """Canonical pairs of the union of the given (a, b] pairs, cell by cell.
+
+    Every endpoint lies on one common grid.  A grid cell belongs to the
+    union when its midpoint lies in some pair, and each run of consecutive
+    member cells becomes one pair, so touching pieces come out merged.
+    """
+    pairs = [(Fraction(a), Fraction(b)) for pairs in pair_lists for a, b in pairs]
+    if not pairs:
+        return ()
+    points = [x for pair in pairs for x in pair]
+    den = _common_denominator(points)
+    out: list[tuple[Fraction, Fraction]] = []
+    for i in range(int(min(points) * den), int(max(points) * den)):
+        lo, hi = Fraction(i, den), Fraction(i + 1, den)
+        mid = (lo + hi) / 2
+        if any(a < mid <= b for a, b in pairs):
+            if out and out[-1][1] == lo:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+    return tuple(out)
+
+
 def grid_density_mass(pairs, breakpoints, values, lo=Fraction(0)) -> Fraction:
     """Density integral over a union of (a, b] pairs, cell by cell."""
     hi = Fraction(breakpoints[-1])

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rglat.cli import main
+from rglat.finite import boolean_family, element_from_json, element_to_json, partition_family, subspace_family
+from rglat.intervals import (
+    Ambient,
+    IntervalSet,
+    density_to_json,
+    grade_value,
+    interval_set_from_json,
+    interval_set_to_json,
+)
+from rglat.rank import format_fraction
+from rglat.regrading import FiniteRegrader, IntervalRegrader, LevelCutset
+
+from strategies import interval_sets, step_densities
 
 FINAL_SPEC = {
     "lattice": {"kind": "interval", "ambient": "2/1"},
@@ -161,6 +175,19 @@ MALFORMED_SPECS |= {
     "float-partition-member": finite_spec("partition", [[[1.0, 2], [3]]], n=3),
     "boolean-true-member": finite_spec("boolean", [[True, 2]], n=3),
     "boolean-float-member": finite_spec("boolean", [[1.0]], n=3),
+    # A string or an object is not an element payload, though it iterates like one.
+    "string-boolean-target": finite_spec("boolean", [""], n=4),
+    "object-boolean-target": finite_spec("boolean", [{}], n=4),
+    "string-subspace-target": finite_spec("subspace", [""], p=2, n=3),
+    "string-partition-target": finite_spec("partition", ["123"], n=3),
+    "string-explicit-elements": {
+        **finite_spec("boolean", [], n=2),
+        "cutset": {"type": "explicit", "elements": "abc"},
+    },
+    "empty-string-explicit-elements": {
+        **finite_spec("boolean", [], n=2),
+        "cutset": {"type": "explicit", "elements": ""},
+    },
 }
 
 
@@ -244,6 +271,65 @@ def test_arbitrary_finite_targets_exit_0_or_2(lattice, targets, tmp_path_factory
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("input error:")
     assert "Traceback" not in err.getvalue()
+
+
+def _regrade_rows(spec, tmp_path_factory) -> list[list[str]]:
+    path = write_json(tmp_path_factory.mktemp("rows") / "spec.json", spec)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["regrade", path, "--format", "json"]) == 0
+    return json.loads(out.getvalue())["rows"]
+
+
+@settings(max_examples=40)
+@given(
+    density=st.none() | step_densities(),
+    eighths=st.integers(1, 7),
+    targets=st.lists(interval_sets(), min_size=1, max_size=4),
+)
+def test_interval_regrade_rows_match_regraded(density, eighths, targets, tmp_path_factory):
+    # The CLI reads the regraded rank off the projection; regraded(z) solves it again.
+    ambient = Ambient(Fraction(2))
+    top = IntervalSet(((Fraction(0), Fraction(2)),))
+    cutset = LevelCutset(grade_value(top, density) * eighths / 8, density)
+    grading = "rank" if density is None else {"density": density_to_json(density)}
+    spec = {
+        "lattice": {"kind": "interval", "ambient": "2/1"},
+        "cutset": {"type": "level", "grading": grading, "value": format_fraction(cutset.value)},
+        "targets": [interval_set_to_json(z) for z in targets],
+    }
+    regrader = IntervalRegrader(ambient, cutset)
+    rows = _regrade_rows(spec, tmp_path_factory)
+    assert [row[4] for row in rows] == [
+        format_fraction(regrader.regraded(interval_set_from_json({"intervals": json.loads(row[1])})))
+        for row in rows
+    ]
+    assert len(rows) == len(targets)
+
+
+FAMILIES = {
+    "boolean": ({"n": 4}, lambda: boolean_family(4)),
+    "partition": ({"n": 4}, lambda: partition_family(4)),
+    "subspace": ({"p": 2, "n": 3}, lambda: subspace_family(2, 3)),
+}
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(sorted(FAMILIES)), data=st.data())
+def test_finite_regrade_rows_match_regraded(kind, data, tmp_path_factory):
+    sizes, build = FAMILIES[kind]
+    family = build()
+    top = family.lattice.rank(family.lattice.top).fraction
+    level = data.draw(st.integers(1, int(top) - 1))
+    targets = data.draw(st.lists(st.sampled_from(family.elements()), min_size=1, max_size=4))
+    spec = finite_spec(kind, [element_to_json(z) for z in targets], **sizes)
+    spec["cutset"]["value"] = f"{level}/1"
+    regrader = FiniteRegrader(family, LevelCutset(Fraction(level)))
+    rows = _regrade_rows(spec, tmp_path_factory)
+    assert [row[4] for row in rows] == [
+        format_fraction(regrader.regraded(element_from_json(family, json.loads(row[1])))) for row in rows
+    ]
+    assert len(rows) == len(targets)
 
 
 class TestCounterexample:

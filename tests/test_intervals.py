@@ -28,7 +28,7 @@ from rglat.intervals import (
 )
 from rglat.rank import Rank
 
-from oracle_helpers import grid_density_mass, grid_measure, oracle_profiles
+from oracle_helpers import grid_density_mass, grid_measure, grid_union, oracle_profiles
 from strategies import interval_sets, step_densities
 
 HALF = Fraction(1, 2)
@@ -117,6 +117,55 @@ class TestBooleanOps:
     def test_distributivity(self, u, v, w):
         assert intersect(u, union(v, w)) == union(intersect(u, v), intersect(u, w))
         assert union(u, intersect(v, w)) == intersect(union(u, v), union(u, w))
+
+
+QUARTER = Fraction(1, 4)
+
+
+class TestTrustedKernelResults:
+    """intersect, union, normalize and profile_bundle skip the public checks.
+
+    Their results must be exactly what the checked constructors accept.
+    """
+
+    @settings(max_examples=300)
+    @example(u=iset((0, HALF)), v=iset((HALF, 1)))  # adjacent
+    @example(u=iset((0, QUARTER), (HALF, Fraction(3, 4))), v=iset((QUARTER, HALF), (Fraction(3, 4), 1)))
+    @example(u=iset((0, TWO)), v=iset((HALF, 1)))  # nested
+    @example(u=iset((HALF, 1)), v=iset((0, TWO)))
+    @example(u=iset((0, HALF), (1, TWO)), v=iset((0, HALF), (1, TWO)))  # identical
+    @example(u=iset((0, HALF), (1, TWO)), v=EMPTY)
+    @example(u=EMPTY, v=EMPTY)
+    @given(u=interval_sets(), v=interval_sets())
+    def test_union_matches_the_grid_oracle(self, u, v):
+        assert union(u, v).intervals == grid_union(u.intervals, v.intervals)
+
+    @settings(max_examples=200)
+    @example(u=iset((0, HALF)), v=iset((HALF, 1)))
+    @given(u=interval_sets(), v=interval_sets())
+    def test_kernel_results_pass_the_public_checks(self, u, v):
+        for result in (intersect(u, v), union(u, v), normalize(u.intervals + v.intervals)):
+            assert IntervalSet(result.intervals) == result
+
+    def test_normalize_wraps_non_fraction_endpoints(self):
+        u = normalize([(0, 1), ("3/2", TWO)])
+        assert IntervalSet(u.intervals) == u == iset((0, 1), (Fraction(3, 2), TWO))
+
+    @settings(max_examples=100)
+    @given(z=interval_sets(), f=st.none() | step_densities())
+    def test_bundle_profiles_pass_the_public_checks(self, z, f):
+        bundle = profile_bundle(AMBIENT2, z, f)
+        for name in ("grade_meet", "grade_join", "measure_meet", "measure_join"):
+            prof = getattr(bundle, name)
+            assert PiecewiseLinearProfile(prof.breakpoints, prof.values) == prof, name
+
+    def test_public_constructors_still_check(self):
+        with pytest.raises(ValueError):
+            IntervalSet(((Fraction(0), HALF), (HALF, Fraction(1))))
+        with pytest.raises(ValueError):
+            IntervalSet(((0, 1),))
+        with pytest.raises(PreconditionViolation):
+            PiecewiseLinearProfile((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
 class TestMeasure:

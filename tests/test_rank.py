@@ -52,3 +52,44 @@ def test_fraction_strings_are_explicit():
     assert parse_fraction("2/1") == 2
     assert parse_fraction("2") == 2
 
+
+
+@given(a=rationals(), b=rationals())
+def test_finite_fast_paths_match_fractions(a, b):
+    for value, expected in (
+        (Rank(a) + Rank(b), a + b),
+        (Rank(a) - Rank(b), a - b),
+        (-Rank(a), -a),
+        (Rank(a) + b, a + b),
+        (Rank(a) - b, a - b),
+        (b - Rank(a), b - a),
+        (1 - Rank(a), 1 - a),
+    ):
+        assert value.fraction == expected
+        assert type(value.fraction) is Fraction
+
+
+def test_infinite_arithmetic_is_unchanged():
+    for indeterminate in (
+        lambda: POS_INF - POS_INF,
+        lambda: NEG_INF - NEG_INF,
+        lambda: POS_INF + NEG_INF,
+        lambda: NEG_INF + POS_INF,
+        lambda: POS_INF + (-POS_INF),
+    ):
+        with pytest.raises(IndeterminateFormError):
+            indeterminate()
+    assert -POS_INF is NEG_INF and -NEG_INF is POS_INF
+    assert POS_INF - NEG_INF == POS_INF and NEG_INF - POS_INF == NEG_INF
+    assert Rank(3) - POS_INF == NEG_INF and 3 - POS_INF == NEG_INF
+    assert POS_INF - 3 == POS_INF and Rank(3) + POS_INF == POS_INF
+
+
+def test_rank_accepts_int_str_and_fraction():
+    third = Fraction(1, 3)
+    assert Rank(third).fraction is third  # kept as it is
+    assert Rank(2).fraction == 2 and type(Rank(2).fraction) is Fraction
+    assert Rank("2/6").fraction == third and type(Rank("2/6").fraction) is Fraction
+    assert Rank() == Rank(0)
+    with pytest.raises(ValueError):
+        Rank("one third")
