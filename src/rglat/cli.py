@@ -187,7 +187,7 @@ def cmd_regrade(args: argparse.Namespace) -> int:
                 json.dumps(element_to_json(z)),
                 str(rank),
                 json.dumps(element_to_json(projection.element)),
-                format_fraction((rank - family.lattice.rank(projection.element)).fraction),
+                format_fraction(rank - family.lattice.rank(projection.element)),
             ])
         header = ["kind", "element", "rank", "projection", "regraded"]
     _emit(args, header, rows, {})

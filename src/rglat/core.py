@@ -12,14 +12,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import PreconditionViolation
 from .rank import Rank, RankLike, as_rank
 
 Element = Any
-
-ZERO = Rank(0)
 
 
 @dataclass(frozen=True)
@@ -28,12 +27,19 @@ class GradedLattice:
 
     Equality of elements is plain ``==`` on canonical values.  ``bottom``
     and ``top`` are optional: unbounded families leave them ``None``.
+
+    ``rank`` returns a bare :class:`~fractions.Fraction` wherever the
+    grading cannot reach an infinity: the Boolean, partition, subspace and
+    interval lattices.  Only a grading that can return ``-inf`` or ``+inf``
+    (the product plane, and a lattice wrapped by :func:`adjoin_bounds`)
+    returns :class:`~rglat.rank.Rank` values; they compare and combine with
+    ``Fraction`` ranks exactly.
     """
 
     name: str
     meet: Callable[[Element, Element], Element]
     join: Callable[[Element, Element], Element]
-    rank: Callable[[Element], Rank]
+    rank: Callable[[Element], Fraction | Rank]
     bottom: Element | None = None
     top: Element | None = None
 
@@ -61,7 +67,7 @@ class CheckResult:
 class ChainSample:
     """A finite sample of a chain: (rank, element) pairs, strictly increasing."""
 
-    points: tuple[tuple[Rank, Element], ...]
+    points: tuple[tuple[Fraction | Rank, Element], ...]
 
     def __post_init__(self):
         ranks = [r for r, _ in self.points]
@@ -74,7 +80,7 @@ class ChainSample:
     @classmethod
     def from_elements(cls, lattice: GradedLattice, elements: Iterable[Element]) -> "ChainSample":
         """Build a sample from lattice elements, validating the order as well."""
-        points: list[tuple[Rank, Element]] = []
+        points: list[tuple[Fraction | Rank, Element]] = []
         prev: Element | None = None
         for e in elements:
             if prev is not None and not lattice.lt(prev, e):
@@ -88,14 +94,14 @@ class ChainSample:
     def elements(self) -> tuple[Element, ...]:
         return tuple(e for _, e in self.points)
 
-    def ranks(self) -> tuple[Rank, ...]:
+    def ranks(self) -> tuple[Fraction | Rank, ...]:
         return tuple(r for r, _ in self.points)
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-def rank_modular_defect(lattice: GradedLattice, m: Element, x: Element) -> Rank:
+def rank_modular_defect(lattice: GradedLattice, m: Element, x: Element) -> Fraction | Rank:
     """rank(x v m) + rank(x ^ m) - rank(x) - rank(m); zero iff the pair is balanced.
 
     Comparable pairs are settled before any arithmetic: there the identity
@@ -103,7 +109,7 @@ def rank_modular_defect(lattice: GradedLattice, m: Element, x: Element) -> Rank:
     infinities could otherwise meet.
     """
     if lattice.comparable(m, x):
-        return ZERO
+        return Fraction(0)
     join_rank = lattice.rank(lattice.join(x, m))
     meet_rank = lattice.rank(lattice.meet(x, m))
     return join_rank + meet_rank - lattice.rank(x) - lattice.rank(m)
@@ -120,7 +126,7 @@ def balance_residuals(
     m_small: Element,
     w: Element,
     z: Element,
-) -> tuple[Rank, Rank]:
+) -> tuple[Fraction | Rank, Fraction | Rank]:
     """The two balance residuals for rank-modular m_small <= m and w <= z.
 
     First residual:  [rk(m^z)+rk(mvz)] - [rk(m^w)+rk(mvw)] - (rk(z)-rk(w)).
@@ -145,11 +151,11 @@ def balance_residuals(
 @dataclass(frozen=True)
 class BoundCheck:
     label: str
-    lhs: Rank
-    rhs: Rank
+    lhs: Fraction | Rank
+    rhs: Fraction | Rank
 
     @property
-    def slack(self) -> Rank:
+    def slack(self) -> Fraction | Rank:
         return self.rhs - self.lhs
 
     @property
@@ -171,11 +177,11 @@ class DiamondReport:
     def all_hold(self) -> bool:
         return all(c.holds for c in self.checks)
 
-    def row_slack_sums(self) -> tuple[Rank, Rank]:
+    def row_slack_sums(self) -> tuple[Fraction | Rank, Fraction | Rank]:
         a, b, c, d = self.checks
         return (a.slack + b.slack, c.slack + d.slack)
 
-    def row_rhs(self) -> tuple[Rank, Rank]:
+    def row_rhs(self) -> tuple[Fraction | Rank, Fraction | Rank]:
         return (self.checks[0].rhs, self.checks[2].rhs)
 
 
@@ -208,24 +214,23 @@ def lipschitz_scan(
     chain: ChainSample,
     m: Element,
     mode: str,
-) -> Rank:
+) -> Fraction:
     """Max |rk(m op c2) - rk(m op c1)| / (k2 - k1) over consecutive chain samples.
 
     ``mode`` selects meet or join.  For a rank-modular m the result never
-    exceeds 1.  All sampled ranks must be finite.
+    exceeds 1.  Every rank it reads must be a ``Fraction``: a lattice whose
+    grading can reach an infinity returns ``Rank`` values and is refused.
     """
     if mode not in ("meet", "join"):
         raise PreconditionViolation(f"mode must be 'meet' or 'join', got {mode!r}")
     op = lattice.meet if mode == "meet" else lattice.join
-    best = ZERO
+    best = Fraction(0)
     for (k1, c1), (k2, c2) in zip(chain.points, chain.points[1:]):
-        if not (k1.is_finite and k2.is_finite):
-            raise PreconditionViolation("lipschitz scan needs finite chain ranks")
-        step = k2.fraction - k1.fraction
-        if step == 0:
-            raise PreconditionViolation("zero-length chain step")
-        diff = abs(lattice.rank(op(m, c2)) - lattice.rank(op(m, c1)))
-        ratio = Rank(diff.fraction / step)
+        lo, hi = lattice.rank(op(m, c1)), lattice.rank(op(m, c2))
+        if not all(isinstance(r, Fraction) for r in (k1, k2, lo, hi)):
+            raise PreconditionViolation("lipschitz scan needs finite Fraction ranks")
+        # ChainSample ranks strictly increase, so the step is positive.
+        ratio = abs(hi - lo) / (k2 - k1)
         if ratio > best:
             best = ratio
     return best
@@ -287,7 +292,7 @@ def adjoin_bounds(
             return ADJOINED_TOP
         return lattice.join(x, y)
 
-    def rank(x: Element) -> Rank:
+    def rank(x: Element) -> Fraction | Rank:
         if x is ADJOINED_TOP:
             return top_r
         if x is ADJOINED_BOTTOM:
@@ -304,7 +309,7 @@ def adjoin_bounds(
     )
 
 
-def updown_distance(lattice: GradedLattice, x: Element, y: Element) -> Rank:
+def updown_distance(lattice: GradedLattice, x: Element, y: Element) -> Fraction | Rank:
     """2*rank(x v y) - rank(x) - rank(y): the up-down path length."""
     j = lattice.rank(lattice.join(x, y))
     return j + j - lattice.rank(x) - lattice.rank(y)

@@ -93,7 +93,7 @@ def boolean_lattice(n: int) -> GradedLattice:
         name=f"boolean-{n}",
         meet=meet,
         join=join,
-        rank=lambda x: Rank(x.cardinality()),
+        rank=lambda x: Fraction(x.cardinality()),
         bottom=BitSubset(n, 0),
         top=BitSubset(n, (1 << n) - 1),
     )
@@ -198,7 +198,7 @@ def partition_lattice(n: int) -> GradedLattice:
         name=f"partition-{n}",
         meet=_partition_meet,
         join=_partition_join,
-        rank=lambda x: Rank(x.rank_int()),
+        rank=lambda x: Fraction(x.rank_int()),
         bottom=SetPartition.discrete(n),
         top=SetPartition.full(n),
     )
@@ -328,7 +328,7 @@ def subspace_lattice(p: int, n: int) -> GradedLattice:
         name=f"subspace-F{p}^{n}",
         meet=_subspace_meet,
         join=_subspace_join,
-        rank=lambda x: Rank(x.dimension()),
+        rank=lambda x: Fraction(x.dimension()),
         bottom=Subspace.zero(p, n),
         top=Subspace.full(p, n),
     )
@@ -501,10 +501,10 @@ class FiniteFamily:
             elems = []
         chain = self.chief_elements()
         sample = ChainSample.from_elements(self.lattice, chain)
-        if [r.fraction for r in sample.ranks()] != list(range(len(chain))):
+        if list(sample.ranks()) != list(range(len(chain))):
             raise RuntimeError(f"chief chain of {self.lattice.name} is not saturated")
         for m, x in itertools.product(chain, elems):
-            if rank_modular_defect(self.lattice, m, x) != Rank(0):
+            if rank_modular_defect(self.lattice, m, x) != 0:
                 raise RuntimeError(f"chief chain member {m!r} is not rank modular against {x!r}")
         return sample
 
@@ -559,7 +559,7 @@ def subspace_family(p: int, n: int) -> FiniteFamily:
 
 
 def _int_rank(lattice: GradedLattice, x) -> int:
-    r = lattice.rank(x).fraction
+    r = lattice.rank(x)
     if r.denominator != 1:
         raise PreconditionViolation(f"expected an integer rank, got {r}")
     return r.numerator
@@ -637,10 +637,9 @@ def rank_modular_elements(family: FiniteFamily) -> list:
     """All elements with zero rank-modular defect against every element."""
     lattice = family.lattice
     elems = family.elements()
-    zero = Rank(0)
     return [
         m for m in elems
-        if all(rank_modular_defect(lattice, m, x) == zero for x in elems)
+        if all(rank_modular_defect(lattice, m, x) == 0 for x in elems)
     ]
 
 

@@ -23,11 +23,12 @@ def random_interval_set(rng: random.Random, upper: Fraction, max_pieces: int = 3
     den = rng.choice(_DENOMINATORS)
     cuts = rng.sample(range(den + 1), min(2 * k, den + 1))
     cuts.sort()
-    pairs = []
-    for lo, hi in zip(cuts[::2], cuts[1::2]):
-        if lo < hi:
-            pairs.append((upper * lo / den, upper * hi / den))
-    return normalize(pairs)
+    num, scale = upper.numerator, upper.denominator * den
+    # The cuts are distinct and sorted, so the pieces are disjoint and non-adjacent.
+    return IntervalSet._trusted(tuple(
+        (Fraction(num * lo, scale), Fraction(num * hi, scale))
+        for lo, hi in zip(cuts[::2], cuts[1::2])
+    ))
 
 
 def random_density(rng: random.Random, upper: Fraction) -> StepDensity:

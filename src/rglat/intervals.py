@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .core import GradedLattice
 from .errors import AmbientMismatch, InputFormatError, PreconditionViolation
-from .rank import Rank, format_fraction, json_array, parse_fraction
+from .rank import format_fraction, json_array, parse_fraction
 
 Pair = tuple[Fraction, Fraction]
 
@@ -169,11 +169,6 @@ def measure(u: IntervalSet) -> Fraction:
     return sum((b - a for a, b in u.intervals), Fraction(0))
 
 
-def lebesgue(u: IntervalSet) -> Rank:
-    """Exact Lebesgue measure as a rank value."""
-    return Rank(measure(u))
-
-
 @dataclass(frozen=True)
 class StepDensity:
     """Strictly positive piecewise-constant density on (0, upper].
@@ -263,10 +258,10 @@ def interval_lattice(ambient: Ambient, density: StepDensity | None = None) -> Gr
         if not ambient.bounded:
             raise AmbientMismatch("density gradings need a bounded ambient")
         _require_density_fits(ambient, density)
-        rank = lambda u: Rank(density.mass(u))
+        rank = density.mass
         name = "interval-lattice/density"
     else:
-        rank = lebesgue
+        rank = measure
         name = "interval-lattice"
     top = IntervalSet(((Fraction(0), ambient.upper),)) if ambient.bounded else None
     return GradedLattice(name=name, meet=intersect, join=union, rank=rank, bottom=EMPTY, top=top)

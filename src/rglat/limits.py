@@ -28,7 +28,6 @@ from .finite import (
     subspace_lattice,
 )
 from .intervals import Ambient, IntervalSet, interval_lattice, normalize
-from .rank import Rank
 
 
 def _require_divides(k: int, n: int) -> None:
@@ -36,14 +35,14 @@ def _require_divides(k: int, n: int) -> None:
         raise PreconditionViolation(f"{k} does not divide {n}")
 
 
-def renormalized_rank(x: BitSubset | Subspace, level: int) -> Rank:
+def renormalized_rank(x: BitSubset | Subspace, level: int) -> Fraction:
     """Standard rank divided by the level, so the top sits at 1."""
     if x.n != level:
         raise PreconditionViolation(f"element lives at level {x.n}, not {level}")
     if isinstance(x, BitSubset):
-        return Rank(Fraction(x.cardinality(), level))
+        return Fraction(x.cardinality(), level)
     if isinstance(x, Subspace):
-        return Rank(Fraction(x.dimension(), level))
+        return Fraction(x.dimension(), level)
     raise PreconditionViolation(f"no renormalized rank for {type(x).__name__}")
 
 
@@ -111,7 +110,7 @@ def coherence_check(family: EmbeddingFamily, k: int, m: int, n: int) -> CheckRes
     return CheckResult(True, checked)
 
 
-def updown_metric(x: BitSubset | Subspace, y: BitSubset | Subspace) -> Rank:
+def updown_metric(x: BitSubset | Subspace, y: BitSubset | Subspace) -> Fraction:
     """2 r(x v y) - r(x) - r(y) with renormalized ranks; a metric on each level."""
     if type(x) is not type(y) or x.n != y.n or getattr(x, "p", None) != getattr(y, "p", None):
         raise PreconditionViolation(f"metric needs one level, got {x!r} and {y!r}")
@@ -229,8 +228,8 @@ def cauchy_approx(target: IntervalSet, levels: Sequence[int]) -> CauchyReport:
             CauchyRow(
                 level=lv,
                 approximant=approx,
-                distance_to_target=updown_distance(lattice, approx, target).fraction,
-                distance_to_previous=None if prev is None else updown_distance(lattice, approx, prev).fraction,
+                distance_to_target=updown_distance(lattice, approx, target),
+                distance_to_previous=None if prev is None else updown_distance(lattice, approx, prev),
             )
         )
         prev = approx

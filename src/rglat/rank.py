@@ -1,9 +1,12 @@
 """Exact rank values: rationals extended with the two symbolic infinities.
 
-Every grading in the package takes values in this type.  Finite arithmetic
-is :class:`fractions.Fraction` arithmetic, so algebraic identities can be
-asserted with ``==`` and no tolerance.  Sums that would combine ``+inf``
-with ``-inf`` raise :class:`IndeterminateFormError` instead of guessing.
+Bounded and finite gradings return bare :class:`fractions.Fraction` ranks;
+:class:`Rank` serves only the gradings where ``-inf`` or ``+inf`` can occur
+(the product plane and lattices with adjoined bounds).  A finite ``Rank``
+compares, hashes and does arithmetic like the ``Fraction`` it holds, so
+algebraic identities are asserted with ``==`` and no tolerance.  Sums that
+would combine ``+inf`` with ``-inf`` raise :class:`IndeterminateFormError`
+instead of guessing.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import functools
 from fractions import Fraction
 from typing import Union
 
-from .errors import IndeterminateFormError, InputFormatError, PreconditionViolation
+from .errors import IndeterminateFormError, InputFormatError
 
 _NEG, _FIN, _POS = -1, 0, 1
 
@@ -54,16 +57,6 @@ class Rank:
         # Finite arithmetic hands over a Fraction it just made; wrap only the rest.
         self._value = value if type(value) is Fraction else Fraction(value)
 
-    @property
-    def is_finite(self) -> bool:
-        return self._kind == _FIN
-
-    @property
-    def fraction(self) -> Fraction:
-        if self._kind != _FIN:
-            raise PreconditionViolation(f"{self} has no finite value")
-        return self._value
-
     def __eq__(self, other: object) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
@@ -79,7 +72,8 @@ class Rank:
         return self._value < other._value
 
     def __hash__(self) -> int:
-        return hash((self._kind, self._value))
+        # A finite rank equals its Fraction, so it must hash like one.
+        return hash(self._value) if self._kind == _FIN else hash((self._kind, self._value))
 
     def __add__(self, other: RankLike) -> "Rank":
         other = _coerce(other)
@@ -116,19 +110,6 @@ class Rank:
         if other is NotImplemented:
             return NotImplemented
         return other - self
-
-    def __abs__(self) -> "Rank":
-        if self._kind == _FIN:
-            return Rank(abs(self._value))
-        return POS_INF
-
-    def __truediv__(self, other: Fraction | int) -> "Rank":
-        scale = Fraction(other)
-        if scale <= 0:
-            raise PreconditionViolation("rank division requires a positive scalar")
-        if self._kind == _FIN:
-            return Rank(self._value / scale)
-        return self
 
     def __str__(self) -> str:
         if self._kind == _POS:

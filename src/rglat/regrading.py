@@ -113,16 +113,16 @@ def finite_good_chain(lattice: GradedLattice, chief_elements, z) -> tuple[Projec
     """
     by_rank: dict[Fraction, ProjectionResult] = {}
     for m in chief_elements:
-        level = lattice.rank(m).fraction
+        level = lattice.rank(m)
         for side, e in (("meet", lattice.meet(z, m)), ("join", lattice.join(z, m))):
-            r = lattice.rank(e).fraction
+            r = lattice.rank(e)
             found = by_rank.setdefault(r, ProjectionResult(e, level, side))
             if found.element != e:
                 raise RuntimeError(f"rank {r} reached by two distinct chain elements")
             if found.side != side == "meet":
                 # Only z is both a meet and a join; it lies below itself.
                 by_rank[r] = ProjectionResult(e, level, side)
-    expected = [Fraction(i) for i in range(int(lattice.rank(lattice.top).fraction) + 1)]
+    expected = [Fraction(i) for i in range(int(lattice.rank(lattice.top)) + 1)]
     if sorted(by_rank) != expected:
         raise RuntimeError(f"projection chain through {z!r} is not saturated")
     chain = tuple(by_rank[r] for r in expected)
@@ -325,7 +325,7 @@ class FiniteRegrader:
         if isinstance(cutset, LevelCutset):
             if cutset.density is not None:
                 raise PreconditionViolation("finite families use their own rank for level sets")
-            if not 0 < cutset.value < self._rank(self.lattice.top) or cutset.value.denominator != 1:
+            if not 0 < cutset.value < self.lattice.rank(self.lattice.top) or cutset.value.denominator != 1:
                 raise CutsetError(f"level {cutset.value} is not an interior rank of {self.lattice.name}")
             self.level = int(cutset.value)
             return
@@ -355,18 +355,15 @@ class FiniteRegrader:
                     f"antichain misses the maximal chains through {y!r}, which has rank {self.level} but is not listed"
                 )
 
-    def _rank(self, x) -> Fraction:
-        return self.lattice.rank(x).fraction
-
     def in_cutset(self, x) -> bool:
-        return self._rank(x) == self.level
+        return self.lattice.rank(x) == self.level
 
     def project(self, z) -> ProjectionResult:
         # The good chain is saturated, so its element of rank k sits at index k.
         return finite_good_chain(self.lattice, self.chief, z)[self.level]
 
     def regraded(self, z) -> Fraction:
-        return self._rank(z) - self._rank(self.project(z).element)
+        return self.lattice.rank(z) - self.lattice.rank(self.project(z).element)
 
     def crosscheck(self) -> CheckResult:
         """The regraded rank is a grading with the cutset as zero level set.
@@ -376,10 +373,10 @@ class FiniteRegrader:
         maximal chain at the position of its rank, so this is the same as
         strictly increasing with one value tuple on every maximal chain.
         """
-        elems = sorted(self.family.elements(), key=self._rank)
+        elems = sorted(self.family.elements(), key=self.lattice.rank)
         last_rank = last_value = None
         for checked, e in enumerate(elems):
-            rank, value = self._rank(e), self.regraded(e)
+            rank, value = self.lattice.rank(e), self.regraded(e)
             if (value == 0) != self.in_cutset(e):
                 return CheckResult(False, checked, f"zero level set differs from the cutset at {e!r}")
             if rank == last_rank and value != last_value:
@@ -411,13 +408,12 @@ class LimitCondition:
     name: str
     holds: bool
     vacuous: bool
-    scan_value: Rank | None = None
-    target_value: Rank | None = None
+    scan_value: Fraction | Rank | None = None
+    target_value: Fraction | Rank | None = None
 
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    stage: str
     conditions: tuple[LimitCondition, ...]
 
     @property
@@ -425,12 +421,12 @@ class HypothesisReport:
         return tuple(c.name for c in self.conditions if not c.holds)
 
 
-def _sup_condition(name: str, scan: Sequence[Rank], target: Rank) -> LimitCondition:
+def _sup_condition(name: str, scan: Sequence[Fraction | Rank], target: Fraction | Rank) -> LimitCondition:
     value = max(scan)
     return LimitCondition(name, value == target, False, value, target)
 
 
-def _inf_condition(name: str, scan: Sequence[Rank], target: Rank) -> LimitCondition:
+def _inf_condition(name: str, scan: Sequence[Fraction | Rank], target: Fraction | Rank) -> LimitCondition:
     value = min(scan)
     return LimitCondition(name, value == target, False, value, target)
 
@@ -442,10 +438,7 @@ def _vacuous(name: str) -> LimitCondition:
 def hypothesis_bounded_interval(upper: Fraction) -> HypothesisReport:
     """Bounded gradings satisfy all four conditions with nothing to scan."""
     Ambient(Fraction(upper))  # validates
-    return HypothesisReport(
-        stage="bounded-interval",
-        conditions=tuple(_vacuous(name) for name in CONDITION_NAMES),
-    )
+    return HypothesisReport(tuple(_vacuous(name) for name in CONDITION_NAMES))
 
 
 def hypothesis_line_sets(demo: LineScanReport) -> HypothesisReport:
@@ -457,16 +450,12 @@ def hypothesis_line_sets(demo: LineScanReport) -> HypothesisReport:
     chief-side condition holds.  The grading is bounded below, making both
     inf conditions vacuous.
     """
-    target = Rank(demo.target_measure)
-    return HypothesisReport(
-        stage="line-sets",
-        conditions=(
-            _sup_condition("chain-meet-sup", [Rank(v) for _, v in demo.chain_rows], target),
-            _vacuous("chain-join-inf"),
-            _sup_condition("chief-meet-sup", [Rank(v) for _, v in demo.chief_rows], target),
-            _vacuous("chief-join-inf"),
-        ),
-    )
+    return HypothesisReport((
+        _sup_condition("chain-meet-sup", [v for _, v in demo.chain_rows], demo.target_measure),
+        _vacuous("chain-join-inf"),
+        _sup_condition("chief-meet-sup", [v for _, v in demo.chief_rows], demo.target_measure),
+        _vacuous("chief-join-inf"),
+    ))
 
 
 def hypothesis_product_plane(demo: PlaneLimitReport) -> HypothesisReport:
@@ -481,27 +470,24 @@ def hypothesis_product_plane(demo: PlaneLimitReport) -> HypothesisReport:
     lattice = product_plane_lattice()
     z = PlanePoint.point(1, 0)
     bs = [b for b, _ in demo.meet_rows]
-    return HypothesisReport(
-        stage="product-plane",
-        conditions=(
-            _sup_condition("chain-meet-sup", [r for _, r in demo.meet_rows], demo.meet_limit_value),
-            _inf_condition(
-                "chain-join-inf",
-                [lattice.rank(lattice.join(z, PlanePoint.point(0, -b))) for b in bs],
-                lattice.rank(lattice.join(z, lattice.bottom)),
-            ),
-            _sup_condition(
-                "chief-meet-sup",
-                [lattice.rank(lattice.meet(PlanePoint.point(b, 0), z)) for b in bs],
-                lattice.rank(z),
-            ),
-            _inf_condition(
-                "chief-join-inf",
-                [lattice.rank(lattice.join(PlanePoint.point(-b, 0), z)) for b in bs],
-                lattice.rank(z),
-            ),
+    return HypothesisReport((
+        _sup_condition("chain-meet-sup", [r for _, r in demo.meet_rows], demo.meet_limit_value),
+        _inf_condition(
+            "chain-join-inf",
+            [lattice.rank(lattice.join(z, PlanePoint.point(0, -b))) for b in bs],
+            lattice.rank(lattice.join(z, lattice.bottom)),
         ),
-    )
+        _sup_condition(
+            "chief-meet-sup",
+            [lattice.rank(lattice.meet(PlanePoint.point(b, 0), z)) for b in bs],
+            lattice.rank(z),
+        ),
+        _inf_condition(
+            "chief-join-inf",
+            [lattice.rank(lattice.join(PlanePoint.point(-b, 0), z)) for b in bs],
+            lattice.rank(z),
+        ),
+    ))
 
 
 # --- The two-speed density instance ------------------------------------------

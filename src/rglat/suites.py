@@ -96,7 +96,6 @@ from .regrading import (
     IntervalRegrader,
 )
 
-ZERO = Rank(0)
 UPPER = Fraction(2)
 
 
@@ -192,7 +191,7 @@ def _quadruple_suite(cfg: SuiteConfig, rng: random.Random, check: Callable) -> I
 
 def _balance_check(lattice, m, ms, w, z) -> str | None:
     r1, r2 = balance_residuals(lattice, m, ms, w, z)
-    if r1 != ZERO or r2 != ZERO:
+    if r1 != 0 or r2 != 0:
         return f"residuals ({r1}, {r2})"
     return None
 
@@ -211,7 +210,6 @@ def _diamond_check(lattice, m, ms, w, z) -> str | None:
 def suite_lipschitz(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     ambient = Ambient(UPPER)
     lattice = interval_lattice(ambient)
-    one = Rank(1)
     chain = ChainSample.from_elements(
         lattice, [chief_element(ambient, Fraction(k, 8)) for k in range(0, 17)]
     )
@@ -219,7 +217,7 @@ def suite_lipschitz(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
         m = random_interval_set(rng, UPPER)
         for mode in ("meet", "join"):
             ratio = lipschitz_scan(lattice, chain, m, mode)
-            yield f"ratio {ratio} for m={m!r} mode={mode}" if ratio > one else None
+            yield f"ratio {ratio} for m={m!r} mode={mode}" if ratio > 1 else None
     stage = _finite_stage(partition_family)
     plattice = stage.family.lattice
     for chain_elems in enumerate_maximal_chains(stage.family):
@@ -227,7 +225,7 @@ def suite_lipschitz(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
         for m in stage.modular:
             for mode in ("meet", "join"):
                 ratio = lipschitz_scan(plattice, sample, m, mode)
-                yield f"partition ratio {ratio} for m={m!r}" if ratio > one else None
+                yield f"partition ratio {ratio} for m={m!r}" if ratio > 1 else None
 
 
 # --- exchange identities ------------------------------------------------------
@@ -268,7 +266,7 @@ def suite_interval_projection(cfg: SuiteConfig, rng: random.Random) -> Iterator[
             yield f"projected element escapes [w, z] at m={m!r}"
         for _ in range(3):
             x = random_between(rng, UPPER, w, z)
-            ok = rank_modular_defect(lattice, e, x) == ZERO
+            ok = rank_modular_defect(lattice, e, x) == 0
             yield None if ok else f"relative defect nonzero at m={m!r} x={x!r}"
     for stage in _stages():
         flattice = stage.family.lattice
@@ -277,7 +275,7 @@ def suite_interval_projection(cfg: SuiteConfig, rng: random.Random) -> Iterator[
                 e = flattice.join(w, flattice.meet(m, z))
                 for x in stage.elements:
                     if flattice.leq(w, x) and flattice.leq(x, z):
-                        ok = rank_modular_defect(flattice, e, x) == ZERO
+                        ok = rank_modular_defect(flattice, e, x) == 0
                         yield None if ok else f"finite relative defect nonzero at m={m!r} w={w!r} z={z!r} x={x!r}"
 
 
@@ -449,7 +447,7 @@ def suite_metric(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     for x in elems:
         for y in elems:
             d = updown_metric(x, y)
-            bad = d < ZERO or (d == ZERO) != (x == y) or d != updown_metric(y, x)
+            bad = d < 0 or (d == 0) != (x == y) or d != updown_metric(y, x)
             yield f"metric axiom fails at ({x!r}, {y!r})" if bad else None
     for x in elems:
         for y in elems:
@@ -462,7 +460,7 @@ def suite_metric(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
         y = random_interval_set(rng, UPPER)
         z = random_interval_set(rng, UPPER)
         dxy = updown_distance(lattice, x, y)
-        if dxy < ZERO or (dxy == ZERO) != (x == y):
+        if dxy < 0 or (dxy == 0) != (x == y):
             yield f"interval metric axiom fails at ({x!r}, {y!r})"
         if updown_distance(lattice, x, z) > dxy + updown_distance(lattice, y, z):
             yield f"interval triangle fails at ({x!r}, {y!r}, {z!r})"
@@ -510,10 +508,10 @@ def suite_tower(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
 def suite_infinity_demos(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     plane = product_plane_limit_demo()
     if not (
-        plane.meet_scan_sup == ZERO
+        plane.meet_scan_sup == Rank(0)
         and plane.meet_limit_value == Rank(1)
         and plane.meet_discontinuous
-        and plane.join_scan_inf == ZERO
+        and plane.join_scan_inf == Rank(0)
         and plane.join_limit_value == Rank(-1)
         and plane.join_discontinuous
     ):
@@ -544,7 +542,7 @@ def suite_infinity_demos(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outco
     with_top = adjoin_bounds(interval_lattice(Ambient(None)), top_rank=POS_INF)
     yield None if with_top.rank(with_top.top) == POS_INF else "adjoined top rank should be +inf"
     probe = IntervalSet(((Fraction(-1), Fraction(1)),))
-    ok = rank_modular_defect(with_top, with_top.top, probe) == ZERO
+    ok = rank_modular_defect(with_top, with_top.top, probe) == 0
     yield None if ok else "adjoined top must be rank modular"
     try:
         adjoin_bounds(interval_lattice(Ambient(UPPER)), top_rank=POS_INF)

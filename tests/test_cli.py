@@ -319,7 +319,7 @@ FAMILIES = {
 def test_finite_regrade_rows_match_regraded(kind, data, tmp_path_factory):
     sizes, build = FAMILIES[kind]
     family = build()
-    top = family.lattice.rank(family.lattice.top).fraction
+    top = family.lattice.rank(family.lattice.top)
     level = data.draw(st.integers(1, int(top) - 1))
     targets = data.draw(st.lists(st.sampled_from(family.elements()), min_size=1, max_size=4))
     spec = finite_spec(kind, [element_to_json(z) for z in targets], **sizes)

@@ -19,6 +19,8 @@ CASES = [
     (["limit", "{golden}/third.json"], "limit_third.csv"),
     (["regrade", "{golden}/density_spec.json", "--grid", "1/4"], "regrade_density.csv"),
     (["regrade", "{golden}/boolean3_spec.json"], "regrade_boolean3.csv"),
+    (["regrade", "{golden}/partition4_spec.json"], "regrade_partition4.csv"),
+    (["regrade", "{golden}/subspace2_3_spec.json"], "regrade_subspace2_3.csv"),
     (["verify", "--suite", "tower"], "verify_tower.txt"),
     (["verify", "--suite", "finite-counts"], "verify_finite_counts.txt"),
     (["verify", "--suite", "finite-regrade"], "verify_finite_regrade.txt"),

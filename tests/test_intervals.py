@@ -20,7 +20,6 @@ from rglat.intervals import (
     interval_lattice,
     interval_set_from_json,
     interval_set_to_json,
-    lebesgue,
     measure,
     normalize,
     profile_bundle,
@@ -175,7 +174,7 @@ class TestMeasure:
         assert measure(u) == Fraction(m, n)
 
     def test_empty(self):
-        assert lebesgue(EMPTY) == Rank(0)
+        assert measure(EMPTY) == 0
 
     def test_two_piece_sum(self):
         assert measure(iset((0, Fraction(1, 3)), (HALF, 1))) == Fraction(5, 6)

@@ -263,7 +263,7 @@ class TestChainMachinery:
         chief = list(chief_chain(fam).elements())
         chain = finite_good_chain(fam.lattice, chief, BitSubset.from_members(4, [1, 3]))
         assert len(chain) == 5
-        assert [fam.lattice.rank(p.element).fraction for p in chain] == [0, 1, 2, 3, 4]
+        assert [fam.lattice.rank(p.element) for p in chain] == [0, 1, 2, 3, 4]
 
     def test_reversed_chain_finite_example(self):
         fam = boolean_family(4)
@@ -276,7 +276,7 @@ class TestChainMachinery:
             BitSubset.from_members(4, [1, 2, 3, 4]),
         ]
         reversed_chain = [p.element for p in finite_good_chain(fam.lattice, chain, m)]
-        assert [fam.lattice.rank(e).fraction for e in reversed_chain] == [0, 1, 2, 3, 4]
+        assert [fam.lattice.rank(e) for e in reversed_chain] == [0, 1, 2, 3, 4]
         assert reversed_chain[0] == fam.lattice.bottom and reversed_chain[-1] == fam.lattice.top
 
     def test_reversed_chain_with_bottom_is_the_original(self):
@@ -372,7 +372,7 @@ class TestFiniteRegrading:
         fam = boolean_family(4)
         regrader = FiniteRegrader(fam, LevelCutset(Fraction(2)))
         for e in fam.elements():
-            assert regrader.regraded(e) == fam.lattice.rank(e).fraction - 2
+            assert regrader.regraded(e) == fam.lattice.rank(e) - 2
         assert regrader.crosscheck().ok
 
     def test_every_exhaustive_cutset_crosschecks(self, monkeypatch):
@@ -439,7 +439,7 @@ class TestFiniteRegrading:
     def test_one_pass_projection_matches_the_two_pass_rule(self, build):
         fam = build()
         elems = fam.elements()
-        top = int(fam.lattice.rank(fam.lattice.top).fraction)
+        top = int(fam.lattice.rank(fam.lattice.top))
         cutsets = [LevelCutset(Fraction(k)) for k in range(1, top)]
         cutsets += [ExplicitCutset(c) for c in antichain_cutsets(elems, bare_order(fam.kind))]
         for cutset in cutsets:
@@ -452,7 +452,7 @@ class TestFiniteRegrading:
         regrader = FiniteRegrader(fam, LevelCutset(Fraction(2)))
         z = SetPartition.from_blocks(4, [[1, 4], [2], [3]])
         result = regrader.project(z)
-        assert fam.lattice.rank(result.element).fraction == 2
+        assert fam.lattice.rank(result.element) == 2
         assert regrader.regraded(z) == -1
 
     def test_non_antichain_rejected(self):
@@ -555,7 +555,7 @@ def _two_pass_projection(regrader, z):
     alpha = hits[0]
     side = "meet" if lattice.leq(alpha, z) else "join"
     op = lattice.meet if side == "meet" else lattice.join
-    level = next(lattice.rank(m).fraction for m in regrader.chief if op(z, m) == alpha)
+    level = next(lattice.rank(m) for m in regrader.chief if op(z, m) == alpha)
     return ProjectionResult(alpha, level, side)
 
 
