@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .core import GradedLattice
 from .errors import AmbientMismatch, InputFormatError, PreconditionViolation
-from .rank import format_fraction, json_array, parse_fraction
+from .rank import exact_fraction, format_fraction, json_array, parse_fraction
 
 Pair = tuple[Fraction, Fraction]
 
@@ -35,7 +35,7 @@ class Ambient:
 
     def __post_init__(self):
         if self.upper is not None:
-            object.__setattr__(self, "upper", Fraction(self.upper))
+            object.__setattr__(self, "upper", exact_fraction(self.upper))
             if self.upper <= 0:
                 raise PreconditionViolation("bounded ambient needs upper > 0")
 
@@ -184,8 +184,8 @@ class StepDensity:
     _prefix: "PiecewiseLinearProfile" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(Fraction(t) for t in self.breakpoints))
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "breakpoints", tuple(exact_fraction(t) for t in self.breakpoints))
+        object.__setattr__(self, "values", tuple(exact_fraction(v) for v in self.values))
         if len(self.breakpoints) != len(self.values) + 1 or not self.values:
             raise PreconditionViolation("need k+1 breakpoints for k density values")
         if self.breakpoints[0] != 0:

@@ -15,7 +15,7 @@ import functools
 from fractions import Fraction
 from typing import Union
 
-from .errors import IndeterminateFormError, InputFormatError
+from .errors import IndeterminateFormError, InputFormatError, PreconditionViolation
 
 _NEG, _FIN, _POS = -1, 0, 1
 
@@ -33,6 +33,17 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError(f"not a rational: {text!r}") from exc
+
+
+def exact_fraction(value) -> Fraction:
+    """``Fraction(value)``, refusing a float: a binary float is seldom the rational meant.
+
+    ``Fraction(0.1)`` is 3602879701896397/36028797018963968, and its 2**55
+    denominator would leak into every value computed from it.
+    """
+    if isinstance(value, float):
+        raise PreconditionViolation(f"{value!r} is a float; pass an int, a Fraction or a 'p/q' string")
+    return Fraction(value)
 
 
 def json_array(value) -> list:
@@ -55,7 +66,7 @@ class Rank:
     def __init__(self, value: Fraction | int | str = 0):
         self._kind = _FIN
         # Finite arithmetic hands over a Fraction it just made; wrap only the rest.
-        self._value = value if type(value) is Fraction else Fraction(value)
+        self._value = value if type(value) is Fraction else exact_fraction(value)
 
     def __eq__(self, other: object) -> bool:
         other = _coerce(other)

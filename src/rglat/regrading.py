@@ -17,6 +17,8 @@ the two-speed density instance where that failure is visible.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +57,7 @@ from .intervals import (
     profile_bundle,
     union,
 )
-from .rank import Rank, format_fraction, json_array, parse_fraction
+from .rank import Rank, exact_fraction, format_fraction, json_array, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ class LevelCutset:
     density: StepDensity | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", exact_fraction(self.value))
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,12 @@ def finite_good_chain(lattice: GradedLattice, chief_elements, z) -> tuple[Projec
 MAX_GRID_LEVELS = 10_000
 
 
-def _grid(upper: Fraction, step: Fraction) -> list[Fraction]:
+def _grid(upper: Fraction, step: Fraction) -> tuple[list[int], int]:
+    """The sweep levels, the multiples of step below upper and then upper.
+
+    They come as integer numerators over one denominator, returned with them.
+    """
+    step = exact_fraction(step)
     if step <= 0:
         raise PreconditionViolation("grid step must be positive")
     count = math.ceil(upper / step)
@@ -144,7 +151,9 @@ def _grid(upper: Fraction, step: Fraction) -> list[Fraction]:
         raise SizeCapExceeded(
             f"grid step {step} on (0, {upper}] needs {count + 1} levels, over the cap {MAX_GRID_LEVELS}"
         )
-    return [k * step for k in range(count)] + [upper]
+    den = math.lcm(step.denominator, upper.denominator)
+    unit = step.numerator * (den // step.denominator)
+    return [k * unit for k in range(count)] + [upper.numerator * (den // upper.denominator)], den
 
 
 class IntervalRegrader:
@@ -152,7 +161,7 @@ class IntervalRegrader:
 
     def __init__(self, ambient: Ambient | Fraction, cutset: LevelCutset):
         if not isinstance(ambient, Ambient):
-            ambient = Ambient(Fraction(ambient))
+            ambient = Ambient(ambient)
         if not ambient.bounded:
             raise AmbientMismatch("regrading runs on a bounded ambient")
         if cutset.density is not None and cutset.density.upper != ambient.upper:
@@ -234,9 +243,8 @@ class IntervalRegrader:
 
     def sweep_chief(self, step: Fraction) -> list[SweepRow]:
         # The chief chain is the join side of the projection chain through EMPTY.
-        levels = _grid(self.ambient.upper, Fraction(step))
-        rows = _SweepEvaluator(self, EMPTY).join_rows(levels)
-        return [SweepRow("chief", level, *row) for level, row in zip(levels, rows)]
+        evaluator = _SweepEvaluator(self, EMPTY, step)
+        return evaluator.rows("chief", evaluator.join_rows())
 
     def sweep_through(self, z: IntervalSet, step: Fraction) -> list[SweepRow]:
         """Rank-ordered sweep of the projection chain through z: one row per side and level.
@@ -245,71 +253,150 @@ class IntervalRegrader:
         can repeat one element, with equal rank and value.  One profile bundle
         of z serves the whole sweep (see _SweepEvaluator).
         """
-        levels = _grid(self.ambient.upper, Fraction(step))
-        evaluator = _SweepEvaluator(self, z)
-        return [
-            SweepRow(side, level, *row)
-            for side, rows in (("meet", evaluator.meet_rows(levels)), ("join", evaluator.join_rows(levels)))
-            for level, row in zip(levels, rows)
-        ]
+        evaluator = _SweepEvaluator(self, z, step)
+        return evaluator.rows("meet", evaluator.meet_rows()) + evaluator.rows("join", evaluator.join_rows())
+
+
+def _scaled(values: Sequence[Fraction], scale: int) -> list[int]:
+    """Numerators of values over scale, which each denominator divides."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 class _SweepEvaluator:
-    """Closed-form regraded ranks along the projection chain through z.
+    """Closed-form regraded ranks along the projection chain through z, in integers.
 
     Every element of the chain is a meet or join of z with a prefix, so the
     exchange identities reduce each crossing to values of z's own four
     profiles.  The prefix grading cancels out of every branch through
-    modularity, leaving only the chief chain's own crossing measure t*.  A sweep then costs one profile bundle
-    instead of one projection per grid point, and each profile is read on the
-    increasing level list in one walk.
+    modularity, leaving only the chief chain's own crossing measure t*.  A
+    sweep then costs one profile bundle instead of one projection per grid
+    point, and each side is read on the increasing level list in one walk.
+
+    The walk runs on integer numerators over one denominator D per chain: the
+    lcm of the denominators of the breakpoints, the grid, the cutset value c,
+    z's crossing measure and t*, times Q, the lcm of the density values'
+    denominators.  Each bundle value is a sum of lengths, each times 1 or a
+    density value, so D covers the four value columns too.  On a piece a
+    grade column has slope 0, 1 or a density value p/q, and a level minus
+    the piece's left end is a multiple of Q once scaled, so q divides it and
+    the walk is exact.  Only ``rows`` builds Fractions.
     """
 
-    def __init__(self, regrader: "IntervalRegrader", z: IntervalSet):
-        self.bundle = profile_bundle(regrader.ambient, z, regrader.cutset.density)
-        self.level = regrader.cutset.value
-        # The measure of z's own crossing, shared by every row on z's side of the cutset.
-        self.alpha = regrader._solve(self.bundle)[2]
-        # At level t* the branches on either side of the test give the same row.
-        self.chief_alpha = regrader.chief_alpha
+    def __init__(self, regrader: "IntervalRegrader", z: IntervalSet, step: Fraction):
+        grid, grid_den = _grid(regrader.ambient.upper, step)
+        density = regrader.cutset.density
+        bundle = profile_bundle(regrader.ambient, z, density)
+        c, alpha, t_star = regrader.cutset.value, regrader._solve(bundle)[2], regrader.chief_alpha
+        breakpoints = bundle.grade_meet.breakpoints
+        slope_den = 1 if density is None else math.lcm(*(v.denominator for v in density.values))
+        d = slope_den * math.lcm(
+            grid_den, c.denominator, alpha.denominator, t_star.denominator, *(x.denominator for x in breakpoints)
+        )
+        self.scale = d
+        self.grid = [k * (d // grid_den) for k in grid]
+        self.breakpoints = _scaled(breakpoints, d)
+        self.measure_meet = _scaled(bundle.measure_meet.values, d)
+        self.measure_join = _scaled(bundle.measure_join.values, d)
+        if density is None:  # the grade columns are the measure columns
+            self.grade_meet, self.grade_join = self.measure_meet, self.measure_join
+        else:
+            self.grade_meet = _scaled(bundle.grade_meet.values, d)
+            self.grade_join = _scaled(bundle.grade_join.values, d)
+        # alpha, the measure of z's own crossing, is shared by every row on z's side
+        # of the cutset.  At level t* the branches on either side of the test give
+        # the same row.
+        self.level, self.alpha, self.chief_alpha = _scaled((c, alpha, t_star), d)
+        self.grade_of_element = self.grade_meet[-1]
+        self.measure_of_element = self.measure_meet[-1]
 
-    def meet_rows(self, levels: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-        """(rank, regraded) of z ^ m_level for each level, in order."""
-        b = self.bundle
+    def _walk(self, grade: list[int], measure: list[int]) -> list[tuple[int, int]]:
+        """(grade, measure) of one side at each grid level, in one pass over the pieces."""
+        xs = self.breakpoints
+        last = len(xs) - 1
+        pieces = []
+        for i in range(last):
+            run, rise = xs[i + 1] - xs[i], grade[i + 1] - grade[i]
+            k = math.gcd(run, rise)
+            # The grade slope as p / q, and whether measure has slope 1 (else 0).
+            pieces.append((rise // k, run // k, measure[i + 1] != measure[i]))
+        out = []
+        i = 0
+        for x in self.grid:
+            while i < last and xs[i + 1] <= x:
+                i += 1
+            if i == last:
+                out.append((grade[i], measure[i]))
+            else:
+                p, q, rising = pieces[i]
+                t = x - xs[i]
+                out.append((grade[i] + p * (t // q), (measure[i] + t) if rising else measure[i]))
+        return out
+
+    def _exchange(self, grade: list[int], measure: list[int], target: int) -> tuple[int, int]:
+        """measure(z) minus the measure column where the grade column first reaches target.
+
+        As (numerator, denominator).  The columns share their pieces, and the
+        target lies strictly above the grade column's start, so the piece is
+        the one bisect finds and its grade rise is positive.
+        """
+        i = bisect.bisect_left(grade, target)
+        rise = grade[i] - grade[i - 1]
+        num = (self.measure_of_element - measure[i - 1]) * rise - (measure[i] - measure[i - 1]) * (
+            target - grade[i - 1]
+        )
+        return num, self.scale * rise
+
+    def meet_rows(self) -> list[tuple[int, int, int]]:
+        """(rank, regraded numerator, regraded denominator) of z ^ m_level for each level.
+
+        The rank is over ``scale``.
+        """
+        d, c = self.scale, self.level
         rows = []
-        for level, grade, rank in zip(
-            levels, b.grade_meet.values_on(levels), b.measure_meet.values_on(levels)
-        ):
-            if grade >= self.level:
+        for x, (grade, rank) in zip(self.grid, self._walk(self.grade_meet, self.measure_meet)):
+            if grade >= c:
                 # Above the cutset the crossing is shared with z itself, which lies above it too.
-                rows.append((rank, rank - self.alpha))
-            elif level < self.chief_alpha:
+                rows.append((rank, rank - self.alpha, d))
+            elif x < self.chief_alpha:
                 # The crossing happens on the bare prefix chain above m_level.
-                rows.append((rank, rank - self.chief_alpha))
+                rows.append((rank, rank - self.chief_alpha, d))
             else:
                 # (z ^ m_level) v m_mu = (z v m_mu) ^ m_level for mu <= level.
-                mu = b.grade_join.min_level_at_value(self.level + b.grade_of_element - grade)
-                rows.append((rank, b.measure_of_element - b.measure_join.value_at(mu)))
+                target = c + self.grade_of_element - grade
+                rows.append((rank, *self._exchange(self.grade_join, self.measure_join, target)))
         return rows
 
-    def join_rows(self, levels: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-        """(rank, regraded) of z v m_level for each level, in order."""
-        b = self.bundle
+    def join_rows(self) -> list[tuple[int, int, int]]:
+        """(rank, regraded numerator, regraded denominator) of z v m_level for each level.
+
+        The rank is over ``scale``.
+        """
+        d, c = self.scale, self.level
         rows = []
-        for level, grade, rank in zip(
-            levels, b.grade_join.values_on(levels), b.measure_join.values_on(levels)
-        ):
-            if grade < self.level:
+        for x, (grade, rank) in zip(self.grid, self._walk(self.grade_join, self.measure_join)):
+            if grade < c:
                 # Below the cutset every join-side element shares z's crossing, as z lies below it too.
-                rows.append((rank, rank - self.alpha))
-            elif level >= self.chief_alpha:
+                rows.append((rank, rank - self.alpha, d))
+            elif x >= self.chief_alpha:
                 # m_level lies above the chief crossing, which is then the crossing.
-                rows.append((rank, rank - self.chief_alpha))
+                rows.append((rank, rank - self.chief_alpha, d))
             else:
                 # (z v m_level) ^ m_mu = m_level v (z ^ m_mu) for mu >= level.
-                mu = b.grade_meet.min_level_at_value(self.level + b.grade_of_element - grade)
-                rows.append((rank, b.measure_of_element - b.measure_meet.value_at(mu)))
+                target = c + self.grade_of_element - grade
+                rows.append((rank, *self._exchange(self.grade_meet, self.measure_meet, target)))
         return rows
+
+    @functools.cached_property
+    def levels(self) -> list[Fraction]:
+        return [Fraction(x, self.scale) for x in self.grid]
+
+    def rows(self, side: str, columns: list[tuple[int, int, int]]) -> list[SweepRow]:
+        """The exact rows of one side: the only Fractions a sweep builds."""
+        d = self.scale
+        return [
+            SweepRow(side, level, Fraction(rank, d), Fraction(num, den))
+            for level, (rank, num, den) in zip(self.levels, columns)
+        ]
 
 
 class FiniteRegrader:
@@ -437,7 +524,7 @@ def _vacuous(name: str) -> LimitCondition:
 
 def hypothesis_bounded_interval(upper: Fraction) -> HypothesisReport:
     """Bounded gradings satisfy all four conditions with nothing to scan."""
-    Ambient(Fraction(upper))  # validates
+    Ambient(upper)  # validates
     return HypothesisReport(tuple(_vacuous(name) for name in CONDITION_NAMES))
 
 

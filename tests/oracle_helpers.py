@@ -3,9 +3,11 @@
 Everything here avoids the package's own meet/join/measure code paths:
 partitions are compared through the raw refinement predicate, measures are
 counted on a common denominator grid, and chains are built from the bare
-order relation.  The one exception is ``cutset_gap``, the general cover test
-on the family's own order, which pins the rank-level check of explicit
-cutsets.
+order relation.  Two exceptions read the package's own objects:
+``cutset_gap``, the general cover test on the family's own order, which
+pins the rank-level check of explicit cutsets; and ``fraction_sweep``, the
+closed-form sweep in plain ``Fraction`` arithmetic, which pins the
+package's integer sweep value for value.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 from fractions import Fraction
 
 from rglat.finite import rank_layers
+from rglat.intervals import EMPTY, profile_bundle
+from rglat.regrading import SweepRow
 
 Blocks = frozenset  # frozenset of frozensets of ints
 
@@ -167,6 +171,61 @@ def oracle_profiles(upper: Fraction, pairs, density=None) -> dict[str, tuple[tup
         columns["measure_meet"].append(grid_measure(meet, Fraction(0), upper))
         columns["measure_join"].append(grid_measure(join, Fraction(0), upper))
     return {name: (xs, tuple(values)) for name, values in columns.items()}
+
+
+# --- sweeps in Fraction arithmetic --------------------------------------------
+
+class _FractionSweepEvaluator:
+    """The closed-form sweep rows on Fraction profiles, one branch per case.
+
+    The same three branches as the package's integer sweep, read off z's
+    profile bundle with ``values_on``, ``min_level_at_value`` and
+    ``value_at``, without any common denominator.
+    """
+
+    def __init__(self, regrader, z):
+        self.bundle = profile_bundle(regrader.ambient, z, regrader.cutset.density)
+        self.level = regrader.cutset.value
+        self.alpha = regrader._solve(self.bundle)[2]
+        self.chief_alpha = regrader.chief_alpha
+
+    def meet_rows(self, levels):
+        b = self.bundle
+        rows = []
+        for level, grade, rank in zip(levels, b.grade_meet.values_on(levels), b.measure_meet.values_on(levels)):
+            if grade >= self.level:
+                rows.append((rank, rank - self.alpha))
+            elif level < self.chief_alpha:
+                rows.append((rank, rank - self.chief_alpha))
+            else:
+                mu = b.grade_join.min_level_at_value(self.level + b.grade_of_element - grade)
+                rows.append((rank, b.measure_of_element - b.measure_join.value_at(mu)))
+        return rows
+
+    def join_rows(self, levels):
+        b = self.bundle
+        rows = []
+        for level, grade, rank in zip(levels, b.grade_join.values_on(levels), b.measure_join.values_on(levels)):
+            if grade < self.level:
+                rows.append((rank, rank - self.alpha))
+            elif level >= self.chief_alpha:
+                rows.append((rank, rank - self.chief_alpha))
+            else:
+                mu = b.grade_meet.min_level_at_value(self.level + b.grade_of_element - grade)
+                rows.append((rank, b.measure_of_element - b.measure_meet.value_at(mu)))
+        return rows
+
+
+def fraction_sweep(regrader, z, step: Fraction) -> list:
+    """``sweep_through(z, step)`` rows, or ``sweep_chief(step)`` rows when z is None."""
+    upper = regrader.ambient.upper
+    levels = [k * step for k in range(math.ceil(upper / step))] + [upper]
+    if z is None:
+        sides = [("chief", _FractionSweepEvaluator(regrader, EMPTY).join_rows(levels))]
+    else:
+        evaluator = _FractionSweepEvaluator(regrader, z)
+        sides = [("meet", evaluator.meet_rows(levels)), ("join", evaluator.join_rows(levels))]
+    return [SweepRow(side, level, *row) for side, rows in sides for level, row in zip(levels, rows)]
 
 
 # --- subsets through the containment order ------------------------------------

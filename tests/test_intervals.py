@@ -221,6 +221,19 @@ class TestStepDensity:
         with pytest.raises(PreconditionViolation):
             StepDensity((Fraction(1), Fraction(2)), (Fraction(1),))
 
+    def test_float_breakpoints_and_values_are_refused(self):
+        with pytest.raises(PreconditionViolation, match="float"):
+            StepDensity((0, 0.5, 2), (1, 2))
+        with pytest.raises(PreconditionViolation, match="float"):
+            StepDensity((0, 2), (0.1,))
+        assert StepDensity((0, "1/2", 2), (1, Fraction(2))).breakpoints[1] == HALF
+
+
+def test_float_ambient_bound_is_refused():
+    with pytest.raises(PreconditionViolation, match="float"):
+        Ambient(0.1)
+    assert Ambient(2) == Ambient("2") == AMBIENT2
+
 
 class TestChiefElements:
     def test_bounded_extremes(self):

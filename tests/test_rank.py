@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from rglat.errors import IndeterminateFormError
+from rglat.errors import IndeterminateFormError, PreconditionViolation
 from rglat.rank import NEG_INF, POS_INF, Rank, format_fraction, parse_fraction
 from strategies import rationals
 
@@ -12,6 +12,12 @@ def test_total_order_with_infinities():
     assert NEG_INF < Rank(Fraction(-10**9)) < Rank(0) < Rank("3/2") < POS_INF
     assert not POS_INF < POS_INF
     assert NEG_INF <= NEG_INF
+
+
+def test_float_rank_is_refused():
+    with pytest.raises(PreconditionViolation, match="float"):
+        Rank(0.5)
+    assert Rank(1) == Rank("1/1") == Rank(Fraction(1))
 
 
 def test_finite_arithmetic_is_exact():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rglat.cli import main
 from rglat.core import CheckResult
-from rglat.errors import AmbientMismatch, CutsetError, SizeCapExceeded
+from rglat.errors import AmbientMismatch, CutsetError, PreconditionViolation, SizeCapExceeded
 from rglat.finite import (
     BitSubset,
     SetPartition,
@@ -53,7 +53,6 @@ from rglat.regrading import (
     hypothesis_product_plane,
     _grid,
 )
-from rglat.suites import _coarse_rows
 
 from oracle_helpers import (
     antichain_cutsets,
@@ -61,6 +60,7 @@ from oracle_helpers import (
     bare_order,
     chain_crosscheck,
     cutset_gap,
+    fraction_sweep,
     maximal_chains,
     meets_every_chain,
 )
@@ -169,6 +169,11 @@ class TestProjection:
             assert side == result.side
             assert lo < result.chief_level <= hi
             assert regrader.grade(result.element) == regrader.cutset.value
+
+    def test_float_cutset_value_is_refused(self):
+        with pytest.raises(PreconditionViolation, match="float"):
+            LevelCutset(0.1)
+        assert LevelCutset(1).value == LevelCutset("1").value == Fraction(1)
 
     def test_cutset_level_must_be_interior(self):
         with pytest.raises(CutsetError):
@@ -318,9 +323,19 @@ class TestSweeps:
 
     def test_grid_is_capped_at_max_grid_levels(self):
         upper = TWO
-        assert len(_grid(upper, upper / (MAX_GRID_LEVELS - 1))) == MAX_GRID_LEVELS
+        assert len(_grid(upper, upper / (MAX_GRID_LEVELS - 1))[0]) == MAX_GRID_LEVELS
         with pytest.raises(SizeCapExceeded, match=f"over the cap {MAX_GRID_LEVELS}"):
             _grid(upper, upper / MAX_GRID_LEVELS)
+
+    def test_grid_numerators_share_one_denominator(self):
+        assert _grid(TWO, Fraction(3, 4)) == ([0, 3, 6, 8], 4)
+        assert _grid(Fraction(7, 3), Fraction(1, 2)) == ([0, 3, 6, 9, 12, 14], 6)
+
+    def test_float_step_is_refused(self):
+        with pytest.raises(PreconditionViolation, match="float"):
+            stage().sweep_chief(0.3)
+        with pytest.raises(PreconditionViolation, match="float"):
+            stage().sweep_through(iset((1, 2)), 0.25)
 
     def test_degenerate_two_point_grid(self):
         rows = stage().sweep_chief(TWO)
@@ -666,22 +681,49 @@ def test_sweep_agrees_with_per_element_projection(z, regrader):
         assert row.regraded == regrader.regraded(element)
 
 
-def collapse(rows):
-    """(rank, regraded) of each element a sweep passes; equal-rank neighbours are one."""
-    return [(rank, next(run).regraded) for rank, run in itertools.groupby(rows, key=lambda r: r.rank)]
+@st.composite
+def oracle_stages(draw):
+    """A regrader on (0, 2] or (0, 7/3] under Lebesgue or a density with values over 2 and 3.
+
+    Density breakpoints and the cutset level are random too, so the common
+    denominator of a sweep mixes the ambient's, the density's and the grid's.
+    """
+    upper = draw(st.sampled_from([TWO, Fraction(7, 3)]))
+    density = None
+    if draw(st.booleans()):
+        den = draw(st.sampled_from([3, 4, 6, 8]))
+        cuts = sorted(draw(st.sets(st.integers(1, den - 1), max_size=3)))
+        breakpoints = [Fraction(0)] + [upper * c / den for c in cuts] + [upper]
+        values = [Fraction(draw(st.integers(1, 7)), draw(st.sampled_from([1, 2, 3]))) for _ in range(len(cuts) + 1)]
+        density = StepDensity(tuple(breakpoints), tuple(values))
+    total = grade_value(iset((0, upper)), density)
+    return IntervalRegrader(upper, LevelCutset(total * Fraction(draw(st.integers(1, 59)), 60), density))
 
 
-@settings(max_examples=60)
+@st.composite
+def sets_touching_the_ends(draw, upper: Fraction):
+    """Up to three pieces on a grid of (0, upper], often reaching 0 or upper."""
+    den = draw(st.sampled_from([4, 6, 7, 16]))
+    k = draw(st.integers(0, min(3, (den - 1) // 2)))
+    cuts = sorted(draw(st.lists(st.integers(1, den - 1), min_size=2 * k, max_size=2 * k, unique=True)))
+    if k and draw(st.booleans()):
+        cuts[0] = 0
+    if k and draw(st.booleans()):
+        cuts[-1] = den
+    return IntervalSet.of(*((upper * a / den, upper * b / den) for a, b in zip(cuts[::2], cuts[1::2])))
+
+
+@settings(max_examples=80)
 @given(
-    z=interval_sets(),
-    regrader=sweep_stages(),
-    grid=st.sampled_from([Fraction(1, 8), Fraction(1, 7), Fraction(3, 10), Fraction(2, 3), Fraction(3, 4), TWO]),
+    regrader=oracle_stages(),
+    data=st.data(),
+    step=st.sampled_from([Fraction(1, 7), Fraction(3, 10), Fraction(1, 128)]),
 )
-def test_coarse_rows_of_the_fine_sweep_are_the_coarse_sweep(z, regrader, grid):
-    # The oracle is a separate sweep at the coarse grid.
-    for sweep in (functools.partial(regrader.sweep_through, z), regrader.sweep_chief):
-        coarse = _coarse_rows(sweep(grid / 2), grid, regrader.ambient.upper)
-        assert collapse(coarse) == collapse(sweep(grid))
+def test_integer_sweep_matches_the_fraction_oracle(regrader, data, step):
+    # Row for row, value for value, against the same closed form in Fractions.
+    z = data.draw(sets_touching_the_ends(regrader.ambient.upper))
+    assert regrader.sweep_through(z, step) == fraction_sweep(regrader, z, step)
+    assert regrader.sweep_chief(step) == fraction_sweep(regrader, None, step)
 
 
 def test_sweep_matches_hand_computed_chain():

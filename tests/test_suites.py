@@ -6,7 +6,7 @@ import pytest
 from rglat.core import CheckResult
 from rglat.finite import BitSubset
 from rglat.regrading import SweepRow
-from rglat.suites import SUITES, SuiteConfig, SuiteResult, _examine_sweeps, run_suite
+from rglat.suites import SUITES, SuiteConfig, SuiteResult, _check_sweep, run_suite
 
 
 def rows(*values):
@@ -16,19 +16,32 @@ def rows(*values):
 LO, HI = Fraction(-1), Fraction(1)
 
 
-def test_sweep_gate_passes_when_the_max_gap_shrinks():
-    assert _examine_sweeps(rows(-1, 0, 1), rows(-1, "-1/2", 0, "1/2", 1), LO, HI) is None
+def test_sweep_gate_passes_when_every_gap_is_within_the_bound():
+    assert _check_sweep(rows(-1, "-1/2", 0, "1/2", 1), LO, HI, Fraction(1, 2)) is None
 
 
-def test_sweep_gate_fails_when_the_max_gap_does_not_shrink():
-    # The fine grid keeps a gap of 1, as large as the coarse grid's.
-    why = _examine_sweeps(rows(-1, 0, 1), rows(-1, 0, "1/2", "3/4", 1), LO, HI)
-    assert why == "max regraded gap did not shrink with the grid"
+def test_sweep_gate_fails_on_a_gap_over_the_bound():
+    # Halving the grid need not shrink the largest gap; the bound is what holds.
+    why = _check_sweep(rows(-1, "-1/2", 0, "3/4", 1), LO, HI, Fraction(1, 2))
+    assert why == "regraded gap 0..3/4 wider than 1/2"
 
 
-def test_sweep_gate_reports_a_fine_grid_that_does_not_increase():
-    why = _examine_sweeps(rows(-1, 0, 1), rows(-1, 0, 0, 1), LO, HI)
-    assert why == "fine grid: regraded column not strictly increasing"
+def test_sweep_gate_reports_a_sweep_that_does_not_increase():
+    why = _check_sweep(rows(-1, 0, 0, 1), LO, HI, Fraction(1))
+    assert why == "regraded column not strictly increasing"
+
+
+def test_sweep_gate_counts_equal_rank_rows_as_one_element():
+    # The middle element repeats over a plateau of the chain parameter.
+    plateau = [SweepRow("meet", Fraction(i), Fraction(r), Fraction(v)) for i, (r, v) in enumerate(
+        [(0, -1), (1, 0), (1, 0), (2, 1)]
+    )]
+    assert _check_sweep(plateau, LO, HI, Fraction(1)) is None
+
+
+def test_sweep_gate_reports_missed_endpoints():
+    why = _check_sweep(rows("-1/2", 0, 1), LO, HI, Fraction(1))
+    assert why == "endpoints -1/2..1 instead of -1..1"
 
 
 def test_counterexample_counts_the_comparisons_it_makes():
