@@ -95,16 +95,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("sample count must be positive", file=sys.stderr)
         return 2
     results = run_suites(names, cfg)
-    rows = []
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        line = f"{status} {res.name} checked={res.checked} {res.detail}"
-        if res.witness:
-            line += f" witness: {res.witness}"
-        print(line)
-        rows.append([res.name, status, str(res.checked), res.detail, res.witness or ""])
-    print(f"# {_config_line(args)}")
-    if args.out:
+    rows = [
+        [res.name, "PASS" if res.passed else "FAIL", str(res.checked), res.detail, res.witness or ""]
+        for res in results
+    ]
+    # JSON on stdout is the report alone, so it parses; otherwise the text lines come first.
+    if args.format == "csv" or args.out:
+        for name, status, checked, detail, witness in rows:
+            print(f"{status} {name} checked={checked} {detail}" + (f" witness: {witness}" if witness else ""))
+        print(f"# {_config_line(args)}")
+    if args.format == "json" or args.out:
         _emit(args, ["suite", "status", "checked", "detail", "witness"], rows, {})
     return 0 if all(r.passed for r in results) else 1
 

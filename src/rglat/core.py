@@ -4,7 +4,7 @@ A lattice is presented through its meet/join/rank callables; the order is
 derived from meet (``x <= y`` iff ``meet(x, y) == x``).  The checks here are
 the parts of rank-modularity theory that do not depend on any particular
 family: the modular defect, the balance residuals, the diamond bounds, the
-Lipschitz chain scan, and bound adjunction for unbounded lattices.
+Lipschitz chain scan, and top adjunction for unbounded lattices.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import PreconditionViolation
-from .rank import Rank, RankLike, as_rank
+from .rank import Rank, RankValue
 
 Element = Any
 
@@ -28,18 +28,17 @@ class GradedLattice:
     Equality of elements is plain ``==`` on canonical values.  ``bottom``
     and ``top`` are optional: unbounded families leave them ``None``.
 
-    ``rank`` returns a bare :class:`~fractions.Fraction` wherever the
-    grading cannot reach an infinity: the Boolean, partition, subspace and
-    interval lattices.  Only a grading that can return ``-inf`` or ``+inf``
-    (the product plane, and a lattice wrapped by :func:`adjoin_bounds`)
-    returns :class:`~rglat.rank.Rank` values; they compare and combine with
-    ``Fraction`` ranks exactly.
+    ``rank`` returns a bare :class:`~fractions.Fraction` for every finite
+    rank.  Only the product plane and a lattice wrapped by
+    :func:`adjoin_bounds` can also return one of the constants
+    :data:`~rglat.rank.NEG_INF` and :data:`~rglat.rank.POS_INF`, which
+    compare and combine with ``Fraction`` ranks exactly.
     """
 
     name: str
     meet: Callable[[Element, Element], Element]
     join: Callable[[Element, Element], Element]
-    rank: Callable[[Element], Fraction | Rank]
+    rank: Callable[[Element], RankValue]
     bottom: Element | None = None
     top: Element | None = None
 
@@ -67,7 +66,7 @@ class CheckResult:
 class ChainSample:
     """A finite sample of a chain: (rank, element) pairs, strictly increasing."""
 
-    points: tuple[tuple[Fraction | Rank, Element], ...]
+    points: tuple[tuple[RankValue, Element], ...]
 
     def __post_init__(self):
         ranks = [r for r, _ in self.points]
@@ -80,7 +79,7 @@ class ChainSample:
     @classmethod
     def from_elements(cls, lattice: GradedLattice, elements: Iterable[Element]) -> "ChainSample":
         """Build a sample from lattice elements, validating the order as well."""
-        points: list[tuple[Fraction | Rank, Element]] = []
+        points: list[tuple[RankValue, Element]] = []
         prev: Element | None = None
         for e in elements:
             if prev is not None and not lattice.lt(prev, e):
@@ -94,14 +93,14 @@ class ChainSample:
     def elements(self) -> tuple[Element, ...]:
         return tuple(e for _, e in self.points)
 
-    def ranks(self) -> tuple[Fraction | Rank, ...]:
+    def ranks(self) -> tuple[RankValue, ...]:
         return tuple(r for r, _ in self.points)
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-def rank_modular_defect(lattice: GradedLattice, m: Element, x: Element) -> Fraction | Rank:
+def rank_modular_defect(lattice: GradedLattice, m: Element, x: Element) -> RankValue:
     """rank(x v m) + rank(x ^ m) - rank(x) - rank(m); zero iff the pair is balanced.
 
     Comparable pairs are settled before any arithmetic: there the identity
@@ -126,7 +125,7 @@ def balance_residuals(
     m_small: Element,
     w: Element,
     z: Element,
-) -> tuple[Fraction | Rank, Fraction | Rank]:
+) -> tuple[RankValue, RankValue]:
     """The two balance residuals for rank-modular m_small <= m and w <= z.
 
     First residual:  [rk(m^z)+rk(mvz)] - [rk(m^w)+rk(mvw)] - (rk(z)-rk(w)).
@@ -151,11 +150,11 @@ def balance_residuals(
 @dataclass(frozen=True)
 class BoundCheck:
     label: str
-    lhs: Fraction | Rank
-    rhs: Fraction | Rank
+    lhs: RankValue
+    rhs: RankValue
 
     @property
-    def slack(self) -> Fraction | Rank:
+    def slack(self) -> RankValue:
         return self.rhs - self.lhs
 
     @property
@@ -177,11 +176,11 @@ class DiamondReport:
     def all_hold(self) -> bool:
         return all(c.holds for c in self.checks)
 
-    def row_slack_sums(self) -> tuple[Fraction | Rank, Fraction | Rank]:
+    def row_slack_sums(self) -> tuple[RankValue, RankValue]:
         a, b, c, d = self.checks
         return (a.slack + b.slack, c.slack + d.slack)
 
-    def row_rhs(self) -> tuple[Fraction | Rank, Fraction | Rank]:
+    def row_rhs(self) -> tuple[RankValue, RankValue]:
         return (self.checks[0].rhs, self.checks[2].rhs)
 
 
@@ -218,8 +217,8 @@ def lipschitz_scan(
     """Max |rk(m op c2) - rk(m op c1)| / (k2 - k1) over consecutive chain samples.
 
     ``mode`` selects meet or join.  For a rank-modular m the result never
-    exceeds 1.  Every rank it reads must be a ``Fraction``: a lattice whose
-    grading can reach an infinity returns ``Rank`` values and is refused.
+    exceeds 1.  Every rank it reads must be a ``Fraction``: a chain or an
+    operand that reaches an infinite rank is refused.
     """
     if mode not in ("meet", "join"):
         raise PreconditionViolation(f"mode must be 'meet' or 'join', got {mode!r}")
@@ -236,80 +235,55 @@ def lipschitz_scan(
     return best
 
 
-class _Extremum:
-    """Identity-equal marker adjoined above or below an unbounded lattice."""
+class _AdjoinedTop:
+    """Identity-equal marker adjoined above an unbounded lattice."""
 
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        self.label = label
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return f"<{self.label}>"
+        return "<adjoined top>"
 
 
-ADJOINED_TOP = _Extremum("adjoined top")
-ADJOINED_BOTTOM = _Extremum("adjoined bottom")
+ADJOINED_TOP = _AdjoinedTop()
 
 
-def adjoin_bounds(
-    lattice: GradedLattice,
-    top_rank: RankLike | None = None,
-    bottom_rank: RankLike | None = None,
-) -> GradedLattice:
-    """Wrap a lattice with a synthetic top and/or bottom at the given ranks.
+def adjoin_bounds(lattice: GradedLattice, top_rank) -> GradedLattice:
+    """Wrap a lattice without a top with a synthetic top at the given rank.
 
-    The synthetic extrema are rank modular by construction (they are
-    comparable with everything).  Adjoining over an existing extremum is
-    refused.
+    ``top_rank`` is anything :func:`~rglat.rank.Rank` accepts, ``POS_INF``
+    included.  The synthetic top is rank modular by construction (it is
+    comparable with everything).  Adjoining over an existing top is refused.
     """
-    if top_rank is None and bottom_rank is None:
-        raise PreconditionViolation("nothing to adjoin")
-    if top_rank is not None and lattice.top is not None:
+    if lattice.top is not None:
         raise PreconditionViolation(f"{lattice.name} already has a top element")
-    if bottom_rank is not None and lattice.bottom is not None:
-        raise PreconditionViolation(f"{lattice.name} already has a bottom element")
-    new_top = ADJOINED_TOP if top_rank is not None else lattice.top
-    new_bottom = ADJOINED_BOTTOM if bottom_rank is not None else lattice.bottom
-    top_r = as_rank(top_rank) if top_rank is not None else None
-    bottom_r = as_rank(bottom_rank) if bottom_rank is not None else None
+    top_r = Rank(top_rank)
 
     def meet(x: Element, y: Element) -> Element:
         if x is ADJOINED_TOP:
             return y
         if y is ADJOINED_TOP:
             return x
-        if x is ADJOINED_BOTTOM or y is ADJOINED_BOTTOM:
-            return ADJOINED_BOTTOM
         return lattice.meet(x, y)
 
     def join(x: Element, y: Element) -> Element:
-        if x is ADJOINED_BOTTOM:
-            return y
-        if y is ADJOINED_BOTTOM:
-            return x
         if x is ADJOINED_TOP or y is ADJOINED_TOP:
             return ADJOINED_TOP
         return lattice.join(x, y)
 
-    def rank(x: Element) -> Fraction | Rank:
-        if x is ADJOINED_TOP:
-            return top_r
-        if x is ADJOINED_BOTTOM:
-            return bottom_r
-        return lattice.rank(x)
+    def rank(x: Element) -> RankValue:
+        return top_r if x is ADJOINED_TOP else lattice.rank(x)
 
     return GradedLattice(
         name=f"{lattice.name}+bounds",
         meet=meet,
         join=join,
         rank=rank,
-        bottom=new_bottom,
-        top=new_top,
+        bottom=lattice.bottom,
+        top=ADJOINED_TOP,
     )
 
 
-def updown_distance(lattice: GradedLattice, x: Element, y: Element) -> Fraction | Rank:
+def updown_distance(lattice: GradedLattice, x: Element, y: Element) -> RankValue:
     """2*rank(x v y) - rank(x) - rank(y): the up-down path length."""
     j = lattice.rank(lattice.join(x, y))
     return j + j - lattice.rank(x) - lattice.rank(y)

@@ -2,7 +2,7 @@
 
 Four families: Boolean (bitmask subsets), set partitions under refinement,
 subspaces of F_p^n in reduced row-echelon form, and the rational product
-plane with symbolic extrema.  All canonical forms are structural, so ``==``
+plane with infinite extrema.  All canonical forms are structural, so ``==``
 decides lattice equality.  Enumeration sizes are guarded by the module
 constants ``MAX_ELEMENTS`` and ``MAX_CHAINS``, read at call time.
 """
@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolation,
     SizeCapExceeded,
 )
-from .rank import NEG_INF, POS_INF, Rank, format_fraction, json_array
+from .rank import NEG_INF, POS_INF, RankValue, exact_fraction, json_array
 
 MAX_BOOLEAN_GROUND = 24
 MAX_PARTITION_GROUND = 7
@@ -354,66 +354,43 @@ def _all_subspaces(p: int, n: int) -> list[Subspace]:
     return sorted(out, key=lambda s: (s.dimension(), s.rows))
 
 
-# --- Product plane with symbolic extrema ------------------------------------
+# --- Product plane with infinite extrema -------------------------------------
 
 @dataclass(frozen=True)
 class PlanePoint:
-    """Point of the rational product plane, or a symbolic bottom/top.
+    """Point of the rational product plane, or one of its extrema.
 
-    Meet and join are entrywise min and max; the rank of a point is the
-    coordinate sum, with the symbols at -inf and +inf.
+    Meet and join are entrywise min and max, and the rank is the coordinate
+    sum.  The bottom is (-inf, -inf) and the top (+inf, +inf), so their
+    ranks are -inf and +inf; the rational points and these two are closed
+    under min and max, so no other infinite coordinate arises.
     """
 
-    kind: int  # -1 bottom, 0 point, +1 top
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    a: RankValue
+    b: RankValue
 
     @classmethod
     def point(cls, a, b) -> "PlanePoint":
-        return cls(0, Fraction(a), Fraction(b))
+        return cls(exact_fraction(a), exact_fraction(b))
 
     @classmethod
     def bottom(cls) -> "PlanePoint":
-        return cls(-1)
+        return cls(NEG_INF, NEG_INF)
 
     @classmethod
     def top(cls) -> "PlanePoint":
-        return cls(1)
+        return cls(POS_INF, POS_INF)
 
     def __repr__(self) -> str:
-        if self.kind < 0:
-            return "PlanePoint(bottom)"
-        if self.kind > 0:
-            return "PlanePoint(top)"
         return f"PlanePoint({self.a}, {self.b})"
 
 
 def _plane_meet(x: PlanePoint, y: PlanePoint) -> PlanePoint:
-    if x.kind < 0 or y.kind < 0:
-        return PlanePoint.bottom()
-    if x.kind > 0:
-        return y
-    if y.kind > 0:
-        return x
-    return PlanePoint.point(min(x.a, y.a), min(x.b, y.b))
+    return PlanePoint(min(x.a, y.a), min(x.b, y.b))
 
 
 def _plane_join(x: PlanePoint, y: PlanePoint) -> PlanePoint:
-    if x.kind > 0 or y.kind > 0:
-        return PlanePoint.top()
-    if x.kind < 0:
-        return y
-    if y.kind < 0:
-        return x
-    return PlanePoint.point(max(x.a, y.a), max(x.b, y.b))
-
-
-def _plane_rank(x: PlanePoint) -> Rank:
-    if x.kind < 0:
-        return NEG_INF
-    if x.kind > 0:
-        return POS_INF
-    return Rank(x.a + x.b)
+    return PlanePoint(max(x.a, y.a), max(x.b, y.b))
 
 
 def product_plane_lattice() -> GradedLattice:
@@ -421,7 +398,7 @@ def product_plane_lattice() -> GradedLattice:
         name="product-plane",
         meet=_plane_meet,
         join=_plane_join,
-        rank=_plane_rank,
+        rank=lambda x: x.a + x.b,
         bottom=PlanePoint.bottom(),
         top=PlanePoint.top(),
     )
@@ -436,12 +413,12 @@ class PlaneLimitReport:
     value at the bottom is -1.
     """
 
-    meet_rows: tuple[tuple[Fraction, Rank], ...]
-    meet_scan_sup: Rank
-    meet_limit_value: Rank
-    join_rows: tuple[tuple[Fraction, Rank], ...]
-    join_scan_inf: Rank
-    join_limit_value: Rank
+    meet_rows: tuple[tuple[Fraction, RankValue], ...]
+    meet_scan_sup: RankValue
+    meet_limit_value: RankValue
+    join_rows: tuple[tuple[Fraction, RankValue], ...]
+    join_scan_inf: RankValue
+    join_limit_value: RankValue
 
     @property
     def meet_discontinuous(self) -> bool:
@@ -657,12 +634,6 @@ def element_to_json(x):
         return [list(b) for b in x.blocks]
     if isinstance(x, Subspace):
         return [list(r) for r in x.rows]
-    if isinstance(x, PlanePoint):
-        if x.kind < 0:
-            return "bottom"
-        if x.kind > 0:
-            return "top"
-        return [format_fraction(x.a), format_fraction(x.b)]
     raise InputFormatError(f"unknown element type {type(x).__name__}")
 
 

@@ -103,9 +103,9 @@ def normalize(raw: Iterable[Sequence], ambient: Ambient | None = None) -> Interv
     for pair in raw:
         a, b = pair[0], pair[1]
         if not isinstance(a, Fraction):
-            a = Fraction(a)
+            a = exact_fraction(a)
         if not isinstance(b, Fraction):
-            b = Fraction(b)
+            b = exact_fraction(b)
         if not a < b:
             raise PreconditionViolation(f"raw interval ({a}, {b}] is empty or reversed")
         if ambient is not None:
@@ -233,7 +233,7 @@ def chief_element(ambient: Ambient, level: Fraction) -> IntervalSet:
     interval ``(-level/2, level/2]``, parameterized so its measure is the
     level.
     """
-    level = Fraction(level)
+    level = exact_fraction(level)
     if ambient.bounded:
         if not 0 <= level <= ambient.upper:
             raise PreconditionViolation(f"level {level} outside [0, {ambient.upper}]")

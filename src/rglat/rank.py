@@ -1,25 +1,21 @@
 """Exact rank values: rationals extended with the two symbolic infinities.
 
-Bounded and finite gradings return bare :class:`fractions.Fraction` ranks;
-:class:`Rank` serves only the gradings where ``-inf`` or ``+inf`` can occur
-(the product plane and lattices with adjoined bounds).  A finite ``Rank``
-compares, hashes and does arithmetic like the ``Fraction`` it holds, so
-algebraic identities are asserted with ``==`` and no tolerance.  Sums that
-would combine ``+inf`` with ``-inf`` raise :class:`IndeterminateFormError`
-instead of guessing.
+A rank is a bare :class:`fractions.Fraction`, or one of the constants
+``POS_INF`` and ``NEG_INF``.  The infinities occur only where a grading is
+unbounded (the product plane and lattices with adjoined bounds); they order
+against every rational, absorb finite sums, and make a sum of ``+inf`` with
+``-inf`` raise :class:`IndeterminateFormError` instead of guessing.  So
+algebraic identities are asserted with ``==`` and no tolerance.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from fractions import Fraction
 from typing import Union
 
 from .errors import IndeterminateFormError, InputFormatError, PreconditionViolation
-
-_NEG, _FIN, _POS = -1, 0, 1
-
-RankLike = Union["Rank", Fraction, int, str]
 
 
 def format_fraction(value: Fraction) -> str:
@@ -39,8 +35,11 @@ def exact_fraction(value) -> Fraction:
     """``Fraction(value)``, refusing a float: a binary float is seldom the rational meant.
 
     ``Fraction(0.1)`` is 3602879701896397/36028797018963968, and its 2**55
-    denominator would leak into every value computed from it.
+    denominator would leak into every value computed from it.  A Fraction
+    comes back as it is.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise PreconditionViolation(f"{value!r} is a float; pass an int, a Fraction or a 'p/q' string")
     return Fraction(value)
@@ -54,109 +53,70 @@ def json_array(value) -> list:
 
 
 @functools.total_ordering
-class Rank:
-    """An exact rational rank, or one of the endpoints ``-inf`` / ``+inf``.
+class _Infinity:
+    """``+inf`` or ``-inf``; the two instances are ``POS_INF`` and ``NEG_INF``.
 
-    The ordering is total with ``-inf < finite < +inf``.  Instances are
-    immutable by convention and hashable.
+    Both order against each other, ``int`` and ``Fraction``.  Fraction's own
+    operators return NotImplemented for this type, so Python falls back on
+    the reflected ones here.
     """
 
-    __slots__ = ("_kind", "_value")
+    __slots__ = ("_sign",)
 
-    def __init__(self, value: Fraction | int | str = 0):
-        self._kind = _FIN
-        # Finite arithmetic hands over a Fraction it just made; wrap only the rest.
-        self._value = value if type(value) is Fraction else exact_fraction(value)
+    def __init__(self, sign: int):
+        self._sign = sign
 
     def __eq__(self, other: object) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._kind == other._kind and self._value == other._value
-
-    def __lt__(self, other: object) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._kind != other._kind:
-            return self._kind < other._kind
-        return self._value < other._value
+        return self is other
 
     def __hash__(self) -> int:
-        # A finite rank equals its Fraction, so it must hash like one.
-        return hash(self._value) if self._kind == _FIN else hash((self._kind, self._value))
+        # The hash of the float infinity of the same sign: fixed across runs.
+        return self._sign * sys.hash_info.inf
 
-    def __add__(self, other: RankLike) -> "Rank":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._kind == _FIN and other._kind == _FIN:
-            return Rank(self._value + other._value)
-        if self._kind == _FIN:
-            return other
-        if other._kind == _FIN:
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, _Infinity):
+            return self._sign < other._sign
+        if isinstance(other, (int, Fraction)):
+            return self._sign < 0
+        return NotImplemented
+
+    def __neg__(self) -> "_Infinity":
+        return NEG_INF if self is POS_INF else POS_INF
+
+    def __add__(self, other: object) -> "_Infinity":
+        if isinstance(other, (int, Fraction)) or other is self:
             return self
-        if self._kind != other._kind:
+        if isinstance(other, _Infinity):
             raise IndeterminateFormError("(+inf) + (-inf) is undefined")
-        return self
+        return NotImplemented
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Rank":
-        if self._kind == _FIN:
-            return Rank(-self._value)
-        return NEG_INF if self._kind == _POS else POS_INF
+    def __sub__(self, other: object) -> "_Infinity":
+        if isinstance(other, (int, Fraction, _Infinity)):
+            return self + (-other)
+        return NotImplemented
 
-    def __sub__(self, other: RankLike) -> "Rank":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other._kind == _FIN:
-            return Rank(self._value - other._value) if self._kind == _FIN else self
-        # The negation of an infinity is the other constant, so nothing is allocated.
-        return self + (-other)
-
-    def __rsub__(self, other: RankLike) -> "Rank":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+    def __rsub__(self, other: object) -> "_Infinity":
+        return (-self).__add__(other)
 
     def __str__(self) -> str:
-        if self._kind == _POS:
-            return "inf"
-        if self._kind == _NEG:
-            return "-inf"
-        return str(self._value)
+        return "inf" if self._sign > 0 else "-inf"
 
     def __repr__(self) -> str:
-        return f"Rank({str(self)!r})"
+        return "POS_INF" if self._sign > 0 else "NEG_INF"
 
 
-def _infinite(kind: int) -> Rank:
-    r = object.__new__(Rank)
-    r._kind = kind
-    r._value = Fraction(0)
-    return r
+POS_INF = _Infinity(1)
+NEG_INF = _Infinity(-1)
+
+RankValue = Union[Fraction, _Infinity]
 
 
-POS_INF = _infinite(_POS)
-NEG_INF = _infinite(_NEG)
+def Rank(value) -> RankValue:
+    """The rank of an int, a Fraction, a ``p/q`` string or an infinity.
 
-
-def _coerce(value: object) -> Rank:
-    if isinstance(value, Rank):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Rank(value)
-    return NotImplemented
-
-
-def as_rank(value: RankLike) -> Rank:
-    if isinstance(value, str):
-        return Rank(value)
-    coerced = _coerce(value)
-    if coerced is NotImplemented:
-        raise TypeError(f"cannot interpret {value!r} as a rank")
-    return coerced
-
+    An infinity comes back as it is; anything else goes through
+    :func:`exact_fraction`, so a finite rank is a bare Fraction.
+    """
+    return value if isinstance(value, _Infinity) else exact_fraction(value)

@@ -57,7 +57,7 @@ from .intervals import (
     profile_bundle,
     union,
 )
-from .rank import Rank, exact_fraction, format_fraction, json_array, parse_fraction
+from .rank import RankValue, exact_fraction, format_fraction, json_array, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -495,8 +495,8 @@ class LimitCondition:
     name: str
     holds: bool
     vacuous: bool
-    scan_value: Fraction | Rank | None = None
-    target_value: Fraction | Rank | None = None
+    scan_value: RankValue | None = None
+    target_value: RankValue | None = None
 
 
 @dataclass(frozen=True)
@@ -508,14 +508,9 @@ class HypothesisReport:
         return tuple(c.name for c in self.conditions if not c.holds)
 
 
-def _sup_condition(name: str, scan: Sequence[Fraction | Rank], target: Fraction | Rank) -> LimitCondition:
-    value = max(scan)
-    return LimitCondition(name, value == target, False, value, target)
-
-
-def _inf_condition(name: str, scan: Sequence[Fraction | Rank], target: Fraction | Rank) -> LimitCondition:
-    value = min(scan)
-    return LimitCondition(name, value == target, False, value, target)
+def _scanned(name: str, scan_value: RankValue, target: RankValue) -> LimitCondition:
+    """The condition that a scan's sup or inf equals the value at its limit."""
+    return LimitCondition(name, scan_value == target, False, scan_value, target)
 
 
 def _vacuous(name: str) -> LimitCondition:
@@ -538,9 +533,9 @@ def hypothesis_line_sets(demo: LineScanReport) -> HypothesisReport:
     inf conditions vacuous.
     """
     return HypothesisReport((
-        _sup_condition("chain-meet-sup", [v for _, v in demo.chain_rows], demo.target_measure),
+        _scanned("chain-meet-sup", demo.chain_scan_sup, demo.target_measure),
         _vacuous("chain-join-inf"),
-        _sup_condition("chief-meet-sup", [v for _, v in demo.chief_rows], demo.target_measure),
+        _scanned("chief-meet-sup", demo.chief_scan_sup, demo.target_measure),
         _vacuous("chief-join-inf"),
     ))
 
@@ -558,20 +553,20 @@ def hypothesis_product_plane(demo: PlaneLimitReport) -> HypothesisReport:
     z = PlanePoint.point(1, 0)
     bs = [b for b, _ in demo.meet_rows]
     return HypothesisReport((
-        _sup_condition("chain-meet-sup", [r for _, r in demo.meet_rows], demo.meet_limit_value),
-        _inf_condition(
+        _scanned("chain-meet-sup", demo.meet_scan_sup, demo.meet_limit_value),
+        _scanned(
             "chain-join-inf",
-            [lattice.rank(lattice.join(z, PlanePoint.point(0, -b))) for b in bs],
+            min(lattice.rank(lattice.join(z, PlanePoint.point(0, -b))) for b in bs),
             lattice.rank(lattice.join(z, lattice.bottom)),
         ),
-        _sup_condition(
+        _scanned(
             "chief-meet-sup",
-            [lattice.rank(lattice.meet(PlanePoint.point(b, 0), z)) for b in bs],
+            max(lattice.rank(lattice.meet(PlanePoint.point(b, 0), z)) for b in bs),
             lattice.rank(z),
         ),
-        _inf_condition(
+        _scanned(
             "chief-join-inf",
-            [lattice.rank(lattice.join(PlanePoint.point(-b, 0), z)) for b in bs],
+            min(lattice.rank(lattice.join(PlanePoint.point(-b, 0), z)) for b in bs),
             lattice.rank(z),
         ),
     ))

@@ -14,7 +14,6 @@ and the suite name, so a run is reproducible from its seed alone.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +80,7 @@ from .limits import (
     tower_checks,
     updown_metric,
 )
-from .rank import POS_INF, Rank
+from .rank import POS_INF
 from .regrading import (
     ExplicitCutset,
     FiniteRegrader,
@@ -350,26 +349,36 @@ def suite_level_set(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
         produced += 1
 
 
-def _element_values(rows) -> list[Fraction]:
-    """The regraded value of each chain element a sweep passes, in rank order.
+def _check_sweep(rows, lo, hi, max_gap: Fraction) -> str | None:
+    """The chain's elements increase from lo to hi, each by at most max_gap.
 
     Consecutive rows of equal rank are one element: the chain parameter
     plateaus across the gaps of z.  The first row of each run stands for it.
+    One walk finds every witness; a non-increase is reported first, then
+    wrong endpoints, then the first gap over max_gap.  Each step compares
+    cross-multiplied numerators (denominators are positive), so the walk
+    builds no Fraction.
     """
-    return [next(run).regraded for _, run in itertools.groupby(rows, key=lambda r: r.rank)]
-
-
-def _check_sweep(rows, lo, hi, max_gap: Fraction) -> str | None:
-    """The chain's elements increase from lo to hi, each by at most max_gap."""
-    values = _element_values(rows)
-    if any(a >= b for a, b in zip(values, values[1:])):
-        return "regraded column not strictly increasing"
-    if values[0] != lo or values[-1] != hi:
-        return f"endpoints {values[0]}..{values[-1]} instead of {lo}..{hi}"
-    for a, b in zip(values, values[1:]):
-        if b - a > max_gap:
-            return f"regraded gap {a}..{b} wider than {max_gap}"
-    return None
+    g, h = max_gap.numerator, max_gap.denominator
+    first = last = last_rank = wide = None
+    for row in rows:
+        if row.rank == last_rank:
+            continue
+        value = row.regraded
+        if last is None:
+            first = value
+        else:
+            # value - last is rise / (q * lq).
+            q, lq = value.denominator, last.denominator
+            rise = value.numerator * lq - last.numerator * q
+            if rise <= 0:
+                return "regraded column not strictly increasing"
+            if wide is None and rise * h > g * q * lq:
+                wide = f"regraded gap {last}..{value} wider than {max_gap}"
+        last, last_rank = value, row.rank
+    if first != lo or last != hi:
+        return f"endpoints {first}..{last} instead of {lo}..{hi}"
+    return wide
 
 
 def suite_monotone_surjective(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
@@ -487,18 +496,18 @@ def suite_tower(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
 def suite_infinity_demos(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     plane = product_plane_limit_demo()
     if not (
-        plane.meet_scan_sup == Rank(0)
-        and plane.meet_limit_value == Rank(1)
+        plane.meet_scan_sup == 0
+        and plane.meet_limit_value == 1
         and plane.meet_discontinuous
-        and plane.join_scan_inf == Rank(0)
-        and plane.join_limit_value == Rank(-1)
+        and plane.join_scan_inf == 0
+        and plane.join_limit_value == -1
         and plane.join_discontinuous
     ):
         yield "plane scan values differ from the fixture"
     yield CheckResult(True, len(plane.meet_rows) + len(plane.join_rows))
     lattice = product_plane_lattice()
     below = lattice.rank(lattice.meet(PlanePoint.point(0, Fraction(-5)), PlanePoint.point(1, 0)))
-    yield None if below == Rank(-5) else "negative scan row should equal its parameter"
+    yield None if below == -5 else "negative scan row should equal its parameter"
     line = bounded_chain_demo()
     if not (
         all(v == 0 for _, v in line.chain_rows)

@@ -228,6 +228,19 @@ def fraction_sweep(regrader, z, step: Fraction) -> list:
     return [SweepRow(side, level, *row) for side, rows in sides for level, row in zip(levels, rows)]
 
 
+def fraction_check_sweep(rows, lo, hi, max_gap: Fraction) -> str | None:
+    """``suites._check_sweep`` in Fraction arithmetic, one pass per witness kind."""
+    values = [next(run).regraded for _, run in itertools.groupby(rows, key=lambda r: r.rank)]
+    if any(a >= b for a, b in zip(values, values[1:])):
+        return "regraded column not strictly increasing"
+    if values[0] != lo or values[-1] != hi:
+        return f"endpoints {values[0]}..{values[-1]} instead of {lo}..{hi}"
+    for a, b in zip(values, values[1:]):
+        if b - a > max_gap:
+            return f"regraded gap {a}..{b} wider than {max_gap}"
+    return None
+
+
 # --- subsets through the containment order ------------------------------------
 
 def boolean_cutsets_bruteforce(n: int) -> set[frozenset]:

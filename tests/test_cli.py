@@ -70,6 +70,17 @@ class TestVerify:
         assert text.startswith("# command=verify")
         assert "finite-counts,PASS" in text
 
+    def test_json_format_prints_the_report_on_stdout(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "tower", "--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["config"].endswith("format=json caps=elements:6000,chains:250000")
+        assert printed["columns"] == ["suite", "status", "checked", "detail", "witness"]
+        [(name, status, checked, _, witness)] = printed["rows"]
+        assert (name, status, witness) == ("tower", "PASS", "") and int(checked) > 0
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "tower", "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == printed
+
     def test_sample_override_runs(self, capsys):
         assert main(["verify", "--suite", "balance", "--samples", "50", "--seed", "3"]) == 0
 

@@ -194,12 +194,6 @@ class TestAdjoinBounds:
         bounded = interval_lattice(Ambient(Fraction(1)))
         with pytest.raises(PreconditionViolation):
             adjoin_bounds(bounded, top_rank=POS_INF)
-        with pytest.raises(PreconditionViolation):
-            adjoin_bounds(bounded, bottom_rank=ZERO)
-
-    def test_nothing_to_adjoin_rejected(self):
-        with pytest.raises(PreconditionViolation):
-            adjoin_bounds(interval_lattice(Ambient(None)))
 
 
 class TestChainSample:

@@ -420,7 +420,5 @@ def test_element_json_round_trip_shapes():
     assert element_to_json(BitSubset.from_members(4, [3, 1])) == [1, 3]
     assert element_to_json(part([1, 2], [3], [4])) == [[1, 2], [3], [4]]
     assert element_to_json(Subspace.from_rows(2, 2, [[1, 0]])) == [[1, 0]]
-    assert element_to_json(PlanePoint.point("1/2", 1)) == ["1/2", "1/1"]
-    assert element_to_json(PlanePoint.top()) == "top"
     fam = boolean_family(4)
     assert element_from_json(fam, [1, 3]) == BitSubset.from_members(4, [1, 3])

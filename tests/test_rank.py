@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given
 
 from rglat.errors import IndeterminateFormError, PreconditionViolation
-from rglat.rank import NEG_INF, POS_INF, Rank, format_fraction, parse_fraction
+from rglat.finite import PlanePoint
+from rglat.intervals import Ambient, IntervalSet, StepDensity, chief_element, normalize
+from rglat.rank import NEG_INF, POS_INF, Rank, exact_fraction, format_fraction, parse_fraction
+from rglat.regrading import IntervalRegrader, LevelCutset
 from strategies import rationals
 
 
@@ -12,6 +15,32 @@ def test_total_order_with_infinities():
     assert NEG_INF < Rank(Fraction(-10**9)) < Rank(0) < Rank("3/2") < POS_INF
     assert not POS_INF < POS_INF
     assert NEG_INF <= NEG_INF
+
+
+FLOAT_ENTRY_POINTS = {
+    "IntervalSet.of": lambda: IntervalSet.of((0, 0.1)),
+    "normalize": lambda: normalize([(0.5, 1)]),
+    "chief_element": lambda: chief_element(Ambient(2), 0.3),
+    "PlanePoint.point": lambda: PlanePoint.point(0.1, 0),
+    "Ambient": lambda: Ambient(2.0),
+    "LevelCutset": lambda: LevelCutset(0.5),
+    "StepDensity": lambda: StepDensity((0, 1, 2), (1, 2.5)),
+    "Rank": lambda: Rank(0.5),
+    "sweep step": lambda: IntervalRegrader(2, LevelCutset(1)).sweep_chief(0.25),
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_ENTRY_POINTS)
+def test_float_is_refused_at_every_rational_entry_point(entry):
+    # Fraction(0.1) has a 2**55 denominator, which would leak into every value.
+    with pytest.raises(PreconditionViolation, match="float"):
+        FLOAT_ENTRY_POINTS[entry]()
+
+
+def test_exact_fraction_keeps_a_fraction_as_it_is():
+    third = Fraction(1, 3)
+    assert exact_fraction(third) is third
+    assert exact_fraction("2/6") == third and exact_fraction(2) == 2
 
 
 def test_float_rank_is_refused():
@@ -54,6 +83,7 @@ def test_fraction_strings_are_explicit():
 
 @given(a=rationals(), b=rationals())
 def test_finite_fast_paths_match_fractions(a, b):
+    # A finite rank is the Fraction itself, so its arithmetic is Fraction's.
     for value, expected in (
         (Rank(a) + Rank(b), a + b),
         (Rank(a) - Rank(b), a - b),
@@ -63,8 +93,7 @@ def test_finite_fast_paths_match_fractions(a, b):
         (b - Rank(a), b - a),
         (1 - Rank(a), 1 - a),
     ):
-        assert type(value) is Rank and value == expected
-        assert type(value._value) is Fraction
+        assert type(value) is Fraction and value == expected
 
 
 def test_infinite_arithmetic_is_unchanged():
@@ -85,10 +114,10 @@ def test_infinite_arithmetic_is_unchanged():
 
 def test_rank_accepts_int_str_and_fraction():
     third = Fraction(1, 3)
-    assert Rank(third)._value is third  # kept as it is
-    assert Rank(2) == 2 and type(Rank(2)._value) is Fraction
-    assert Rank("2/6") == third and type(Rank("2/6")._value) is Fraction
-    assert Rank() == Rank(0)
+    assert Rank(third) is third  # kept as it is
+    assert Rank(2) == 2 and type(Rank(2)) is Fraction
+    assert Rank("2/6") == third and type(Rank("2/6")) is Fraction
+    assert Rank(POS_INF) is POS_INF and Rank(NEG_INF) is NEG_INF
     with pytest.raises(ValueError):
         Rank("one third")
 

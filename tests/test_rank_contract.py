@@ -1,8 +1,7 @@
-"""Which lattices return bare Fraction ranks and which return Rank.
+"""Every finite rank is a bare Fraction; the only other ranks are the infinities.
 
-A grading that cannot reach an infinity returns ``Fraction``, never ``int``,
-``float`` or ``Rank``; only the product plane and adjoined bounds return
-``Rank``.
+A finite rank is a ``Fraction``, never ``int`` or ``float``.  Only the
+product plane and an adjoined top reach ``NEG_INF`` or ``POS_INF``.
 """
 
 import itertools
@@ -29,7 +28,7 @@ from rglat.finite import (
 )
 from rglat.intervals import Ambient, chief_element, interval_lattice
 from rglat.limits import renormalized_rank, updown_metric
-from rglat.rank import POS_INF, Rank
+from rglat.rank import NEG_INF, POS_INF
 from rglat.regrading import FiniteRegrader, LevelCutset
 
 from strategies import interval_sets, step_densities
@@ -82,17 +81,19 @@ def test_interval_lipschitz_scan_is_a_fraction():
     assert is_fraction(lipschitz_scan(lattice, chain, chief_element(AMBIENT2, 1), "meet"))
 
 
-def test_plane_ranks_stay_rank():
+def test_plane_ranks_are_fractions_or_the_infinities():
     lattice = product_plane_lattice()
-    for x in (PlanePoint.bottom(), PlanePoint.point(1, Fraction(1, 2)), PlanePoint.top()):
-        assert type(lattice.rank(x)) is Rank
+    assert lattice.rank(PlanePoint.bottom()) is NEG_INF
+    assert is_fraction(lattice.rank(PlanePoint.point(1, Fraction(1, 2))))
+    assert lattice.rank(PlanePoint.top()) is POS_INF
 
 
-def test_adjoined_bound_ranks_stay_rank():
+def test_adjoined_top_ranks_are_fractions_or_the_infinity():
     unbounded = interval_lattice(Ambient(None))
-    for top_rank in (POS_INF, 5, Fraction(7, 2)):
+    assert adjoin_bounds(unbounded, top_rank=POS_INF).rank(ADJOINED_TOP) is POS_INF
+    for top_rank in (5, "5", Fraction(7, 2)):
         lattice = adjoin_bounds(unbounded, top_rank=top_rank)
-        assert type(lattice.rank(lattice.top)) is Rank
+        assert is_fraction(lattice.rank(lattice.top))
         assert is_fraction(lattice.rank(chief_element(Ambient(None), 1)))
 
 

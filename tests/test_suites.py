@@ -2,11 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rglat.core import CheckResult
 from rglat.finite import BitSubset
 from rglat.regrading import SweepRow
 from rglat.suites import SUITES, SuiteConfig, SuiteResult, _check_sweep, run_suite
+
+from oracle_helpers import fraction_check_sweep
+from strategies import rationals
 
 
 def rows(*values):
@@ -42,6 +47,21 @@ def test_sweep_gate_counts_equal_rank_rows_as_one_element():
 def test_sweep_gate_reports_missed_endpoints():
     why = _check_sweep(rows("-1/2", 0, 1), LO, HI, Fraction(1))
     assert why == "endpoints -1/2..1 instead of -1..1"
+
+
+@given(
+    steps=st.lists(st.tuples(st.integers(0, 1), rationals(-1, 2, 6)), min_size=1, max_size=8),
+    lo=rationals(-1, 0, 2),
+    hi=rationals(0, 3, 2),
+    max_gap=rationals(1, 2, 4),
+)
+def test_sweep_gate_matches_the_fraction_oracle(steps, lo, hi, max_gap):
+    # Each step keeps the rank or raises it by one; a kept rank repeats the element.
+    rank, value, sweep = 0, lo, []
+    for i, (rank_step, rise) in enumerate(steps):
+        rank, value = rank + rank_step, value + rise
+        sweep.append(SweepRow("join", Fraction(i), Fraction(rank), value))
+    assert _check_sweep(sweep, lo, hi, max_gap) == fraction_check_sweep(sweep, lo, hi, max_gap)
 
 
 def test_counterexample_counts_the_comparisons_it_makes():
