@@ -369,6 +369,13 @@ class PlanePoint:
     a: RankValue
     b: RankValue
 
+    def __post_init__(self):
+        rational = isinstance(self.a, Fraction) and isinstance(self.b, Fraction)
+        if not rational and not (self.a is self.b and self.a in (NEG_INF, POS_INF)):
+            raise PreconditionViolation(
+                f"({self.a!r}, {self.b!r}) is neither two Fractions nor (-inf, -inf) or (+inf, +inf)"
+            )
+
     @classmethod
     def point(cls, a, b) -> "PlanePoint":
         return cls(exact_fraction(a), exact_fraction(b))

@@ -280,6 +280,8 @@ class PiecewiseLinearProfile:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "breakpoints", tuple(exact_fraction(t) for t in self.breakpoints))
+        object.__setattr__(self, "values", tuple(exact_fraction(v) for v in self.values))
         if len(self.breakpoints) != len(self.values) or len(self.breakpoints) < 2:
             raise PreconditionViolation("profile needs matching samples, at least two")
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
@@ -313,7 +315,7 @@ class PiecewiseLinearProfile:
         return self.values[-1] - self.values[0]
 
     def value_at(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
+        x = exact_fraction(x)
         xs = self.breakpoints
         if not xs[0] <= x <= xs[-1]:
             raise PreconditionViolation(f"{x} outside profile domain [{xs[0]}, {xs[-1]}]")
@@ -349,7 +351,7 @@ class PiecewiseLinearProfile:
 
     def min_level_at_value(self, target: Fraction) -> Fraction:
         """Least argument where the profile attains target (profile must be increasing)."""
-        target = Fraction(target)
+        target = exact_fraction(target)
         if not self.is_weakly_increasing:
             raise PreconditionViolation("min_level_at_value needs a weakly increasing profile")
         vs, xs = self.values, self.breakpoints

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, TypeAlias
 
@@ -131,11 +131,42 @@ class _FiniteStage:
     strict: tuple  # every (w, z) with w < z, in the same order
 
 
+def _tabled(family: FiniteFamily) -> FiniteFamily:
+    """The family with meet, join and rank read from tables of its own kernels.
+
+    The exhaustive suites ask the same few hundred meets and joins tens of
+    thousands of times, so each is computed once, when the stage is built.
+    A kernel result is mapped onto the equal enumerated element; a result
+    outside the enumeration is an internal error.
+    """
+    lattice = family.lattice
+    elems = tuple(family.elements())
+    canon = {e: e for e in elems}
+
+    def table(op: Callable, label: str) -> dict:
+        rows: dict = {}
+        for x in elems:
+            row = rows[x] = {}
+            for y in elems:
+                r = op(x, y)
+                if r not in canon:
+                    raise RuntimeError(f"{label} of {x!r} and {y!r} is {r!r}, not an element of {lattice.name}")
+                row[y] = canon[r]
+        return rows
+
+    meets, joins = table(lattice.meet, "meet"), table(lattice.join, "join")
+    ranks = {e: lattice.rank(e) for e in elems}
+    tables = replace(
+        lattice, meet=lambda x, y: meets[x][y], join=lambda x, y: joins[x][y], rank=ranks.__getitem__
+    )
+    return replace(family, lattice=tables, elements=lambda: elems)
+
+
 @functools.cache
 def _finite_stage(make: Callable[[int], FiniteFamily]) -> _FiniteStage:
-    """The Boolean-4 or partition-4 stage, built once per process."""
-    family = make(4)
-    elems = tuple(family.elements())
+    """The Boolean-4 or partition-4 stage on meet, join and rank tables, built once per process."""
+    family = _tabled(make(4))
+    elems = family.elements()
     leq = family.lattice.leq
     pairs = tuple((w, z) for w in elems for z in elems if leq(w, z))
     strict = tuple((w, z) for w, z in pairs if w != z)

@@ -370,6 +370,20 @@ class TestProductPlane:
         assert lattice.rank(lattice.bottom) is NEG_INF
         assert lattice.rank(lattice.top) is POS_INF
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(POS_INF, Fraction(0)), (Fraction(0), NEG_INF), (POS_INF, NEG_INF), (NEG_INF, POS_INF),
+         (0.5, "x"), (1, Fraction(2))],
+    )
+    def test_a_point_off_the_plane_is_refused(self, a, b):
+        with pytest.raises(PreconditionViolation):
+            PlanePoint(a, b)
+
+    def test_rational_points_and_the_extrema_are_accepted(self):
+        assert PlanePoint(Fraction(1), Fraction(-1, 2)) == PlanePoint.point(1, "-1/2")
+        assert PlanePoint(NEG_INF, NEG_INF) == PlanePoint.bottom()
+        assert PlanePoint(POS_INF, POS_INF) == PlanePoint.top()
+
 
 class TestSubspaceOps:
     def test_meet_is_the_set_intersection_of_spans(self):

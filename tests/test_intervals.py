@@ -166,6 +166,13 @@ class TestTrustedKernelResults:
         with pytest.raises(PreconditionViolation):
             PiecewiseLinearProfile((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)))
 
+    def test_public_profile_constructor_reads_samples_as_fractions(self):
+        prof = PiecewiseLinearProfile((0, "1/2", 1), (0, 1, "5/2"))
+        assert prof.breakpoints == (Fraction(0), HALF, Fraction(1))
+        assert all(type(v) is Fraction for v in prof.breakpoints + prof.values)
+        assert prof.value_at("3/4") == Fraction(7, 4)
+        assert prof.min_level_at_value(2) == Fraction(5, 6)
+
 
 class TestMeasure:
     def test_uniform_pieces(self):

@@ -5,7 +5,15 @@ from hypothesis import given
 
 from rglat.errors import IndeterminateFormError, PreconditionViolation
 from rglat.finite import PlanePoint
-from rglat.intervals import Ambient, IntervalSet, StepDensity, chief_element, normalize
+from rglat.intervals import (
+    Ambient,
+    IntervalSet,
+    PiecewiseLinearProfile,
+    StepDensity,
+    chief_element,
+    normalize,
+    profile_bundle,
+)
 from rglat.rank import NEG_INF, POS_INF, Rank, exact_fraction, format_fraction, parse_fraction
 from rglat.regrading import IntervalRegrader, LevelCutset
 from strategies import rationals
@@ -15,6 +23,10 @@ def test_total_order_with_infinities():
     assert NEG_INF < Rank(Fraction(-10**9)) < Rank(0) < Rank("3/2") < POS_INF
     assert not POS_INF < POS_INF
     assert NEG_INF <= NEG_INF
+
+
+def unit_bundle():
+    return profile_bundle(Ambient(2), IntervalSet.of((0, 1)), None)
 
 
 FLOAT_ENTRY_POINTS = {
@@ -27,6 +39,9 @@ FLOAT_ENTRY_POINTS = {
     "StepDensity": lambda: StepDensity((0, 1, 2), (1, 2.5)),
     "Rank": lambda: Rank(0.5),
     "sweep step": lambda: IntervalRegrader(2, LevelCutset(1)).sweep_chief(0.25),
+    "PiecewiseLinearProfile": lambda: PiecewiseLinearProfile((0, 0.5, 1), (0, 1, 2)),
+    "value_at": lambda: unit_bundle().measure_meet.value_at(0.1),
+    "min_level_at_value": lambda: unit_bundle().grade_meet.min_level_at_value(0.1),
 }
 
 
