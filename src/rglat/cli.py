@@ -64,8 +64,11 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list[str]], ex
             buf.write(f"# {key}: {value}\n")
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out}")
     else:
         print(text, end="" if text.endswith("\n") else "\n")

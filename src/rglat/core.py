@@ -172,10 +172,6 @@ class DiamondReport:
 
     checks: tuple[BoundCheck, BoundCheck, BoundCheck, BoundCheck]
 
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
     def row_slack_sums(self) -> tuple[RankValue, RankValue]:
         a, b, c, d = self.checks
         return (a.slack + b.slack, c.slack + d.slack)

@@ -411,52 +411,6 @@ def product_plane_lattice() -> GradedLattice:
     )
 
 
-@dataclass(frozen=True)
-class PlaneLimitReport:
-    """Meet/join scans along the vertical chain against fixed probes.
-
-    The meet scan against (1, 0) plateaus at rank 0 while the value at the
-    top is 1; dually the join scan against (-1, 0) plateaus at 0 while the
-    value at the bottom is -1.
-    """
-
-    meet_rows: tuple[tuple[Fraction, RankValue], ...]
-    meet_scan_sup: RankValue
-    meet_limit_value: RankValue
-    join_rows: tuple[tuple[Fraction, RankValue], ...]
-    join_scan_inf: RankValue
-    join_limit_value: RankValue
-
-    @property
-    def meet_discontinuous(self) -> bool:
-        return self.meet_scan_sup != self.meet_limit_value
-
-    @property
-    def join_discontinuous(self) -> bool:
-        return self.join_scan_inf != self.join_limit_value
-
-
-def product_plane_limit_demo() -> PlaneLimitReport:
-    bs = (Fraction(1), Fraction(10), Fraction(100))
-    lattice = product_plane_lattice()
-    meet_probe = PlanePoint.point(1, 0)
-    join_probe = PlanePoint.point(-1, 0)
-    meet_rows = tuple(
-        (b, lattice.rank(lattice.meet(PlanePoint.point(0, b), meet_probe))) for b in bs
-    )
-    join_rows = tuple(
-        (b, lattice.rank(lattice.join(PlanePoint.point(0, -b), join_probe))) for b in bs
-    )
-    return PlaneLimitReport(
-        meet_rows=meet_rows,
-        meet_scan_sup=max(r for _, r in meet_rows),
-        meet_limit_value=lattice.rank(lattice.meet(lattice.top, meet_probe)),
-        join_rows=join_rows,
-        join_scan_inf=min(r for _, r in join_rows),
-        join_limit_value=lattice.rank(lattice.join(lattice.bottom, join_probe)),
-    )
-
-
 # --- Family bundles and exhaustive operations --------------------------------
 
 @dataclass(frozen=True)

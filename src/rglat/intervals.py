@@ -470,53 +470,6 @@ def profile_bundle(ambient: Ambient, z: IntervalSet, density: StepDensity | None
     return ProfileBundle(*meet_and_join(in_mass, out_mass), measure_meet, measure_join)
 
 
-@dataclass(frozen=True)
-class LineScanReport:
-    """Monotone scans in the lattice of bounded sets on the line.
-
-    The far-away chain ``(1, 1+k]`` never touches the target, so its meet
-    scan is stuck at zero; the symmetric chief chain absorbs the target and
-    its scan attains the target measure.
-    """
-
-    target: IntervalSet
-    target_measure: Fraction
-    chain_rows: tuple[tuple[Fraction, Fraction], ...]
-    chain_scan_sup: Fraction
-    chief_rows: tuple[tuple[Fraction, Fraction], ...]
-    chief_scan_sup: Fraction
-
-    @property
-    def chain_discontinuous(self) -> bool:
-        return self.chain_scan_sup != self.target_measure
-
-    @property
-    def chief_attains(self) -> bool:
-        return self.chief_scan_sup == self.target_measure
-
-
-def bounded_chain_demo() -> LineScanReport:
-    """Contrast the chain (1, 1+k] against the symmetric chief chain."""
-    ambient = Ambient(None)
-    target = IntervalSet(((Fraction(-1), Fraction(1)),))
-    chain_rows = [
-        (k, measure(intersect(IntervalSet(((Fraction(1), 1 + k),)), target)))
-        for k in (Fraction(1), Fraction(10), Fraction(1000))
-    ]
-    chief_rows = [
-        (lv, measure(intersect(chief_element(ambient, lv), target)))
-        for lv in (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
-    ]
-    return LineScanReport(
-        target=target,
-        target_measure=measure(target),
-        chain_rows=tuple(chain_rows),
-        chain_scan_sup=max(r for _, r in chain_rows),
-        chief_rows=tuple(chief_rows),
-        chief_scan_sup=max(r for _, r in chief_rows),
-    )
-
-
 # --- JSON forms (rationals as "p/q" strings, bit-exact round trip) ---
 
 def interval_set_to_json(u: IntervalSet) -> dict:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import CheckResult, GradedLattice
+from .core import CheckResult, GradedLattice, adjoin_bounds
 from .errors import (
     AmbientMismatch,
     CutsetError,
@@ -37,7 +37,6 @@ from .finite import (
     chief_chain,
     element_from_json,
     element_to_json,
-    PlaneLimitReport,
     PlanePoint,
     product_plane_lattice,
     rank_layers,
@@ -46,7 +45,6 @@ from .intervals import (
     EMPTY,
     Ambient,
     IntervalSet,
-    LineScanReport,
     ProfileBundle,
     StepDensity,
     chief_element,
@@ -54,10 +52,11 @@ from .intervals import (
     density_to_json,
     grade_value,
     intersect,
+    interval_lattice,
     profile_bundle,
     union,
 )
-from .rank import RankValue, exact_fraction, format_fraction, json_array, parse_fraction
+from .rank import POS_INF, RankValue, exact_fraction, format_fraction, json_array, parse_fraction
 
 
 @dataclass(frozen=True)
@@ -486,17 +485,33 @@ CONDITION_NAMES = (
 
 @dataclass(frozen=True)
 class LimitCondition:
-    """One sup/inf condition evaluated by a monotone scan.
+    """One sup/inf condition, scanned along a monotone chain against a probe.
 
-    ``vacuous`` marks conditions that hold because the grading codomain is
-    bounded on the relevant side, so no scan is needed.
+    ``rows`` pairs each chain parameter with rank(member ^ probe) for a
+    ``-sup`` condition, or rank(member v probe) for an ``-inf`` one, and
+    ``target_value`` is that rank at the chain's limit.  No rows means the
+    condition is vacuous: the grading is bounded on the relevant side, so
+    nothing needs scanning.
     """
 
     name: str
-    holds: bool
-    vacuous: bool
-    scan_value: RankValue | None = None
+    rows: tuple[tuple[Fraction, RankValue], ...] = ()
     target_value: RankValue | None = None
+
+    @property
+    def vacuous(self) -> bool:
+        return not self.rows
+
+    @property
+    def scan_value(self) -> RankValue | None:
+        """The scan's sup (largest row) or inf (smallest row)."""
+        if self.vacuous:
+            return None
+        return (max if self.name.endswith("-sup") else min)(v for _, v in self.rows)
+
+    @property
+    def holds(self) -> bool:
+        return self.vacuous or self.scan_value == self.target_value
 
 
 @dataclass(frozen=True)
@@ -508,67 +523,60 @@ class HypothesisReport:
         return tuple(c.name for c in self.conditions if not c.holds)
 
 
-def _scanned(name: str, scan_value: RankValue, target: RankValue) -> LimitCondition:
-    """The condition that a scan's sup or inf equals the value at its limit."""
-    return LimitCondition(name, scan_value == target, False, scan_value, target)
-
-
-def _vacuous(name: str) -> LimitCondition:
-    return LimitCondition(name, True, True)
+def _scan(name: str, lattice: GradedLattice, probe, chain: dict, limit) -> LimitCondition:
+    """Scan ``chain`` (parameter -> member) with meets for ``-sup``, joins for ``-inf``."""
+    op = lattice.meet if name.endswith("-sup") else lattice.join
+    rows = tuple((t, lattice.rank(op(member, probe))) for t, member in chain.items())
+    return LimitCondition(name, rows, lattice.rank(op(limit, probe)))
 
 
 def hypothesis_bounded_interval(upper: Fraction) -> HypothesisReport:
     """Bounded gradings satisfy all four conditions with nothing to scan."""
     Ambient(upper)  # validates
-    return HypothesisReport(tuple(_vacuous(name) for name in CONDITION_NAMES))
+    return HypothesisReport(tuple(LimitCondition(name) for name in CONDITION_NAMES))
 
 
-def hypothesis_line_sets(demo: LineScanReport) -> HypothesisReport:
+def hypothesis_line_sets() -> HypothesisReport:
     """Bounded measurable sets on the line: the far-away chain breaks one condition.
 
-    Read off the scans of :func:`bounded_chain_demo`.  The chain (1, 1+k]
-    never reaches the target (-1, 1], so the meet scan along the chain is
-    stuck at zero; the chief chain itself absorbs every bounded set, so the
-    chief-side condition holds.  The grading is bounded below, making both
-    inf conditions vacuous.
+    Both chains rise to the top adjoined at +inf, whose meet with the target
+    (-1, 1] is the target itself, of measure 2.  The chain (1, 1+k] never
+    reaches the target, so its meet scan is stuck at zero; the chief chain
+    (-k/2, k/2] absorbs every bounded set, so its scan attains 2.  Measure
+    is bounded below, making both inf conditions vacuous.
     """
+    ambient = Ambient(None)
+    lattice = adjoin_bounds(interval_lattice(ambient), POS_INF)
+    target = IntervalSet(((Fraction(-1), Fraction(1)),))
+    far = {k: IntervalSet(((Fraction(1), 1 + k),)) for k in (Fraction(1), Fraction(10), Fraction(1000))}
+    chief = {k: chief_element(ambient, k) for k in map(Fraction, range(1, 5))}
     return HypothesisReport((
-        _scanned("chain-meet-sup", demo.chain_scan_sup, demo.target_measure),
-        _vacuous("chain-join-inf"),
-        _scanned("chief-meet-sup", demo.chief_scan_sup, demo.target_measure),
-        _vacuous("chief-join-inf"),
+        _scan("chain-meet-sup", lattice, target, far, lattice.top),
+        LimitCondition("chain-join-inf"),
+        _scan("chief-meet-sup", lattice, target, chief, lattice.top),
+        LimitCondition("chief-join-inf"),
     ))
 
 
-def hypothesis_product_plane(demo: PlaneLimitReport) -> HypothesisReport:
-    """The product plane: meet with the vertical chain is discontinuous at +inf.
+def hypothesis_product_plane() -> HypothesisReport:
+    """The product plane: both chain conditions fail, both chief ones hold.
 
-    The chief chain is the horizontal axis; the probe is its member (1, 0).
-    Meets along the vertical chain plateau at the origin while the value at
-    the top is the probe itself, so exactly the first condition fails.  That
-    condition is the meet scan of :func:`product_plane_limit_demo`; the
-    other three probe the same scan parameters.
+    The chain is the vertical axis and the chief chain the horizontal one.
+    Meets of the probe (1, 0) with (0, b) plateau at the origin, rank 0,
+    while its meet with the top is the probe itself, rank 1.  The plane is
+    self-dual under (a, b) -> (-a, -b), so dually joins of (-1, 0) with
+    (0, -b) plateau at rank 0 while its join with the bottom has rank -1.
+    Along the chief chain both scans reach the probe's rank.
     """
     lattice = product_plane_lattice()
-    z = PlanePoint.point(1, 0)
-    bs = [b for b, _ in demo.meet_rows]
+    point = PlanePoint.point
+    up, down = point(1, 0), point(-1, 0)
+    bs = (Fraction(1), Fraction(10), Fraction(100))
     return HypothesisReport((
-        _scanned("chain-meet-sup", demo.meet_scan_sup, demo.meet_limit_value),
-        _scanned(
-            "chain-join-inf",
-            min(lattice.rank(lattice.join(z, PlanePoint.point(0, -b))) for b in bs),
-            lattice.rank(lattice.join(z, lattice.bottom)),
-        ),
-        _scanned(
-            "chief-meet-sup",
-            max(lattice.rank(lattice.meet(PlanePoint.point(b, 0), z)) for b in bs),
-            lattice.rank(z),
-        ),
-        _scanned(
-            "chief-join-inf",
-            min(lattice.rank(lattice.join(PlanePoint.point(-b, 0), z)) for b in bs),
-            lattice.rank(z),
-        ),
+        _scan("chain-meet-sup", lattice, up, {b: point(0, b) for b in bs}, lattice.top),
+        _scan("chain-join-inf", lattice, down, {b: point(0, -b) for b in bs}, lattice.bottom),
+        _scan("chief-meet-sup", lattice, up, {b: point(b, 0) for b in bs}, lattice.top),
+        _scan("chief-join-inf", lattice, down, {b: point(-b, 0) for b in bs}, lattice.bottom),
     ))
 
 

@@ -41,7 +41,6 @@ from .finite import (
     enumerate_maximal_chains,
     partition_family,
     product_plane_lattice,
-    product_plane_limit_demo,
     rank_layers,
     rank_modular_elements,
     semimodularity_gap,
@@ -59,7 +58,6 @@ from .intervals import (
     EMPTY,
     Ambient,
     IntervalSet,
-    bounded_chain_demo,
     chief_element,
     density_from_json,
     density_to_json,
@@ -228,8 +226,9 @@ def _balance_check(lattice, m, ms, w, z) -> str | None:
 
 def _diamond_check(lattice, m, ms, w, z) -> str | None:
     report = diamond_bounds(lattice, m, ms, w, z)
-    if not report.all_hold:
-        return "negative slack"
+    broken = next((c for c in report.checks if not c.holds), None)
+    if broken:
+        return f"bound {broken.label!r} broken: lhs {broken.lhs} > rhs {broken.rhs}"
     if report.row_slack_sums() != report.row_rhs():
         return "row slacks do not sum to the row height"
     return None
@@ -463,15 +462,16 @@ def suite_finite_regrade(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outco
 
 def suite_metric(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     elems = _finite_stage(boolean_family).elements
+    dist = {}
     for x in elems:
         for y in elems:
-            d = updown_metric(x, y)
+            d = dist[x, y] = updown_metric(x, y)
             bad = d < 0 or (d == 0) != (x == y) or d != updown_metric(y, x)
             yield f"metric axiom fails at ({x!r}, {y!r})" if bad else None
     for x in elems:
         for y in elems:
             for z in elems:
-                bad = updown_metric(x, z) > updown_metric(x, y) + updown_metric(y, z)
+                bad = dist[x, z] > dist[x, y] + dist[y, z]
                 yield f"triangle fails at ({x!r}, {y!r}, {z!r})" if bad else None
     lattice = interval_lattice(Ambient(UPPER))
     for _ in range(cfg.samples or 100):
@@ -525,39 +525,35 @@ def suite_tower(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
 # --- discontinuity demos ---------------------------------------------------------
 
 def suite_infinity_demos(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
-    plane = product_plane_limit_demo()
+    plane = hypothesis_product_plane()
+    meet, join = plane.conditions[:2]
     if not (
-        plane.meet_scan_sup == 0
-        and plane.meet_limit_value == 1
-        and plane.meet_discontinuous
-        and plane.join_scan_inf == 0
-        and plane.join_limit_value == -1
-        and plane.join_discontinuous
+        all(v == 0 for _, v in meet.rows + join.rows)
+        and meet.target_value == 1
+        and join.target_value == -1
     ):
         yield "plane scan values differ from the fixture"
-    yield CheckResult(True, len(plane.meet_rows) + len(plane.join_rows))
+    yield CheckResult(True, len(meet.rows) + len(join.rows))
     lattice = product_plane_lattice()
     below = lattice.rank(lattice.meet(PlanePoint.point(0, Fraction(-5)), PlanePoint.point(1, 0)))
     yield None if below == -5 else "negative scan row should equal its parameter"
-    line = bounded_chain_demo()
+    line = hypothesis_line_sets()
+    chain, _, chief, _ = line.conditions
     if not (
-        all(v == 0 for _, v in line.chain_rows)
-        and line.target_measure == 2
-        and line.chain_discontinuous
-        and line.chief_attains
+        all(v == 0 for _, v in chain.rows)
+        and chain.target_value == 2
+        and chief.scan_value == chief.target_value == 2
     ):
         yield "line-set scan values differ from the fixture"
-    yield CheckResult(True, len(line.chain_rows) + len(line.chief_rows))
+    yield CheckResult(True, len(chain.rows) + len(chief.rows))
     bounded = hypothesis_bounded_interval(UPPER)
     if bounded.failing or not all(c.vacuous for c in bounded.conditions):
         yield "bounded stage should satisfy all conditions vacuously"
-    line_rep = hypothesis_line_sets(line)
-    if line_rep.failing != ("chain-meet-sup",):
-        yield f"line stage flags {line_rep.failing}"
-    plane_rep = hypothesis_product_plane(plane)
-    if plane_rep.failing != ("chain-meet-sup",):
-        yield f"plane stage flags {plane_rep.failing}"
-    yield CheckResult(True, sum(len(rep.conditions) for rep in (bounded, line_rep, plane_rep)))
+    if line.failing != ("chain-meet-sup",):
+        yield f"line stage flags {line.failing}"
+    if plane.failing != ("chain-meet-sup", "chain-join-inf"):
+        yield f"plane stage flags {plane.failing}"
+    yield CheckResult(True, sum(len(rep.conditions) for rep in (bounded, line, plane)))
     with_top = adjoin_bounds(interval_lattice(Ambient(None)), top_rank=POS_INF)
     yield None if with_top.rank(with_top.top) == POS_INF else "adjoined top rank should be +inf"
     probe = IntervalSet(((Fraction(-1), Fraction(1)),))

@@ -400,6 +400,25 @@ class TestLimit:
         assert main(["limit", path]) == 2
 
 
+GOLDEN = Path(__file__).parent / "golden"
+UNWRITABLE_OUT_RUNS = {
+    "verify": ["verify", "--suite", "finite-counts"],
+    "regrade": ["regrade", str(GOLDEN / "boolean3_spec.json")],
+    "counterexample": ["counterexample"],
+    "limit": ["limit", str(GOLDEN / "third.json"), "--levels", "2,4"],
+}
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", list(UNWRITABLE_OUT_RUNS))
+def test_unwritable_out_is_an_input_error(command, where, tmp_path, capsys):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "report.csv"
+    assert main(UNWRITABLE_OUT_RUNS[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out}: ")
+    assert "Traceback" not in err
+
+
 def test_argparse_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["regrade"])  # missing the spec argument

@@ -23,14 +23,13 @@ from rglat.finite import (
     enumerate_maximal_chains,
     partition_family,
     product_plane_lattice,
-    product_plane_limit_demo,
     rank_layers,
     rank_modular_elements,
     semimodularity_gap,
     subspace_family,
 )
 from rglat.rank import NEG_INF, POS_INF, Rank
-from rglat.regrading import ExplicitCutset, FiniteRegrader, LevelCutset
+from rglat.regrading import ExplicitCutset, FiniteRegrader, LevelCutset, hypothesis_product_plane
 
 from oracle_helpers import (
     antichain_cutsets,
@@ -348,17 +347,19 @@ class TestChiefChains:
 
 class TestProductPlane:
     def test_limit_demo_discontinuity(self):
-        report = product_plane_limit_demo()
-        assert [v for _, v in report.meet_rows] == [ZERO, ZERO, ZERO]
-        assert report.meet_scan_sup == ZERO
-        assert report.meet_limit_value == Rank(1)
-        assert report.meet_discontinuous
+        meet = hypothesis_product_plane().conditions[0]
+        assert meet.name == "chain-meet-sup"
+        assert [v for _, v in meet.rows] == [ZERO, ZERO, ZERO]
+        assert meet.scan_value == ZERO
+        assert meet.target_value == Rank(1)
+        assert not meet.holds
 
     def test_dual_scan_discontinuity_below(self):
-        report = product_plane_limit_demo()
-        assert report.join_scan_inf == ZERO
-        assert report.join_limit_value == Rank(-1)
-        assert report.join_discontinuous
+        join = hypothesis_product_plane().conditions[1]
+        assert join.name == "chain-join-inf"
+        assert join.scan_value == ZERO
+        assert join.target_value == Rank(-1)
+        assert not join.holds
 
     def test_negative_parameter_sits_below_the_plateau(self):
         lattice = product_plane_lattice()

@@ -11,7 +11,6 @@ from rglat.intervals import (
     IntervalSet,
     PiecewiseLinearProfile,
     StepDensity,
-    bounded_chain_demo,
     chief_element,
     density_from_json,
     density_to_json,
@@ -26,6 +25,7 @@ from rglat.intervals import (
     union,
 )
 from rglat.rank import Rank
+from rglat.regrading import hypothesis_line_sets
 
 from oracle_helpers import grid_density_mass, grid_measure, grid_union, oracle_profiles
 from strategies import interval_sets, step_densities
@@ -350,15 +350,17 @@ class TestProfiles:
 
 class TestBoundedChainDemo:
     def test_far_chain_never_touches_the_target(self):
-        report = bounded_chain_demo()
-        assert all(v == 0 for _, v in report.chain_rows)
-        assert report.target_measure == 2
-        assert report.chain_discontinuous
+        chain = hypothesis_line_sets().conditions[0]
+        assert chain.name == "chain-meet-sup"
+        assert all(v == 0 for _, v in chain.rows)
+        assert chain.target_value == 2
+        assert not chain.holds
 
     def test_chief_chain_absorbs_the_target(self):
-        report = bounded_chain_demo()
-        assert report.chief_attains
-        for level, value in report.chief_rows:
+        chief = hypothesis_line_sets().conditions[2]
+        assert chief.name == "chief-meet-sup"
+        assert chief.holds and chief.scan_value == chief.target_value
+        for level, value in chief.rows:
             if level >= 2:
                 assert value == 2
 

@@ -19,7 +19,6 @@ from rglat.finite import (
     chief_chain,
     enumerate_maximal_chains,
     partition_family,
-    product_plane_limit_demo,
     rank_layers,
     subspace_family,
 )
@@ -28,7 +27,6 @@ from rglat.intervals import (
     EMPTY,
     IntervalSet,
     StepDensity,
-    bounded_chain_demo,
     grade_value,
     intersect,
     measure,
@@ -595,19 +593,21 @@ class TestHypothesisReports:
         assert all(c.vacuous for c in report.conditions)
 
     def test_line_stage_flags_only_the_chain_meet(self):
-        report = hypothesis_line_sets(bounded_chain_demo())
+        report = hypothesis_line_sets()
         assert report.failing == ("chain-meet-sup",)
         by_name = {c.name: c for c in report.conditions}
         assert by_name["chain-meet-sup"].scan_value == Rank(0)
         assert by_name["chain-meet-sup"].target_value == Rank(2)
         assert by_name["chief-meet-sup"].holds and not by_name["chief-meet-sup"].vacuous
 
-    def test_plane_stage_flags_only_the_chain_meet(self):
-        report = hypothesis_product_plane(product_plane_limit_demo())
-        assert report.failing == ("chain-meet-sup",)
+    def test_plane_stage_flags_both_chain_conditions(self):
+        report = hypothesis_product_plane()
+        assert report.failing == ("chain-meet-sup", "chain-join-inf")
         by_name = {c.name: c for c in report.conditions}
         assert by_name["chain-meet-sup"].scan_value == Rank(0)
         assert by_name["chain-meet-sup"].target_value == Rank(1)
+        assert by_name["chain-join-inf"].scan_value == Rank(0)
+        assert by_name["chain-join-inf"].target_value == Rank(-1)
 
 
 class TestCutsetJson:

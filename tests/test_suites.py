@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rglat.core import CheckResult
+from rglat.core import CheckResult, GradedLattice
 from rglat.finite import BitSubset
 from rglat.regrading import SweepRow
-from rglat.suites import SUITES, SuiteConfig, SuiteResult, _check_sweep, run_suite
+from rglat.suites import SUITES, SuiteConfig, SuiteResult, _check_sweep, _diamond_check, run_suite
 
 from oracle_helpers import fraction_check_sweep
 from strategies import rationals
@@ -124,3 +125,12 @@ def test_finite_regrade_fails_with_the_semimodularity_witness(monkeypatch):
     result = run_suite("finite-regrade", SuiteConfig())
     witness = f"boolean-4 is not upper semimodular: {a!r} and {b!r} cover {x!r}"
     assert result == SuiteResult("finite-regrade", False, 0, "failed", witness)
+
+
+def test_diamond_check_names_the_first_broken_bound():
+    # Boolean 2 as bitmasks with its top ranked 5: m = 0b01 joined along
+    # w = 0 <= z = 0b10 climbs from rank 1 to 5, more than the height 1.
+    ranks = {0: Fraction(0), 1: Fraction(1), 2: Fraction(1), 3: Fraction(5)}
+    lattice = GradedLattice("skewed-b2", operator.and_, operator.or_, ranks.__getitem__, bottom=0, top=3)
+    why = _diamond_check(lattice, 1, 0, 0, 2)
+    assert why == "bound 'join along w<z' broken: lhs 4 > rhs 1"
