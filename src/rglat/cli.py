@@ -11,6 +11,7 @@ emits the tower convergence table.  Reports print rationals exactly as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -49,7 +50,15 @@ def _config_line(args: argparse.Namespace) -> str:
     return " ".join(parts)
 
 
-def _emit(args: argparse.Namespace, header: list[str], rows: list[list[str]], extra: dict) -> None:
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(args: argparse.Namespace, header: list[str], rows: list[list[str]], extra: dict, out=None) -> None:
+    """Print the report, or write it to ``args.out``; ``out`` is that file if the caller opened it."""
     config = _config_line(args)
     if args.format == "json":
         payload = {"config": config, "columns": header, "rows": rows, **extra}
@@ -65,7 +74,7 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list[str]], ex
         text = buf.getvalue()
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as handle:
+            with out or _open_out(args.out) as handle:
                 handle.write(text if text.endswith("\n") else text + "\n")
         except OSError as exc:
             raise InputFormatError(f"cannot write {args.out}: {exc}") from exc
@@ -97,18 +106,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if cfg.samples is not None and cfg.samples <= 0:
         print("sample count must be positive", file=sys.stderr)
         return 2
-    results = run_suites(names, cfg)
-    rows = [
-        [res.name, "PASS" if res.passed else "FAIL", str(res.checked), res.detail, res.witness or ""]
-        for res in results
-    ]
-    # JSON on stdout is the report alone, so it parses; otherwise the text lines come first.
-    if args.format == "csv" or args.out:
-        for name, status, checked, detail, witness in rows:
-            print(f"{status} {name} checked={checked} {detail}" + (f" witness: {witness}" if witness else ""))
-        print(f"# {_config_line(args)}")
-    if args.format == "json" or args.out:
-        _emit(args, ["suite", "status", "checked", "detail", "witness"], rows, {})
+    # The report file is opened before the suites run, so an unwritable path fails fast.
+    with _open_out(args.out) if args.out else contextlib.nullcontext() as out:
+        results = run_suites(names, cfg)
+        rows = [
+            [res.name, "PASS" if res.passed else "FAIL", str(res.checked), res.detail, res.witness or ""]
+            for res in results
+        ]
+        # JSON on stdout is the report alone, so it parses; otherwise the text lines come first.
+        if args.format == "csv" or args.out:
+            for name, status, checked, detail, witness in rows:
+                print(f"{status} {name} checked={checked} {detail}" + (f" witness: {witness}" if witness else ""))
+            print(f"# {_config_line(args)}")
+        if args.format == "json" or args.out:
+            _emit(args, ["suite", "status", "checked", "detail", "witness"], rows, {}, out)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -81,11 +83,7 @@ class IntervalSet:
         return not self.intervals
 
     def endpoints(self) -> tuple[Fraction, ...]:
-        out: list[Fraction] = []
-        for a, b in self.intervals:
-            out.append(a)
-            out.append(b)
-        return tuple(out)
+        return tuple(itertools.chain.from_iterable(self.intervals))
 
     def __repr__(self) -> str:
         if not self.intervals:
@@ -97,9 +95,42 @@ class IntervalSet:
 EMPTY = IntervalSet()
 
 
+def _scaled(values: Iterable[Fraction], scale: int) -> list[int]:
+    """Numerators of values over scale, which each denominator divides."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of values over the lcm of their denominators, and that lcm."""
+    d = math.lcm(*[v.denominator for v in values])
+    return _scaled(values, d), d
+
+
+def _merged(ends: Sequence[Fraction]) -> IntervalSet:
+    """The canonical union of the nonempty pieces (ends[k], ends[k + 1]], k even.
+
+    Sorted on left-end numerators over one denominator and merged on <=, so
+    the pieces come out disjoint and non-adjacent.  The sort is stable and
+    the result is built from the input's own endpoints.
+    """
+    nums, _ = _numerators(ends)
+    out: list[Pair] = []
+    hi = 0
+    for k in sorted(range(0, len(nums), 2), key=nums.__getitem__):
+        b = nums[k + 1]
+        if out and nums[k] <= hi:  # overlapping or adjacent: extend the last piece
+            if b > hi:
+                out[-1] = (out[-1][0], ends[k + 1])
+                hi = b
+        else:
+            out.append((ends[k], ends[k + 1]))
+            hi = b
+    return IntervalSet._trusted(tuple(out))
+
+
 def normalize(raw: Iterable[Sequence], ambient: Ambient | None = None) -> IntervalSet:
-    """Sort, merge (overlaps and adjacencies), and validate raw (a, b] pairs."""
-    items: list[list[Fraction]] = []
+    """Validate raw (a, b] pairs in input order, then sort and merge overlaps and adjacencies."""
+    ends: list[Fraction] = []
     for pair in raw:
         a, b = pair[0], pair[1]
         if not isinstance(a, Fraction):
@@ -110,63 +141,48 @@ def normalize(raw: Iterable[Sequence], ambient: Ambient | None = None) -> Interv
             raise PreconditionViolation(f"raw interval ({a}, {b}] is empty or reversed")
         if ambient is not None:
             ambient.require_contains(a, b)
-        items.append([a, b])
-    items.sort()
-    merged: list[list[Fraction]] = []
-    for a, b in items:
-        if merged and a <= merged[-1][1]:
-            if b > merged[-1][1]:
-                merged[-1][1] = b
-        else:
-            merged.append([a, b])
-    # Sorted and merged on <=, so the pieces are disjoint and non-adjacent.
-    return IntervalSet._trusted(tuple((a, b) for a, b in merged))
+        ends.append(a)
+        ends.append(b)
+    return _merged(ends)
 
 
 def intersect(u: IntervalSet, v: IntervalSet) -> IntervalSet:
+    """Two-pointer walk on numerators over one denominator, emitting u's and v's own endpoints."""
+    if u.is_empty or v.is_empty:
+        return EMPTY
+    ends = u.endpoints() + v.endpoints()
+    nums, _ = _numerators(ends)
     out: list[Pair] = []
-    i = j = 0
-    ui, vi = u.intervals, v.intervals
-    while i < len(ui) and j < len(vi):
-        lo = max(ui[i][0], vi[j][0])
-        hi = min(ui[i][1], vi[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if ui[i][1] <= vi[j][1]:
-            i += 1
+    v_start = 2 * len(u.intervals)  # ends holds u's pieces, then v's
+    i, j = 0, v_start
+    while i < v_start and j < len(nums):
+        # On ties u's endpoint is kept.
+        lo, lo_end = (nums[i], ends[i]) if nums[i] >= nums[j] else (nums[j], ends[j])
+        if nums[i + 1] <= nums[j + 1]:
+            hi, hi_end = nums[i + 1], ends[i + 1]
+            i += 2
         else:
-            j += 1
+            hi, hi_end = nums[j + 1], ends[j + 1]
+            j += 2
+        if lo < hi:
+            out.append((lo_end, hi_end))
     # Two pieces can only touch where u or v has a gap, and canonical gaps are
     # nonempty, so the result is canonical too.
     return IntervalSet._trusted(tuple(out))
 
 
 def union(u: IntervalSet, v: IntervalSet) -> IntervalSet:
-    """Merge walk of two canonical sets in order of left endpoint."""
     if u.is_empty:
         return v
     if v.is_empty:
         return u
-    ui, vi = u.intervals, v.intervals
-    out: list[Pair] = []
-    i = j = 0
-    while i < len(ui) or j < len(vi):
-        if j == len(vi) or (i < len(ui) and ui[i][0] <= vi[j][0]):
-            a, b = ui[i]
-            i += 1
-        else:
-            a, b = vi[j]
-            j += 1
-        if out and a <= out[-1][1]:  # overlapping or adjacent: extend the last piece
-            if b > out[-1][1]:
-                out[-1] = (out[-1][0], b)
-        else:
-            out.append((a, b))
-    return IntervalSet._trusted(tuple(out))
+    # u's pieces come first, so on equal left ends the stable sort keeps u's.
+    return _merged(u.endpoints() + v.endpoints())
 
 
 def measure(u: IntervalSet) -> Fraction:
-    return sum((b - a for a, b in u.intervals), Fraction(0))
+    nums, d = _numerators(u.endpoints())
+    return Fraction(sum(nums[1::2]) - sum(nums[::2]), d)
 
 
 @dataclass(frozen=True)
@@ -210,16 +226,32 @@ class StepDensity:
         return self._prefix.values[-1]
 
     def mass(self, u: IntervalSet) -> Fraction:
-        """Integral of the density over u; exact."""
-        for a, b in u.intervals:
-            if not (0 <= a and b <= self.upper):
-                raise AmbientMismatch(f"({a}, {b}] outside the density domain")
-        # The endpoints of a canonical set increase, so one walk evaluates them all.
-        prefix = self._prefix.values_on(u.endpoints())
-        total = Fraction(0)
-        for k in range(0, len(prefix), 2):
-            total += prefix[k + 1] - prefix[k]
-        return total
+        """Integral of the density over u; exact.
+
+        One walk of u's pieces against the density pieces, on numerators over
+        D, the lcm of the endpoint and breakpoint denominators, with values
+        over Q, the lcm of the value denominators: the sum of value times
+        overlap is an integer over D * Q.
+        """
+        ends = u.endpoints()
+        nums, d = _numerators(ends + self.breakpoints)
+        cuts = nums[len(ends):]
+        weights, q = _numerators(self.values)
+        for k in range(0, len(ends), 2):
+            if not (0 <= nums[k] and nums[k + 1] <= cuts[-1]):
+                raise AmbientMismatch(f"({ends[k]}, {ends[k + 1]}] outside the density domain")
+        total = 0
+        j = 0  # the density piece (cuts[j], cuts[j + 1]] holding the walk's position
+        for k in range(0, len(ends), 2):
+            a, b = nums[k], nums[k + 1]
+            while cuts[j + 1] <= a:
+                j += 1
+            while cuts[j + 1] < b:
+                total += weights[j] * (cuts[j + 1] - a)
+                a = cuts[j + 1]
+                j += 1
+            total += weights[j] * (b - a)
+        return Fraction(total, d * q)
 
     def prefix_inverse(self, target: Fraction) -> Fraction:
         """The least point t with mass((0, t]) == target; exact piecewise-linear solve."""
@@ -325,29 +357,6 @@ class PiecewiseLinearProfile:
         x1, x2 = xs[i], xs[i + 1]
         v1, v2 = self.values[i], self.values[i + 1]
         return v1 + (v2 - v1) * (x - x1) / (x2 - x1)
-
-    def values_on(self, points: Sequence[Fraction]) -> list[Fraction]:
-        """The value at each of an increasing sequence of points, in one walk.
-
-        Agrees with ``value_at`` point by point; the breakpoints are passed
-        once, so a sorted grid costs one forward pass instead of one bisect
-        per point.
-        """
-        if not points:
-            return []
-        xs, vs = self.breakpoints, self.values
-        for x in (points[0], points[-1]):
-            if not xs[0] <= x <= xs[-1]:
-                raise PreconditionViolation(f"{x} outside profile domain [{xs[0]}, {xs[-1]}]")
-        slopes = self.slopes
-        last = len(xs) - 1
-        out = []
-        i = 0
-        for x in points:
-            while i < last and xs[i + 1] <= x:
-                i += 1
-            out.append(vs[i] if i == last else vs[i] + slopes[i] * (x - xs[i]))
-        return out
 
     def min_level_at_value(self, target: Fraction) -> Fraction:
         """Least argument where the profile attains target (profile must be increasing)."""

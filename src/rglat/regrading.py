@@ -47,6 +47,7 @@ from .intervals import (
     IntervalSet,
     ProfileBundle,
     StepDensity,
+    _scaled,
     chief_element,
     density_from_json,
     density_to_json,
@@ -254,11 +255,6 @@ class IntervalRegrader:
         """
         evaluator = _SweepEvaluator(self, z, step)
         return evaluator.rows("meet", evaluator.meet_rows()) + evaluator.rows("join", evaluator.join_rows())
-
-
-def _scaled(values: Sequence[Fraction], scale: int) -> list[int]:
-    """Numerators of values over scale, which each denominator divides."""
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 class _SweepEvaluator:

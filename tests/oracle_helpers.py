@@ -2,12 +2,15 @@
 
 Everything here avoids the package's own meet/join/measure code paths:
 partitions are compared through the raw refinement predicate, measures are
-counted on a common denominator grid, and chains are built from the bare
-order relation.  Two exceptions read the package's own objects:
-``cutset_gap``, the general cover test on the family's own order, which
-pins the rank-level check of explicit cutsets; and ``fraction_sweep``, the
-closed-form sweep in plain ``Fraction`` arithmetic, which pins the
-package's integer sweep value for value.
+summed cell by cell between the sets' own endpoints, and chains are built
+from the bare order relation.  ``fraction_intersect`` and ``fraction_union``
+are the interval kernels' walks in plain ``Fraction`` comparisons, which
+pin the package's integer walks down to the endpoint objects they return.
+Two exceptions read the package's own objects: ``cutset_gap``, the general
+cover test on the family's own order, which pins the rank-level check of
+explicit cutsets; and ``fraction_sweep``, the closed-form sweep in plain
+``Fraction`` arithmetic, which pins the package's integer sweep value for
+value.
 """
 
 from __future__ import annotations
@@ -71,69 +74,111 @@ def blocks_of(partition) -> Blocks:
     return frozenset(frozenset(b) for b in partition.blocks)
 
 
-# --- measures on a common grid ------------------------------------------------
+# --- measures cell by cell -----------------------------------------------------
 
-def _common_denominator(points) -> int:
-    den = 1
-    for p in points:
-        den = den * p.denominator // math.gcd(den, p.denominator)
-    return den
+def _cells(pairs, points=()) -> list[tuple[Fraction, Fraction]]:
+    """The cells between consecutive distinct endpoints of the pairs and the extra points.
+
+    Every pair is a union of cells, so a cell lies in a pair exactly when its
+    midpoint does.  The cells stay few however large the endpoints'
+    common denominator grows.
+    """
+    xs = sorted({x for pair in pairs for x in pair} | set(points))
+    return list(zip(xs, xs[1:]))
+
+
+def _covers(pairs, lo: Fraction, hi: Fraction) -> bool:
+    mid = (lo + hi) / 2
+    return any(a < mid <= b for a, b in pairs)
+
+
+def _runs(cells) -> tuple:
+    """Canonical pairs of a union of cells in order: each run of touching cells becomes one pair."""
+    out: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in cells:
+        if out and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
+def _fractions(pairs) -> list[tuple[Fraction, Fraction]]:
+    return [(Fraction(a), Fraction(b)) for a, b in pairs]
 
 
 def grid_measure(pairs, lo: Fraction = Fraction(0), hi: Fraction = Fraction(2)) -> Fraction:
-    """Measure of a union of (a, b] pairs by midpoint counting on a shared grid."""
-    pts = [lo, hi]
-    for a, b in pairs:
-        pts += [Fraction(a), Fraction(b)]
-    den = _common_denominator(pts)
-    count = 0
-    for i in range(int(lo * den), int(hi * den)):
-        mid = Fraction(2 * i + 1, 2 * den)
-        if any(a < mid <= b for a, b in pairs):
-            count += 1
-    return Fraction(count, den)
+    """Measure of the union of (a, b] pairs within (lo, hi], summed cell by cell."""
+    pairs = _fractions(pairs)
+    cells = _cells(pairs, (Fraction(lo), Fraction(hi)))
+    return sum((b - a for a, b in cells if lo <= a and b <= hi and _covers(pairs, a, b)), Fraction(0))
 
 
 def grid_union(*pair_lists) -> tuple:
     """Canonical pairs of the union of the given (a, b] pairs, cell by cell.
 
-    Every endpoint lies on one common grid.  A grid cell belongs to the
-    union when its midpoint lies in some pair, and each run of consecutive
-    member cells becomes one pair, so touching pieces come out merged.
+    A cell belongs to the union when its midpoint lies in some pair, and
+    touching member cells come out merged, however the pairs are ordered,
+    overlap or touch.
     """
-    pairs = [(Fraction(a), Fraction(b)) for pairs in pair_lists for a, b in pairs]
-    if not pairs:
-        return ()
-    points = [x for pair in pairs for x in pair]
-    den = _common_denominator(points)
-    out: list[tuple[Fraction, Fraction]] = []
-    for i in range(int(min(points) * den), int(max(points) * den)):
-        lo, hi = Fraction(i, den), Fraction(i + 1, den)
-        mid = (lo + hi) / 2
-        if any(a < mid <= b for a, b in pairs):
-            if out and out[-1][1] == lo:
-                out[-1] = (out[-1][0], hi)
-            else:
-                out.append((lo, hi))
-    return tuple(out)
+    pairs = [pair for pairs in pair_lists for pair in _fractions(pairs)]
+    return _runs(cell for cell in _cells(pairs) if _covers(pairs, *cell))
+
+
+def grid_intersect(u_pairs, v_pairs) -> tuple:
+    """Canonical pairs of the intersection of two unions of (a, b] pairs, cell by cell."""
+    u, v = _fractions(u_pairs), _fractions(v_pairs)
+    return _runs(cell for cell in _cells(u + v) if _covers(u, *cell) and _covers(v, *cell))
 
 
 def grid_density_mass(pairs, breakpoints, values, lo=Fraction(0)) -> Fraction:
-    """Density integral over a union of (a, b] pairs, cell by cell."""
+    """Density integral over a union of (a, b] pairs within (lo, breakpoints[-1]], cell by cell."""
+    pairs = _fractions(pairs)
+    pieces = list(zip(values, breakpoints, breakpoints[1:]))
     hi = Fraction(breakpoints[-1])
-    pts = [Fraction(p) for p in breakpoints] + [lo]
-    for a, b in pairs:
-        pts += [Fraction(a), Fraction(b)]
-    den = _common_denominator(pts)
     total = Fraction(0)
-    for i in range(int(lo * den), int(hi * den)):
-        mid = Fraction(2 * i + 1, 2 * den)
-        if any(a < mid <= b for a, b in pairs):
-            for v, plo, phi in zip(values, breakpoints, breakpoints[1:]):
-                if plo < mid <= phi:
-                    total += Fraction(v) / den
-                    break
+    for a, b in _cells(pairs, [Fraction(lo)] + [Fraction(x) for x in breakpoints]):
+        if lo <= a and b <= hi and _covers(pairs, a, b):
+            mid = (a + b) / 2
+            total += next(Fraction(v) for v, plo, phi in pieces if plo < mid <= phi) * (b - a)
     return total
+
+
+# --- the interval kernels in Fraction arithmetic -------------------------------
+
+def fraction_intersect(u_pairs, v_pairs) -> tuple:
+    """The two-pointer intersection on Fraction comparisons, keeping u's endpoint on ties."""
+    out = []
+    i = j = 0
+    while i < len(u_pairs) and j < len(v_pairs):
+        lo = max(u_pairs[i][0], v_pairs[j][0])
+        hi = min(u_pairs[i][1], v_pairs[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if u_pairs[i][1] <= v_pairs[j][1]:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def fraction_union(u_pairs, v_pairs) -> tuple:
+    """The merge walk of two canonical unions on Fraction comparisons, u's piece first on ties."""
+    out = []
+    i = j = 0
+    while i < len(u_pairs) or j < len(v_pairs):
+        if j == len(v_pairs) or (i < len(u_pairs) and u_pairs[i][0] <= v_pairs[j][0]):
+            a, b = u_pairs[i]
+            i += 1
+        else:
+            a, b = v_pairs[j]
+            j += 1
+        if out and a <= out[-1][1]:
+            if b > out[-1][1]:
+                out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return tuple(out)
 
 
 def oracle_profiles(upper: Fraction, pairs, density=None) -> dict[str, tuple[tuple, tuple]]:
@@ -175,12 +220,17 @@ def oracle_profiles(upper: Fraction, pairs, density=None) -> dict[str, tuple[tup
 
 # --- sweeps in Fraction arithmetic --------------------------------------------
 
+def _columns(levels, grade, measure):
+    """(level, grade, measure) at each level, each profile read with ``value_at``."""
+    return [(level, grade.value_at(level), measure.value_at(level)) for level in levels]
+
+
 class _FractionSweepEvaluator:
     """The closed-form sweep rows on Fraction profiles, one branch per case.
 
     The same three branches as the package's integer sweep, read off z's
-    profile bundle with ``values_on``, ``min_level_at_value`` and
-    ``value_at``, without any common denominator.
+    profile bundle with ``value_at`` per level and ``min_level_at_value``,
+    without any common denominator.
     """
 
     def __init__(self, regrader, z):
@@ -192,7 +242,7 @@ class _FractionSweepEvaluator:
     def meet_rows(self, levels):
         b = self.bundle
         rows = []
-        for level, grade, rank in zip(levels, b.grade_meet.values_on(levels), b.measure_meet.values_on(levels)):
+        for level, grade, rank in _columns(levels, b.grade_meet, b.measure_meet):
             if grade >= self.level:
                 rows.append((rank, rank - self.alpha))
             elif level < self.chief_alpha:
@@ -205,7 +255,7 @@ class _FractionSweepEvaluator:
     def join_rows(self, levels):
         b = self.bundle
         rows = []
-        for level, grade, rank in zip(levels, b.grade_join.values_on(levels), b.measure_join.values_on(levels)):
+        for level, grade, rank in _columns(levels, b.grade_join, b.measure_join):
             if grade < self.level:
                 rows.append((rank, rank - self.alpha))
             elif level >= self.chief_alpha:

@@ -81,6 +81,17 @@ class TestVerify:
         assert main(["verify", "--suite", "tower", "--format", "json", "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == printed
 
+    def test_unwritable_out_fails_before_any_suite_runs(self, tmp_path, monkeypatch, capsys):
+        def run_suites(names, cfg):
+            raise AssertionError("the suites ran before the report file was opened")
+
+        monkeypatch.setattr("rglat.cli.run_suites", run_suites)
+        assert main(["verify", "--suite", "all", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: cannot write {tmp_path}")
+        assert "PASS" not in captured.out
+        assert "Traceback" not in captured.err
+
     def test_sample_override_runs(self, capsys):
         assert main(["verify", "--suite", "balance", "--samples", "50", "--seed", "3"]) == 0
 

@@ -27,8 +27,24 @@ from rglat.intervals import (
 from rglat.rank import Rank
 from rglat.regrading import hypothesis_line_sets
 
-from oracle_helpers import grid_density_mass, grid_measure, grid_union, oracle_profiles
-from strategies import interval_sets, step_densities
+from oracle_helpers import (
+    fraction_intersect,
+    fraction_union,
+    grid_density_mass,
+    grid_intersect,
+    grid_measure,
+    grid_union,
+    oracle_profiles,
+)
+from strategies import (
+    interval_sets,
+    mixed_interval_sets,
+    mixed_sets,
+    odd_step_densities,
+    prefix_inverse_sets,
+    raw_pairs,
+    step_densities,
+)
 
 HALF = Fraction(1, 2)
 TWO = Fraction(2)
@@ -97,9 +113,27 @@ class TestNormalize:
         with pytest.raises(AmbientMismatch):
             normalize([(-1, 1)], AMBIENT2)
 
-    @given(u=interval_sets())
+    @given(u=mixed_sets())
     def test_canonical_forms_are_fixed_points(self, u):
         assert normalize(u.intervals) == u
+
+    @settings(max_examples=200)
+    @example(raw=[(HALF, 1), (0, HALF)])  # adjacent, out of order
+    @example(raw=[(0, 1), (Fraction(1, 3), Fraction(1, 7) + 1), (Fraction(2, 7), Fraction(5, 12))])
+    @given(raw=raw_pairs() | raw_pairs(lower=-2))
+    def test_raw_pairs_match_the_grid_oracle(self, raw):
+        assert normalize(raw).intervals == grid_union(raw)
+        if all(a >= 0 for a, _ in raw):
+            assert normalize(raw, AMBIENT2).intervals == grid_union(raw)
+
+    def test_errors_name_the_first_bad_pair_in_input_order(self):
+        # The reversed pair (-3, -4] would sort first; the error names (1, 1/2].
+        with pytest.raises(PreconditionViolation) as empty:
+            normalize([(1, TWO), (1, HALF), (-3, -4)])
+        assert str(empty.value) == "raw interval (1, 1/2] is empty or reversed"
+        with pytest.raises(AmbientMismatch) as outside:
+            normalize([(1, 3), (-1, HALF)], AMBIENT2)
+        assert str(outside.value) == "(1, 3] lies outside (0, 2]"
 
 
 class TestBooleanOps:
@@ -135,13 +169,40 @@ class TestTrustedKernelResults:
     @example(u=iset((0, HALF), (1, TWO)), v=iset((0, HALF), (1, TWO)))  # identical
     @example(u=iset((0, HALF), (1, TWO)), v=EMPTY)
     @example(u=EMPTY, v=EMPTY)
-    @given(u=interval_sets(), v=interval_sets())
+    @given(u=mixed_sets(), v=mixed_sets())
     def test_union_matches_the_grid_oracle(self, u, v):
         assert union(u, v).intervals == grid_union(u.intervals, v.intervals)
 
+    @settings(max_examples=300)
+    @example(u=iset((0, HALF)), v=iset((HALF, 1)))  # adjacent
+    @example(u=iset((0, TWO)), v=iset((HALF, 1)))  # nested
+    @example(u=iset((0, HALF), (1, TWO)), v=iset((0, HALF), (1, TWO)))  # identical
+    @example(u=iset((0, HALF), (1, TWO)), v=EMPTY)
+    @given(u=mixed_sets(), v=mixed_sets())
+    def test_intersect_matches_the_grid_oracle(self, u, v):
+        assert intersect(u, v).intervals == grid_intersect(u.intervals, v.intervals)
+
+    @settings(max_examples=200)
+    @given(u=mixed_interval_sets(lower=-2), v=mixed_interval_sets(lower=-2))
+    def test_kernels_match_the_grid_oracles_on_the_whole_line(self, u, v):
+        assert intersect(u, v).intervals == grid_intersect(u.intervals, v.intervals)
+        assert union(u, v).intervals == grid_union(u.intervals, v.intervals)
+        assert measure(u) == grid_measure(u.intervals, Fraction(-2), TWO)
+
+    @settings(max_examples=200)
+    @example(u=iset((0, HALF), (1, TWO)), v=iset((0, 1), (Fraction(3, 2), TWO)))  # equal ends
+    @given(u=mixed_sets(), v=mixed_sets())
+    def test_kernels_return_the_callers_endpoint_objects(self, u, v):
+        # The integer walks pick the same Fraction objects as the Fraction walks,
+        # u's on ties, and build none of their own.
+        for got, want in ((intersect(u, v), fraction_intersect), (union(u, v), fraction_union)):
+            expected = want(u.intervals, v.intervals)
+            assert got.intervals == expected
+            assert all(x is y for got_pair, pair in zip(got.intervals, expected) for x, y in zip(got_pair, pair))
+
     @settings(max_examples=200)
     @example(u=iset((0, HALF)), v=iset((HALF, 1)))
-    @given(u=interval_sets(), v=interval_sets())
+    @given(u=mixed_sets(), v=mixed_sets())
     def test_kernel_results_pass_the_public_checks(self, u, v):
         for result in (intersect(u, v), union(u, v), normalize(u.intervals + v.intervals)):
             assert IntervalSet(result.intervals) == result
@@ -186,7 +247,7 @@ class TestMeasure:
     def test_two_piece_sum(self):
         assert measure(iset((0, Fraction(1, 3)), (HALF, 1))) == Fraction(5, 6)
 
-    @given(u=interval_sets())
+    @given(u=mixed_sets())
     def test_matches_grid_counting_oracle(self, u):
         assert measure(u) == grid_measure(u.intervals)
 
@@ -209,9 +270,28 @@ class TestStepDensity:
         assert FINAL_DENSITY.mass(iset((0, 2))) == 3
         assert FINAL_DENSITY.total == 3
 
-    @given(u=interval_sets(), f=step_densities())
+    @given(u=mixed_sets(), f=step_densities() | odd_step_densities())
     def test_matches_grid_counting_oracle(self, u, f):
         assert f.mass(u) == grid_density_mass(u.intervals, f.breakpoints, f.values)
+
+    @given(data=st.data())
+    def test_matches_grid_counting_oracle_on_its_own_inverse_points(self, data):
+        f = data.draw(odd_step_densities())
+        u = data.draw(prefix_inverse_sets(f))
+        assert f.mass(u) == grid_density_mass(u.intervals, f.breakpoints, f.values)
+
+    @example(u=iset((HALF, 1), (Fraction(3, 2), Fraction(5, 2)), (3, 4)), f=FINAL_DENSITY)
+    @example(u=iset((-1, -HALF), (1, 3)), f=FINAL_DENSITY)
+    @given(u=mixed_interval_sets(lower=-2, upper=4), f=odd_step_densities())
+    def test_error_names_the_first_interval_outside_the_domain(self, u, f):
+        outside = [(a, b) for a, b in u.intervals if not (0 <= a and b <= f.upper)]
+        if not outside:
+            assert f.mass(u) == grid_density_mass(u.intervals, f.breakpoints, f.values)
+            return
+        a, b = outside[0]
+        with pytest.raises(AmbientMismatch) as exc:
+            f.mass(u)
+        assert str(exc.value) == f"({a}, {b}] outside the density domain"
 
     @given(u=interval_sets(), v=interval_sets(), f=step_densities())
     def test_density_grading_is_modular(self, u, v, f):
@@ -306,19 +386,18 @@ class TestProfiles:
         assert prof.min_level_at_value(target) == _scan_min_level(prof, target)
 
     @given(data=st.data())
-    def test_values_on_matches_the_interpolation(self, data):
+    def test_value_at_matches_the_interpolation(self, data):
         prof = data.draw(increasing_profiles())
         xs = prof.breakpoints
         lo, hi = xs[0], xs[-1]
-        # Breakpoints (both domain ends among them) and points between them, with repeats.
+        # Breakpoints (both domain ends among them) and points between them.
         point = st.sampled_from(xs) | st.fractions(lo, hi, max_denominator=12)
-        points = sorted(data.draw(st.lists(point, max_size=12)))
-        assert prof.values_on(points) == [_interpolate(prof, x) for x in points]
-        assert prof.values_on([]) == []
-        assert prof.values_on([lo, lo, hi, hi]) == [prof.values[0]] * 2 + [prof.values[-1]] * 2
+        for x in data.draw(st.lists(point, max_size=12)):
+            assert prof.value_at(x) == _interpolate(prof, x)
+        assert (prof.value_at(lo), prof.value_at(hi)) == (prof.values[0], prof.values[-1])
         outside = data.draw(st.sampled_from([lo - Fraction(1, 8), hi + Fraction(1, 8)]))
         with pytest.raises(PreconditionViolation):
-            prof.values_on(sorted(points + [outside]))
+            prof.value_at(outside)
 
     @settings(max_examples=150)
     @example(z=iset((0, HALF), (Fraction(3, 2), 2)), f=FINAL_DENSITY)  # touches 0 and upper
