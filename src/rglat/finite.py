@@ -415,12 +415,14 @@ def product_plane_lattice() -> GradedLattice:
 
 @dataclass(frozen=True)
 class FiniteFamily:
-    """One finite lattice instance together with its enumerations."""
+    """One finite lattice instance together with its enumerations.
+
+    ``read`` builds an element from its JSON array (see :func:`element_from_json`).
+    """
 
     kind: str
     lattice: GradedLattice
-    n: int
-    p: int | None
+    read: Callable[[list], object] = field(repr=False)
     elements: Callable[[], list] = field(repr=False)
     chief_elements: Callable[[], list] = field(repr=False)
 
@@ -454,8 +456,7 @@ def boolean_family(n: int) -> FiniteFamily:
     return FiniteFamily(
         kind="boolean",
         lattice=boolean_lattice(n),
-        n=n,
-        p=None,
+        read=functools.partial(BitSubset.from_members, n),
         elements=lambda: [BitSubset(n, m) for m in range(1 << n)],
         chief_elements=lambda: [BitSubset(n, (1 << i) - 1) for i in range(n + 1)],
     )
@@ -472,8 +473,7 @@ def partition_family(n: int) -> FiniteFamily:
     return FiniteFamily(
         kind="partition",
         lattice=partition_lattice(n),
-        n=n,
-        p=None,
+        read=functools.partial(SetPartition.from_blocks, n),
         elements=lambda: _all_partitions(n),
         chief_elements=chief,
     )
@@ -489,8 +489,7 @@ def subspace_family(p: int, n: int) -> FiniteFamily:
     return FiniteFamily(
         kind="subspace",
         lattice=subspace_lattice(p, n),
-        n=n,
-        p=p,
+        read=functools.partial(Subspace.from_rows, p, n),
         elements=lambda: _all_subspaces(p, n),
         chief_elements=chief,
     )
@@ -601,13 +600,7 @@ def element_to_json(x):
 def element_from_json(family: FiniteFamily, data):
     try:
         json_array(data)  # a string or an object would iterate as members too
-        if family.kind == "boolean":
-            return BitSubset.from_members(family.n, data)
-        if family.kind == "partition":
-            return SetPartition.from_blocks(family.n, data)
-        if family.kind == "subspace":
-            return Subspace.from_rows(family.p, family.n, data)
+        return family.read(data)
     except (TypeError, ValueError, PreconditionViolation) as exc:
         raise InputFormatError(f"bad {family.kind} element payload: {data!r}") from exc
-    raise InputFormatError(f"unknown family kind {family.kind!r}")
 

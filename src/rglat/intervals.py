@@ -279,24 +279,12 @@ def chief_element(ambient: Ambient, level: Fraction) -> IntervalSet:
     return IntervalSet(((-level / 2, level / 2),))
 
 
-def _require_density_fits(ambient: Ambient, density: StepDensity) -> None:
-    if density.upper != ambient.upper:
-        raise AmbientMismatch(f"density ends at {density.upper}, ambient at {ambient.upper}")
-
-
-def interval_lattice(ambient: Ambient, density: StepDensity | None = None) -> GradedLattice:
-    """The interval lattice graded by measure, or by a step density if given."""
-    if density is not None:
-        if not ambient.bounded:
-            raise AmbientMismatch("density gradings need a bounded ambient")
-        _require_density_fits(ambient, density)
-        rank = density.mass
-        name = "interval-lattice/density"
-    else:
-        rank = measure
-        name = "interval-lattice"
+def interval_lattice(ambient: Ambient) -> GradedLattice:
+    """The interval lattice graded by measure."""
     top = IntervalSet(((Fraction(0), ambient.upper),)) if ambient.bounded else None
-    return GradedLattice(name=name, meet=intersect, join=union, rank=rank, bottom=EMPTY, top=top)
+    return GradedLattice(
+        name="interval-lattice", meet=intersect, join=union, rank=measure, bottom=EMPTY, top=top
+    )
 
 
 @dataclass(frozen=True)
@@ -373,7 +361,7 @@ class PiecewiseLinearProfile:
         return xs[i - 1] + (target - vs[i - 1]) * (xs[i] - xs[i - 1]) / (vs[i] - vs[i - 1])
 
 
-def grade_value(u: IntervalSet, density: StepDensity | None = None) -> Fraction:
+def grade_value(u: IntervalSet, density: StepDensity | None) -> Fraction:
     """Grading of u: Lebesgue measure, or the density mass when one is given."""
     return density.mass(u) if density is not None else measure(u)
 
@@ -453,7 +441,7 @@ class ProfileBundle:
         return self.measure_meet.values[-1]
 
 
-def profile_bundle(ambient: Ambient, z: IntervalSet, density: StepDensity | None = None) -> ProfileBundle:
+def profile_bundle(ambient: Ambient, z: IntervalSet, density: StepDensity | None) -> ProfileBundle:
     """Meet and join profiles of z for both the grading and plain measure.
 
     Join values come from the part of the prefix outside z:
@@ -463,8 +451,8 @@ def profile_bundle(ambient: Ambient, z: IntervalSet, density: StepDensity | None
         raise AmbientMismatch("profiles need a bounded ambient")
     if not z.is_empty:
         ambient.require_contains(z.intervals[0][0], z.intervals[-1][1])
-    if density is not None:
-        _require_density_fits(ambient, density)
+    if density is not None and density.upper != ambient.upper:
+        raise AmbientMismatch(f"density ends at {density.upper}, ambient at {ambient.upper}")
     xs, in_meas, out_meas, in_mass, out_mass = _prefix_sums(ambient, z, density)
 
     def meet_and_join(inside: list[Fraction], outside: list[Fraction]):

@@ -11,10 +11,11 @@ inward grid approximants whose distances shrink like 1/level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .core import CheckResult, updown_distance
 from .errors import PreconditionViolation
@@ -33,17 +34,6 @@ from .intervals import Ambient, IntervalSet, interval_lattice, normalize
 def _require_divides(k: int, n: int) -> None:
     if k <= 0 or n <= 0 or n % k != 0:
         raise PreconditionViolation(f"{k} does not divide {n}")
-
-
-def renormalized_rank(x: BitSubset | Subspace, level: int) -> Fraction:
-    """Standard rank divided by the level, so the top sits at 1."""
-    if x.n != level:
-        raise PreconditionViolation(f"element lives at level {x.n}, not {level}")
-    if isinstance(x, BitSubset):
-        return Fraction(x.cardinality(), level)
-    if isinstance(x, Subspace):
-        return Fraction(x.dimension(), level)
-    raise PreconditionViolation(f"no renormalized rank for {type(x).__name__}")
 
 
 def embed_boolean(s: BitSubset, n: int) -> BitSubset:
@@ -73,27 +63,17 @@ def embed_subspace(w: Subspace, n: int) -> Subspace:
 
 @dataclass(frozen=True)
 class EmbeddingFamily:
-    """A tower of lattices (boolean or subspace) with its level embeddings."""
+    """A tower of finite lattices: the family at each level and the embedding.
 
-    kind: str
-    p: int | None = None
+    ``embed(x, n)`` maps an element of a level k dividing n to level n.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("boolean", "subspace"):
-            raise PreconditionViolation(f"unknown tower kind {self.kind!r}")
-        if self.kind == "subspace" and self.p is None:
-            raise PreconditionViolation("subspace towers need a field size")
+    at: Callable[[int], FiniteFamily]
+    embed: Callable[[Any, int], Any]
 
-    def at(self, level: int) -> FiniteFamily:
-        """The finite lattice at one level, with its enumerations."""
-        if self.kind == "boolean":
-            return boolean_family(level)
-        return subspace_family(self.p, level)
 
-    def embed(self, x, n: int):
-        if self.kind == "boolean":
-            return embed_boolean(x, n)
-        return embed_subspace(x, n)
+BOOLEAN_TOWER = EmbeddingFamily(boolean_family, embed_boolean)
+F2_SUBSPACE_TOWER = EmbeddingFamily(functools.partial(subspace_family, 2), embed_subspace)
 
 
 def coherence_check(family: EmbeddingFamily, k: int, m: int, n: int) -> CheckResult:
@@ -133,12 +113,12 @@ def embedding_check(family: EmbeddingFamily, k: int, n: int) -> CheckResult:
     level_k = family_k.elements()
     checked = 0
     for x in level_k:
-        if renormalized_rank(family.embed(x, n), n) != renormalized_rank(x, k):
+        if lattice_n.rank(family.embed(x, n)) / n != lattice_k.rank(x) / k:
             return CheckResult(False, checked, f"rank not preserved at {x!r}")
         checked += 1
         for y in level_k:
             fx, fy = family.embed(x, n), family.embed(y, n)
-            if updown_metric(fx, fy) != updown_metric(x, y):
+            if updown_distance(lattice_n, fx, fy) / n != updown_distance(lattice_k, x, y) / k:
                 return CheckResult(False, checked, f"not an isometry at ({x!r}, {y!r})")
             if lattice_n.meet(fx, fy) != family.embed(lattice_k.meet(x, y), n):
                 return CheckResult(False, checked, f"meet not preserved at ({x!r}, {y!r})")
@@ -150,11 +130,10 @@ def embedding_check(family: EmbeddingFamily, k: int, n: int) -> CheckResult:
 
 def tower_checks() -> dict[str, CheckResult]:
     """Coherence of the Boolean and F_2 subspace towers and the Boolean 2 -> 4 embedding."""
-    booleans = EmbeddingFamily("boolean")
     return {
-        "coherence_boolean": coherence_check(booleans, 2, 4, 8),
-        "coherence_subspace": coherence_check(EmbeddingFamily("subspace", p=2), 1, 2, 4),
-        "isometry_boolean": embedding_check(booleans, 2, 4),
+        "coherence_boolean": coherence_check(BOOLEAN_TOWER, 2, 4, 8),
+        "coherence_subspace": coherence_check(F2_SUBSPACE_TOWER, 1, 2, 4),
+        "isometry_boolean": embedding_check(BOOLEAN_TOWER, 2, 4),
     }
 
 
@@ -194,7 +173,7 @@ class CauchyReport:
 
     @property
     def bound_ok(self) -> bool:
-        budget = 2 * len(self.target.endpoints())
+        budget = 2 * len(self.target.intervals)
         return all(r.distance_to_target <= Fraction(budget, r.level) for r in self.rows)
 
 

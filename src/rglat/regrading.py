@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import CheckResult, GradedLattice, adjoin_bounds
 from .errors import (
@@ -611,20 +611,13 @@ class CounterexampleReport:
         )
 
 
-def counterexample_report(
-    prefix_points: Sequence[Fraction] = (
-        Fraction(1),
-        Fraction(5, 4),
-        Fraction(3, 2),
-        Fraction(2),
-    ),
-) -> CounterexampleReport:
+def counterexample_report() -> CounterexampleReport:
     stage = counterexample_stage()
     lower = IntervalSet(((Fraction(0), Fraction(1)),))
     upper = IntervalSet(((Fraction(1), Fraction(2)),))
     prefix_rows = tuple(
-        (Fraction(t), stage.regraded(IntervalSet(((Fraction(0), Fraction(t)),))))
-        for t in prefix_points
+        (t, stage.regraded(IntervalSet(((Fraction(0), t),))))
+        for t in (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2))
     )
     return CounterexampleReport(
         prefix_rows=prefix_rows,

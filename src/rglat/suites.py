@@ -70,7 +70,8 @@ from .intervals import (
     union,
 )
 from .limits import (
-    EmbeddingFamily,
+    BOOLEAN_TOWER,
+    F2_SUBSPACE_TOWER,
     boolean_to_interval,
     cauchy_approx,
     embed_boolean,
@@ -498,12 +499,11 @@ def suite_metric(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
 
 def suite_tower(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     checks = tower_checks()
-    checks["isometry_subspace"] = embedding_check(EmbeddingFamily("subspace", p=2), 2, 4)
+    checks["isometry_subspace"] = embedding_check(F2_SUBSPACE_TOWER, 2, 4)
     for label, res in checks.items():
         yield res if res.ok else f"{label}: {res.witness}"
-    booleans = EmbeddingFamily("boolean")
     for k, n in ((2, 4), (4, 8)):
-        for x in booleans.at(k).elements():
+        for x in BOOLEAN_TOWER.at(k).elements():
             ok = boolean_to_interval(embed_boolean(x, n)) == boolean_to_interval(x)
             yield None if ok else f"interval identification not natural at {x!r}"
     third = IntervalSet(((Fraction(0), Fraction(1, 3)),))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -204,7 +205,7 @@ class TestChainSample:
     def test_from_elements_validates_order(self):
         lattice = boolean_family(3).lattice
         good = [BitSubset(3, 0), BitSubset(3, 1), BitSubset(3, 3)]
-        assert len(ChainSample.from_elements(lattice, good)) == 3
+        assert len(ChainSample.from_elements(lattice, good).points) == 3
         with pytest.raises(PreconditionViolation):
             ChainSample.from_elements(lattice, [BitSubset(3, 1), BitSubset(3, 2)])
 
@@ -212,7 +213,7 @@ class TestChainSample:
 class TestAxiomChecker:
     def test_passes_on_real_lattice(self):
         fam = boolean_family(3)
-        assert check_lattice_axioms(fam.lattice, fam.elements()).ok
+        assert check_lattice_axioms(fam.lattice, fam.elements(), random.Random(0)).ok
 
     def test_catches_a_broken_meet(self):
         from rglat.core import GradedLattice
@@ -223,7 +224,7 @@ class TestAxiomChecker:
             join=lambda x, y: max(x, y) + (1 if x != y else 0),
             rank=lambda x: Rank(x),
         )
-        assert not check_lattice_axioms(broken, [0, 1, 2, 3]).ok
+        assert not check_lattice_axioms(broken, [0, 1, 2, 3], random.Random(0)).ok
 
 
 def test_updown_distance_matches_symmetric_difference_measure():

@@ -9,6 +9,11 @@ since methods are reached through attributes; a local variable of the same
 name does not count.  The check goes by name alone, so it errs towards
 keeping a method.  Uses from ``tests/`` do not count: API that only tests
 call is dead weight.
+
+A parameter default is an option, so it must have two values in use: some
+call in ``src/rglat`` or ``scripts`` to a function of that name passes the
+parameter, and another leaves it out.  A call with ``*args`` or ``**kwargs``
+counts as passing every parameter.
 """
 
 import ast
@@ -99,3 +104,58 @@ def test_every_method_is_used_outside_tests():
         if name not in used and not _is_dunder(name)
     ]
     assert unused == []
+
+
+def _defaults(tree: ast.Module):
+    """(function name, parameter, positional index or None) per parameter default.
+
+    The index counts call arguments, so it skips ``self`` or ``cls`` on
+    methods that are not static.
+    """
+    methods = {
+        id(item)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if id(node) in methods else 0
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], first):
+                yield node.name, arg.arg, index - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _calls(path: Path):
+    """(called name, call node) for every call by a plain or attribute name."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id, node
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return any(k.arg == param for k in call.keywords) or (index is not None and len(call.args) > index)
+
+
+def test_every_parameter_default_is_both_passed_and_omitted():
+    calls = [call for path in PROGRAM for call in _calls(path)]
+    one_value = []
+    for path in PACKAGE:
+        for name, param, index in _defaults(_parse(path)):
+            uses = {_passes(call, param, index) for called, call in calls if called == name}
+            if uses != {True, False}:
+                one_value.append(f"{path.stem}.{name}({param})")
+    assert one_value == []

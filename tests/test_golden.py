@@ -3,9 +3,11 @@
 The files under ``golden/`` were written by the CLI before the refactors
 they now guard; a refactor must leave every report unchanged.  To change a
 report on purpose, regenerate its file with the command listed here and
-say why in the change log.
+say why in the change log.  The scripts' files were written by running
+``python scripts/<name>.py`` with ``src`` on the path.
 """
 
+import runpy
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from rglat.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 CASES = [
     (["counterexample", "--format", "json"], "counterexample.json"),
@@ -30,4 +33,20 @@ CASES = [
 @pytest.mark.parametrize("argv, expected", CASES, ids=[name for _, name in CASES])
 def test_report_bytes_match_the_golden_file(argv, expected, capsys):
     assert main([arg.format(golden=GOLDEN) for arg in argv]) == 0
+    assert capsys.readouterr().out == (GOLDEN / expected).read_text(encoding="utf-8")
+
+
+SCRIPT_CASES = [
+    ("counterexample_report.py", "counterexample_report.txt"),
+    ("limit_convergence.py", "limit_convergence.csv"),
+    ("verify_all.py", "verify_all_seed7.txt"),
+]
+
+
+@pytest.mark.parametrize("script, expected", SCRIPT_CASES, ids=[name for name, _ in SCRIPT_CASES])
+def test_script_output_matches_the_golden_file(script, expected, capsys):
+    try:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    except SystemExit as done:
+        assert done.code in (0, None)
     assert capsys.readouterr().out == (GOLDEN / expected).read_text(encoding="utf-8")

@@ -24,7 +24,6 @@ from rglat.intervals import (
     profile_bundle,
     union,
 )
-from rglat.rank import Rank
 from rglat.regrading import hypothesis_line_sets
 
 from oracle_helpers import (
@@ -259,7 +258,7 @@ class TestMeasure:
 class TestStepDensity:
     def test_final_example_mass(self):
         assert FINAL_DENSITY.mass(iset((1, Fraction(3, 2)))) == 1
-        assert interval_lattice(AMBIENT2, FINAL_DENSITY).rank(iset((1, Fraction(3, 2)))) == Rank(1)
+        assert FINAL_DENSITY.mass(iset((1, 2))) == 2
 
     def test_unit_density_is_lebesgue(self):
         unit = StepDensity((0, TWO), (1,))
@@ -342,12 +341,12 @@ class TestChiefElements:
 class TestProfiles:
     def test_prefix_geometry_slopes(self):
         ambient = Ambient(Fraction(1))
-        prof = profile_bundle(ambient, iset((HALF, 1))).grade_meet
+        prof = profile_bundle(ambient, iset((HALF, 1)), None).grade_meet
         assert prof.breakpoints == (Fraction(0), HALF, Fraction(1))
         assert prof.slopes == (Fraction(0), Fraction(1))
 
     def test_full_ambient_is_the_identity_profile(self):
-        prof = profile_bundle(AMBIENT2, iset((0, 2))).grade_meet
+        prof = profile_bundle(AMBIENT2, iset((0, 2)), None).grade_meet
         assert prof.values == prof.breakpoints
 
     def test_final_example_density_profile(self):
@@ -415,14 +414,16 @@ class TestProfiles:
 
     def test_bundle_rejects_sets_and_densities_beyond_the_ambient(self):
         with pytest.raises(AmbientMismatch):
-            profile_bundle(AMBIENT2, iset((1, 3)))
+            profile_bundle(AMBIENT2, iset((1, 3)), None)
         with pytest.raises(AmbientMismatch):
             profile_bundle(AMBIENT2, iset((-1, 1)), FINAL_DENSITY)
         with pytest.raises(AmbientMismatch):
             profile_bundle(Ambient(Fraction(3)), EMPTY, FINAL_DENSITY)
+        with pytest.raises(AmbientMismatch):
+            profile_bundle(Ambient(None), EMPTY, FINAL_DENSITY)
 
     def test_value_outside_domain_rejected(self):
-        prof = profile_bundle(AMBIENT2, iset((1, 2))).grade_meet
+        prof = profile_bundle(AMBIENT2, iset((1, 2)), None).grade_meet
         with pytest.raises(PreconditionViolation):
             prof.value_at(Fraction(5, 2))
 
@@ -449,20 +450,13 @@ class TestBoundedChainDemo:
 
 
 class TestLatticeFactory:
-    def test_density_lattice_rank(self):
-        lattice = interval_lattice(AMBIENT2, FINAL_DENSITY)
-        assert lattice.rank(iset((1, 2))) == Rank(2)
-        assert lattice.top == iset((0, 2))
-
-    def test_density_must_fit_ambient(self):
-        with pytest.raises(AmbientMismatch):
-            interval_lattice(Ambient(Fraction(1)), FINAL_DENSITY)
-        with pytest.raises(AmbientMismatch):
-            interval_lattice(Ambient(None), FINAL_DENSITY)
+    def test_bounded_lattice_top(self):
+        assert interval_lattice(AMBIENT2).top == iset((0, 2))
+        assert interval_lattice(Ambient(None)).top is None
 
     def test_grade_value_selector(self):
         u = iset((1, Fraction(3, 2)))
-        assert grade_value(u) == HALF
+        assert grade_value(u, None) == HALF
         assert grade_value(u, FINAL_DENSITY) == 1
 
 

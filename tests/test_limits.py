@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,46 +6,78 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rglat.errors import PreconditionViolation, SizeCapExceeded
-from rglat.finite import BitSubset, Subspace, boolean_family
-from rglat.core import updown_distance
-from rglat.intervals import Ambient, IntervalSet, interval_lattice, measure
+from rglat.finite import (
+    BitSubset,
+    SetPartition,
+    Subspace,
+    boolean_family,
+    boolean_lattice,
+    partition_family,
+    subspace_lattice,
+)
+from rglat.core import CheckResult, updown_distance
+from rglat.intervals import EMPTY, Ambient, IntervalSet, interval_lattice, measure
 from rglat.limits import (
+    BOOLEAN_TOWER,
+    F2_SUBSPACE_TOWER,
+    CauchyReport,
+    CauchyRow,
     EmbeddingFamily,
     boolean_to_interval,
     cauchy_approx,
     coherence_check,
     embed_boolean,
     embed_subspace,
-    renormalized_rank,
+    embedding_check,
     updown_metric,
 )
 from rglat.rank import Rank
 
 from oracle_helpers import grid_measure
 
-BOOLEANS = EmbeddingFamily("boolean")
-SUBSPACES = EmbeddingFamily("subspace", p=2)
-
 
 def bits(n, *members):
     return BitSubset.from_members(n, members)
 
 
+def embed_partition(x: SetPartition, n: int) -> SetPartition:
+    """The diagonal embedding: block B of [k] becomes its copies B + j*k, j < n/k."""
+    k = x.n
+    copies = [[b + j * k for b in block] for j in range(n // k) for block in x.blocks]
+    return SetPartition.from_blocks(n, copies)
+
+
+PARTITIONS = EmbeddingFamily(partition_family, embed_partition)
+
+
+def reverse(s: BitSubset) -> BitSubset:
+    """The automorphism of [n] taking member i to member n + 1 - i."""
+    return BitSubset.from_members(s.n, [s.n + 1 - i for i in s.members()])
+
+
+def broken_at(level: int, **ops) -> EmbeddingFamily:
+    """The Boolean tower with some lattice operations of one level replaced."""
+
+    def at(m: int):
+        family = boolean_family(m)
+        return replace(family, lattice=replace(family.lattice, **ops)) if m == level else family
+
+    return EmbeddingFamily(at, embed_boolean)
+
+
 class TestRenormalizedRank:
+    """Rank over level: the rank of the level's lattice, divided by the level."""
+
     def test_half_of_four(self):
-        assert renormalized_rank(bits(4, 1, 3), 4) == Rank("1/2")
+        assert boolean_lattice(4).rank(bits(4, 1, 3)) / 4 == Rank("1/2")
 
     def test_three_quarters_in_dimension_four(self):
         w = Subspace.from_rows(2, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-        assert renormalized_rank(w, 4) == Rank("3/4")
+        assert subspace_lattice(2, 4).rank(w) / 4 == Rank("3/4")
 
     def test_bottom_and_top(self):
-        assert renormalized_rank(BitSubset(4, 0), 4) == Rank(0)
-        assert renormalized_rank(BitSubset(4, 15), 4) == Rank(1)
-
-    def test_level_mismatch(self):
-        with pytest.raises(PreconditionViolation):
-            renormalized_rank(bits(4, 1), 8)
+        assert boolean_lattice(4).rank(BitSubset(4, 0)) / 4 == Rank(0)
+        assert boolean_lattice(4).rank(BitSubset(4, 15)) / 4 == Rank(1)
 
 
 class TestBooleanEmbedding:
@@ -68,7 +101,7 @@ class TestBooleanEmbedding:
     @given(mask=st.integers(0, 15), n=st.sampled_from([4, 8, 12]))
     def test_rank_preserved(self, mask, n):
         s = BitSubset(4, mask)
-        assert renormalized_rank(embed_boolean(s, n), n) == renormalized_rank(s, 4)
+        assert boolean_lattice(n).rank(embed_boolean(s, n)) / n == boolean_lattice(4).rank(s) / 4
 
 
 class TestSubspaceEmbedding:
@@ -76,15 +109,15 @@ class TestSubspaceEmbedding:
         w = Subspace.from_rows(2, 2, [[1, 0]])
         image = embed_subspace(w, 4)
         assert image == Subspace.from_rows(2, 4, [[1, 0, 0, 0], [0, 0, 1, 0]])
-        assert renormalized_rank(image, 4) == renormalized_rank(w, 2) == Rank("1/2")
+        assert subspace_lattice(2, 4).rank(image) / 4 == subspace_lattice(2, 2).rank(w) / 2 == Rank("1/2")
 
     def test_zero_space(self):
         assert embed_subspace(Subspace.zero(2, 2), 4) == Subspace.zero(2, 4)
 
     def test_lattice_operations_preserved_exhaustively(self):
-        lattice2 = SUBSPACES.at(2).lattice
-        lattice4 = SUBSPACES.at(4).lattice
-        elems = SUBSPACES.at(2).elements()
+        lattice2 = F2_SUBSPACE_TOWER.at(2).lattice
+        lattice4 = F2_SUBSPACE_TOWER.at(4).lattice
+        elems = F2_SUBSPACE_TOWER.at(2).elements()
         for x in elems:
             for y in elems:
                 fx, fy = embed_subspace(x, 4), embed_subspace(y, 4)
@@ -98,23 +131,76 @@ class TestSubspaceEmbedding:
 
 class TestCoherence:
     def test_boolean_tower(self):
-        res = coherence_check(BOOLEANS, 2, 4, 8)
+        res = coherence_check(BOOLEAN_TOWER, 2, 4, 8)
         assert res.ok and res.checked == 4
 
     def test_identity_composition(self):
-        assert coherence_check(BOOLEANS, 4, 4, 8).ok
+        assert coherence_check(BOOLEAN_TOWER, 4, 4, 8).ok
 
     def test_subspace_tower(self):
-        res = coherence_check(SUBSPACES, 1, 2, 4)
+        res = coherence_check(F2_SUBSPACE_TOWER, 1, 2, 4)
         assert res.ok and res.checked == 2
 
     def test_divisibility_misuse(self):
         with pytest.raises(PreconditionViolation):
-            coherence_check(BOOLEANS, 2, 3, 6)
+            coherence_check(BOOLEAN_TOWER, 2, 3, 6)
 
     def test_level_above_the_element_cap(self):
         with pytest.raises(SizeCapExceeded):
-            BOOLEANS.at(13)
+            BOOLEAN_TOWER.at(13)
+
+    @pytest.mark.parametrize("k, m, n", [(1, 2, 4), (1, 3, 6)])
+    def test_partition_tower(self, k, m, n):
+        res = coherence_check(PARTITIONS, k, m, n)
+        assert res.ok and res.checked == len(partition_family(k).elements())
+
+    def test_reversed_block_order_is_not_coherent(self):
+        # Reversal is an automorphism, so every level-wise check still passes.
+        reversed_order = EmbeddingFamily(boolean_family, lambda s, n: embed_boolean(reverse(s), n))
+        assert embedding_check(reversed_order, 2, 4).ok
+        res = coherence_check(reversed_order, 2, 4, 8)
+        assert (res.ok, res.checked, res.witness) == (False, 1, "coherence fails at BitSubset(2, {1})")
+
+
+class TestEmbeddingCheck:
+    def test_boolean_and_subspace_towers(self):
+        assert embedding_check(BOOLEAN_TOWER, 2, 4) == CheckResult(True, 4 + 16)
+        assert embedding_check(F2_SUBSPACE_TOWER, 2, 4) == CheckResult(True, 5 + 25)
+
+    def test_partition_embedding_on_levels(self):
+        for k, n in ((2, 4), (3, 6), (2, 6)):
+            res = embedding_check(PARTITIONS, k, n)
+            size = len(partition_family(k).elements())
+            assert res.ok and res.checked == size + size * size, (k, n)
+
+    def test_rank_witness(self):
+        # The complement of the inflation reverses the order, so the bottom fails first.
+        complement = EmbeddingFamily(
+            boolean_family, lambda s, n: BitSubset(n, embed_boolean(s, n).mask ^ ((1 << n) - 1))
+        )
+        res = embedding_check(complement, 2, 4)
+        assert (res.ok, res.checked, res.witness) == (False, 0, "rank not preserved at BitSubset(2, {})")
+
+    def test_isometry_witness(self):
+        padding = EmbeddingFamily(boolean_family, lambda s, n: BitSubset(n, s.mask))
+        res = embedding_check(padding, 2, 4)
+        assert (res.ok, res.checked) == (False, 2)
+        assert res.witness == "not an isometry at (BitSubset(2, {}), BitSubset(2, {1}))"
+
+    def test_meet_witness(self):
+        res = embedding_check(broken_at(4, meet=lambda x, y: reverse(BitSubset(x.n, x.mask & y.mask))), 2, 4)
+        assert (res.ok, res.checked) == (False, 7)
+        assert res.witness == "meet not preserved at (BitSubset(2, {1}), BitSubset(2, {1}))"
+
+    def test_join_witness(self):
+        # A reversed join has the join's rank, so the metric still agrees.
+        res = embedding_check(broken_at(4, join=lambda x, y: reverse(BitSubset(x.n, x.mask | y.mask))), 2, 4)
+        assert (res.ok, res.checked) == (False, 2)
+        assert res.witness == "join not preserved at (BitSubset(2, {}), BitSubset(2, {1}))"
+
+    def test_divisibility_required(self):
+        with pytest.raises(PreconditionViolation):
+            embedding_check(PARTITIONS, 2, 5)
 
 
 class TestUpDownMetric:
@@ -126,13 +212,13 @@ class TestUpDownMetric:
         assert updown_metric(bits(4, 1), bits(4, 2)) == Rank("1/2")
 
     def test_embeddings_are_isometries(self):
-        elems = BOOLEANS.at(3).elements()
+        elems = BOOLEAN_TOWER.at(3).elements()
         for x in elems:
             for y in elems:
                 assert updown_metric(embed_boolean(x, 6), embed_boolean(y, 6)) == updown_metric(x, y)
 
     def test_metric_axioms_exhaustive_level_three(self):
-        elems = BOOLEANS.at(3).elements()
+        elems = BOOLEAN_TOWER.at(3).elements()
         zero = Rank(0)
         for x in elems:
             for y in elems:
@@ -164,7 +250,7 @@ class TestBooleanToInterval:
     def test_measure_is_renormalized_rank(self, mask):
         s = BitSubset(8, mask)
         if mask:
-            assert Rank(measure(boolean_to_interval(s))) == renormalized_rank(s, 8)
+            assert Rank(measure(boolean_to_interval(s))) == boolean_lattice(8).rank(s) / 8
 
 
 class TestCauchyApprox:
@@ -195,6 +281,15 @@ class TestCauchyApprox:
         target = IntervalSet.of(("1/3", "2/3"))
         report = cauchy_approx(target, [3, 6, 12, 24])
         assert all(row.distance_to_target == 0 for row in report.rows)
+
+    def test_bound_allows_two_cells_per_target_interval(self):
+        target = IntervalSet.of((0, "1/3"))
+
+        def report(cells):
+            return CauchyReport(target, (CauchyRow(8, EMPTY, Fraction(cells, 8), None),))
+
+        assert report(2).bound_ok
+        assert not report(3).bound_ok
 
     def test_level_chain_validation(self):
         target = IntervalSet.of((0, "1/2"))

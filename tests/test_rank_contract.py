@@ -5,6 +5,7 @@ product plane and an adjoined top reach ``NEG_INF`` or ``POS_INF``.
 """
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from rglat.finite import (
     subspace_family,
 )
 from rglat.intervals import Ambient, chief_element, interval_lattice
-from rglat.limits import renormalized_rank, updown_metric
+from rglat.limits import updown_metric
 from rglat.rank import NEG_INF, POS_INF
 from rglat.regrading import FiniteRegrader, LevelCutset
 
@@ -62,14 +63,17 @@ def test_finite_ranks_and_their_derived_values_are_fractions(family):
 
 @pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[2]], ids=[IDS[0], IDS[2]])
 def test_renormalized_ranks_and_the_metric_are_fractions(family):
+    lattice = family.lattice
+    level = lattice.rank(lattice.top)
     elems = family.elements()
-    assert all(is_fraction(renormalized_rank(x, family.n)) for x in elems)
+    assert all(is_fraction(lattice.rank(x) / level) for x in elems)
     assert all(is_fraction(updown_metric(x, y)) for x, y in itertools.product(elems, repeat=2))
 
 
 @given(u=interval_sets(), v=interval_sets(), density=step_densities())
 def test_interval_ranks_are_fractions_under_measure_and_density(u, v, density):
-    for lattice in (interval_lattice(AMBIENT2), interval_lattice(AMBIENT2, density)):
+    measured = interval_lattice(AMBIENT2)
+    for lattice in (measured, replace(measured, rank=density.mass)):
         assert is_fraction(lattice.rank(u))
         assert is_fraction(updown_distance(lattice, u, v))
         assert is_fraction(rank_modular_defect(lattice, u, v))
