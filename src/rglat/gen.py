@@ -23,12 +23,10 @@ def random_interval_set(rng: random.Random, upper: Fraction, max_pieces: int = 3
     den = rng.choice(_DENOMINATORS)
     cuts = rng.sample(range(den + 1), min(2 * k, den + 1))
     cuts.sort()
-    num, scale = upper.numerator, upper.denominator * den
+    nums, scale = [upper.numerator * c for c in cuts], upper.denominator * den
     # The cuts are distinct and sorted, so the pieces are disjoint and non-adjacent.
-    return IntervalSet._trusted(tuple(
-        (Fraction(num * lo, scale), Fraction(num * hi, scale))
-        for lo, hi in zip(cuts[::2], cuts[1::2])
-    ))
+    pieces = tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(nums[::2], nums[1::2]))
+    return IntervalSet._trusted(pieces, (nums[: 2 * len(pieces)], scale))
 
 
 def random_density(rng: random.Random, upper: Fraction) -> StepDensity:

@@ -68,11 +68,21 @@ class IntervalSet:
             prev_hi = b
 
     @classmethod
-    def _trusted(cls, intervals: tuple[Pair, ...]) -> "IntervalSet":
-        """Wrap intervals the kernels built canonical, skipping the checks above."""
+    def _trusted(cls, intervals: tuple[Pair, ...], ints: tuple[list[int], int]) -> "IntervalSet":
+        """Wrap intervals the kernels built canonical, with their integer form, skipping the checks above."""
         u = object.__new__(cls)
         object.__setattr__(u, "intervals", intervals)
+        object.__setattr__(u, "_ints", ints)
         return u
+
+    @functools.cached_property
+    def _ints(self) -> tuple[list[int], int]:
+        """The integer form (nums, d): ``Fraction(nums[k], d)`` is the k-th endpoint.
+
+        d is a common multiple of the endpoint denominators, not always the
+        least.  Built at most once per set; the kernels hand theirs in.
+        """
+        return _numerators(self.endpoints())
 
     @classmethod
     def of(cls, *pairs) -> "IntervalSet":
@@ -106,69 +116,99 @@ def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return _scaled(values, d), d
 
 
-def _merged(ends: Sequence[Fraction]) -> IntervalSet:
-    """The canonical union of the nonempty pieces (ends[k], ends[k + 1]], k even.
+def _common(x: tuple[list[int], int], y: tuple[list[int], int]) -> tuple[list[int], list[int], int]:
+    """Two integer forms over one denominator, rescaled only when theirs differ."""
+    (xs, dx), (ys, dy) = x, y
+    if dx == dy:
+        return xs, ys, dx
+    d = math.lcm(dx, dy)
+    if d != dx:
+        xs = [n * (d // dx) for n in xs]
+    if d != dy:
+        ys = [n * (d // dy) for n in ys]
+    return xs, ys, d
 
-    Sorted on left-end numerators over one denominator and merged on <=, so
-    the pieces come out disjoint and non-adjacent.  The sort is stable and
-    the result is built from the input's own endpoints.
+
+def _merged(pieces: Sequence[Pair], nums: list[int], d: int) -> IntervalSet:
+    """The canonical union of the nonempty pieces, given their endpoint numerators over d.
+
+    Sorted on left-end numerators and merged on <=, so the pieces come out
+    disjoint and non-adjacent.  The sort is stable and the result is built
+    from the input's own endpoints.
     """
-    nums, _ = _numerators(ends)
     out: list[Pair] = []
+    ints: list[int] = []
     hi = 0
-    for k in sorted(range(0, len(nums), 2), key=nums.__getitem__):
-        b = nums[k + 1]
-        if out and nums[k] <= hi:  # overlapping or adjacent: extend the last piece
+    for p in sorted(range(len(pieces)), key=nums[::2].__getitem__):
+        a, b = nums[2 * p], nums[2 * p + 1]
+        if out and a <= hi:  # overlapping or adjacent: extend the last piece
             if b > hi:
-                out[-1] = (out[-1][0], ends[k + 1])
-                hi = b
+                out[-1] = (out[-1][0], pieces[p][1])
+                ints[-1] = hi = b
         else:
-            out.append((ends[k], ends[k + 1]))
+            out.append(pieces[p])
+            ints += (a, b)
             hi = b
-    return IntervalSet._trusted(tuple(out))
+    return IntervalSet._trusted(tuple(out), (ints, d))
+
+
+def _checked_numerators(pieces: Sequence[Pair], ambient: Ambient | None) -> tuple[list[int], int]:
+    """The raw pieces' integer form, after checking each piece on it in input order."""
+    nums, d = _numerators(list(itertools.chain.from_iterable(pieces)))
+    if ambient is not None and ambient.bounded:
+        top, scale = ambient.upper.numerator * d, ambient.upper.denominator
+    else:
+        top = None
+    for k, (a, b) in enumerate(pieces):
+        lo, hi = nums[2 * k], nums[2 * k + 1]
+        if not lo < hi:
+            raise PreconditionViolation(f"raw interval ({a}, {b}] is empty or reversed")
+        if top is not None and not (0 <= lo and hi * scale <= top):
+            ambient.require_contains(a, b)  # raises, with the ambient's own message
+    return nums, d
 
 
 def normalize(raw: Iterable[Sequence], ambient: Ambient | None = None) -> IntervalSet:
     """Validate raw (a, b] pairs in input order, then sort and merge overlaps and adjacencies."""
-    ends: list[Fraction] = []
-    for pair in raw:
-        a, b = pair[0], pair[1]
-        if not isinstance(a, Fraction):
-            a = exact_fraction(a)
-        if not isinstance(b, Fraction):
-            b = exact_fraction(b)
-        if not a < b:
-            raise PreconditionViolation(f"raw interval ({a}, {b}] is empty or reversed")
-        if ambient is not None:
-            ambient.require_contains(a, b)
-        ends.append(a)
-        ends.append(b)
-    return _merged(ends)
+    pieces: list[Pair] = []
+    try:
+        for pair in raw:
+            a, b = pair[0], pair[1]
+            if not isinstance(a, Fraction):
+                a = exact_fraction(a)
+            if not isinstance(b, Fraction):
+                b = exact_fraction(b)
+            pieces.append((a, b))
+    except Exception:
+        _checked_numerators(pieces, ambient)  # a bad pair before the unreadable one comes first
+        raise
+    return _merged(pieces, *_checked_numerators(pieces, ambient))
 
 
 def intersect(u: IntervalSet, v: IntervalSet) -> IntervalSet:
-    """Two-pointer walk on numerators over one denominator, emitting u's and v's own endpoints."""
+    """Two-pointer walk on both integer forms, emitting u's and v's own endpoints."""
     if u.is_empty or v.is_empty:
         return EMPTY
-    ends = u.endpoints() + v.endpoints()
-    nums, _ = _numerators(ends)
+    un, vn, d = _common(u._ints, v._ints)
+    ue, ve = u.endpoints(), v.endpoints()
     out: list[Pair] = []
-    v_start = 2 * len(u.intervals)  # ends holds u's pieces, then v's
-    i, j = 0, v_start
-    while i < v_start and j < len(nums):
+    ints: list[int] = []
+    i = j = 0
+    while i < len(un) and j < len(vn):
         # On ties u's endpoint is kept.
-        lo, lo_end = (nums[i], ends[i]) if nums[i] >= nums[j] else (nums[j], ends[j])
-        if nums[i + 1] <= nums[j + 1]:
-            hi, hi_end = nums[i + 1], ends[i + 1]
+        lo, lo_end = (un[i], ue[i]) if un[i] >= vn[j] else (vn[j], ve[j])
+        if un[i + 1] <= vn[j + 1]:
+            hi, hi_end = un[i + 1], ue[i + 1]
             i += 2
         else:
-            hi, hi_end = nums[j + 1], ends[j + 1]
+            hi, hi_end = vn[j + 1], ve[j + 1]
             j += 2
         if lo < hi:
             out.append((lo_end, hi_end))
+            ints += (lo, hi)
     # Two pieces can only touch where u or v has a gap, and canonical gaps are
     # nonempty, so the result is canonical too.
-    return IntervalSet._trusted(tuple(out))
+    return IntervalSet._trusted(tuple(out), (ints, d))
 
 
 def union(u: IntervalSet, v: IntervalSet) -> IntervalSet:
@@ -176,12 +216,13 @@ def union(u: IntervalSet, v: IntervalSet) -> IntervalSet:
         return v
     if v.is_empty:
         return u
+    un, vn, d = _common(u._ints, v._ints)
     # u's pieces come first, so on equal left ends the stable sort keeps u's.
-    return _merged(u.endpoints() + v.endpoints())
+    return _merged(u.intervals + v.intervals, un + vn, d)
 
 
 def measure(u: IntervalSet) -> Fraction:
-    nums, d = _numerators(u.endpoints())
+    nums, d = u._ints
     return Fraction(sum(nums[1::2]) - sum(nums[::2]), d)
 
 
@@ -198,6 +239,8 @@ class StepDensity:
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     _prefix: "PiecewiseLinearProfile" = field(init=False, repr=False, compare=False)
+    _cuts: tuple[list[int], int] = field(init=False, repr=False, compare=False)
+    _weights: tuple[list[int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(exact_fraction(t) for t in self.breakpoints))
@@ -216,6 +259,9 @@ class StepDensity:
         for v, a, b in zip(self.values, self.breakpoints, self.breakpoints[1:]):
             prefix.append(prefix[-1] + v * (b - a))
         object.__setattr__(self, "_prefix", PiecewiseLinearProfile(self.breakpoints, tuple(prefix)))
+        # The breakpoints' integer form, and the values' numerators over their lcm Q.
+        object.__setattr__(self, "_cuts", _numerators(self.breakpoints))
+        object.__setattr__(self, "_weights", _numerators(self.values))
 
     @property
     def upper(self) -> Fraction:
@@ -228,21 +274,20 @@ class StepDensity:
     def mass(self, u: IntervalSet) -> Fraction:
         """Integral of the density over u; exact.
 
-        One walk of u's pieces against the density pieces, on numerators over
-        D, the lcm of the endpoint and breakpoint denominators, with values
-        over Q, the lcm of the value denominators: the sum of value times
-        overlap is an integer over D * Q.
+        One walk of u's pieces against the density pieces, on u's integer
+        form and the breakpoints' over one denominator D, with values over
+        Q: the sum of value times overlap is an integer over D * Q.
         """
-        ends = u.endpoints()
-        nums, d = _numerators(ends + self.breakpoints)
-        cuts = nums[len(ends):]
-        weights, q = _numerators(self.values)
-        for k in range(0, len(ends), 2):
-            if not (0 <= nums[k] and nums[k + 1] <= cuts[-1]):
-                raise AmbientMismatch(f"({ends[k]}, {ends[k + 1]}] outside the density domain")
+        nums, cuts, d = _common(u._ints, self._cuts)
+        weights, q = self._weights
+        if nums and not (0 <= nums[0] and nums[-1] <= cuts[-1]):
+            # The first piece that leaves the domain: the first, or the first past its end.
+            k = 0 if nums[0] < 0 else next(k for k in range(0, len(nums), 2) if nums[k + 1] > cuts[-1])
+            a, b = u.intervals[k // 2]
+            raise AmbientMismatch(f"({a}, {b}] outside the density domain")
         total = 0
         j = 0  # the density piece (cuts[j], cuts[j + 1]] holding the walk's position
-        for k in range(0, len(ends), 2):
+        for k in range(0, len(nums), 2):
             a, b = nums[k], nums[k + 1]
             while cuts[j + 1] <= a:
                 j += 1
@@ -369,52 +414,64 @@ def grade_value(u: IntervalSet, density: StepDensity | None) -> Fraction:
 def _prefix_sums(
     ambient: Ambient, z: IntervalSet, density: StepDensity | None
 ) -> tuple[tuple[Fraction, ...], list[Fraction], list[Fraction], list[Fraction], list[Fraction]]:
-    """Breakpoints of z's prefix profiles and running sums at each, in one merge pass.
+    """Breakpoints of z's prefix profiles and running sums at each, in one merge pass on ints.
 
     The breakpoints merge z's endpoints (canonical, so increasing) with the
-    density breakpoints, or with (0, upper) under Lebesgue measure.  At each
-    breakpoint x come the measures of z ^ (0, x] and of (0, x] minus z,
-    then the same two under the density (empty lists without one).
-    Crossing a z endpoint switches between inside and outside z; the
-    density value holds up to the next density breakpoint.  z must lie in
-    (0, upper].
+    density breakpoints, or with (0, upper) under Lebesgue measure, as
+    integer forms over one denominator D.  At each breakpoint x come the
+    measures of z ^ (0, x] and of (0, x] minus z, then the same two under
+    the density (empty lists without one), summed as numerators over D and
+    over D * Q.  Crossing a z endpoint switches between inside and outside
+    z; the density value holds up to the next density breakpoint.  Only the
+    sums that moved get a new Fraction.  z must lie in (0, upper].
     """
+    zero = Fraction(0)
     if density is None:
-        cuts, values = (Fraction(0), ambient.upper), (None,)
+        upper = ambient.upper
+        cut_ends, cut_form, weights, q = (zero, upper), ([0, upper.numerator], upper.denominator), [None], 1
     else:
-        cuts, values = density.breakpoints, density.values
+        cut_ends, cut_form = density.breakpoints, density._cuts
+        weights, q = density._weights
+    nums, cuts, d = _common(z._ints, cut_form)
+    dq = d * q
     ends = z.endpoints()
-    x = zero = Fraction(0)
-    xs = [x]
+    xs = [zero]
     in_meas, out_meas = [zero], [zero]
     in_mass, out_mass = ([zero], [zero]) if density is not None else ([], [])
-    acc_in = acc_out = mass_in = mass_out = zero
+    x = acc_in = acc_out = mass_in = mass_out = 0
+    meas_in = meas_out = grade_in = grade_out = zero
     i = 0  # z endpoints crossed so far
     inside = False  # whether the segment right of x lies in z
-    for value, cut in zip(values, cuts[1:]):
-        at_cut = False
-        while not at_cut:
-            if i < len(ends) and ends[i] == x:
+    for j, weight in enumerate(weights, 1):
+        cut = cuts[j]
+        while x != cut:
+            if i < len(nums) and nums[i] == x:
                 inside = not inside
                 i += 1
             # The density piece ends at cut, unless a z endpoint comes first.
-            at_cut = i == len(ends) or cut <= ends[i]
-            nx = cut if at_cut else ends[i]
+            if i < len(nums) and nums[i] < cut:
+                nx, end = nums[i], ends[i]
+            else:
+                nx, end = cut, cut_ends[j]
             length = nx - x
             if inside:
                 acc_in += length
-                if value is not None:
-                    mass_in += value * length
+                meas_in = Fraction(acc_in, d)
+                if weight is not None:
+                    mass_in += weight * length
+                    grade_in = Fraction(mass_in, dq)
             else:
                 acc_out += length
-                if value is not None:
-                    mass_out += value * length
-            xs.append(nx)
-            in_meas.append(acc_in)
-            out_meas.append(acc_out)
-            if value is not None:
-                in_mass.append(mass_in)
-                out_mass.append(mass_out)
+                meas_out = Fraction(acc_out, d)
+                if weight is not None:
+                    mass_out += weight * length
+                    grade_out = Fraction(mass_out, dq)
+            xs.append(end)
+            in_meas.append(meas_in)
+            out_meas.append(meas_out)
+            if weight is not None:
+                in_mass.append(grade_in)
+                out_mass.append(grade_out)
             x = nx
     return tuple(xs), in_meas, out_meas, in_mass, out_mass
 

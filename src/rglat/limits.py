@@ -92,6 +92,8 @@ def coherence_check(family: EmbeddingFamily, k: int, m: int, n: int) -> CheckRes
 
 def updown_metric(x: BitSubset | Subspace, y: BitSubset | Subspace) -> Fraction:
     """2 r(x v y) - r(x) - r(y) with renormalized ranks; a metric on each level."""
+    if not isinstance(x, (BitSubset, Subspace)):
+        raise PreconditionViolation(f"metric needs Boolean or subspace elements, got {x!r}")
     if type(x) is not type(y) or x.n != y.n or getattr(x, "p", None) != getattr(y, "p", None):
         raise PreconditionViolation(f"metric needs one level, got {x!r} and {y!r}")
     if isinstance(x, BitSubset):

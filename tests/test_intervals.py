@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rglat.errors import AmbientMismatch, InputFormatError, PreconditionViolation
+from rglat.gen import random_interval_set
 from rglat.intervals import (
     EMPTY,
     Ambient,
@@ -134,6 +136,14 @@ class TestNormalize:
             normalize([(1, 3), (-1, HALF)], AMBIENT2)
         assert str(outside.value) == "(1, 3] lies outside (0, 2]"
 
+    def test_a_bad_pair_is_named_before_a_later_unreadable_one(self):
+        with pytest.raises(PreconditionViolation, match=r"^raw interval \(1, 1/2\] is empty or reversed$"):
+            normalize([(1, HALF), (0.5, 1)])
+        with pytest.raises(AmbientMismatch, match=r"^\(1, 3\] lies outside \(0, 2\]$"):
+            normalize([(1, 3), ("x", 1)], AMBIENT2)
+        with pytest.raises(ValueError):
+            normalize([(0, 1), ("x", 1)], AMBIENT2)
+
 
 class TestBooleanOps:
     def test_meet_example(self):
@@ -205,6 +215,26 @@ class TestTrustedKernelResults:
     def test_kernel_results_pass_the_public_checks(self, u, v):
         for result in (intersect(u, v), union(u, v), normalize(u.intervals + v.intervals)):
             assert IntervalSet(result.intervals) == result
+
+    @settings(max_examples=200)
+    @example(u=iset((0, HALF)), v=iset((HALF, 1)), raw=[], seed=0)
+    @given(
+        u=interval_sets() | mixed_interval_sets(),
+        v=interval_sets() | mixed_interval_sets(),
+        raw=raw_pairs(),
+        seed=st.integers(0, 2**32),
+    )
+    def test_results_carry_the_integer_form_of_their_endpoints(self, u, v, raw, seed):
+        # A result's form may be over any common multiple of its denominators,
+        # so results of results are checked too.
+        drawn = random_interval_set(random.Random(seed), Fraction(7, 3))
+        results = [intersect(u, v), union(u, v), normalize(u.intervals + v.intervals), normalize(raw), drawn]
+        results += [union(results[0], drawn), intersect(results[1], drawn), union(u, results[0])]
+        for result in results:
+            nums, d = result._ints
+            ends = result.endpoints()
+            assert len(nums) == len(ends)
+            assert all(Fraction(n, d) == e for n, e in zip(nums, ends)), result
 
     def test_normalize_wraps_non_fraction_endpoints(self):
         u = normalize([(0, 1), ("3/2", TWO)])
@@ -404,7 +434,10 @@ class TestProfiles:
     @example(z=iset((1, Fraction(3, 2))), f=FINAL_DENSITY)  # starts on one
     @example(z=iset((0, 2)), f=None)
     @example(z=EMPTY, f=FINAL_DENSITY)
-    @given(z=interval_sets(), f=st.none() | step_densities())
+    @given(
+        z=interval_sets() | mixed_interval_sets(),
+        f=st.none() | step_densities() | odd_step_densities(),
+    )
     def test_bundle_matches_the_sorted_set_oracle(self, z, f):
         bundle = profile_bundle(AMBIENT2, z, f)
         expected = oracle_profiles(TWO, z.intervals, None if f is None else (f.breakpoints, f.values))

@@ -233,6 +233,11 @@ class TestUpDownMetric:
         with pytest.raises(PreconditionViolation):
             updown_metric(bits(2, 1), bits(4, 1))
 
+    def test_partitions_refused(self):
+        # Only the Boolean and subspace towers carry this metric.
+        with pytest.raises(PreconditionViolation, match="Boolean or subspace"):
+            updown_metric(SetPartition.discrete(3), SetPartition.discrete(3))
+
 
 class TestBooleanToInterval:
     def test_first_member_at_level_two(self):
