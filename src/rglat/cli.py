@@ -31,13 +31,14 @@ from .intervals import Ambient, interval_set_from_json, interval_set_to_json, me
 from .limits import cauchy_approx, tower_checks
 from .rank import format_fraction, parse_fraction
 from .regrading import (
+    MAX_GRID_LEVELS,
     FiniteRegrader,
     IntervalRegrader,
     LevelCutset,
     counterexample_report,
     cutset_from_json,
 )
-from .suites import SUITES, SuiteConfig, run_suites
+from .suites import SUITES, SuiteConfig, run_suites, sweep_levels
 
 
 def _config_line(args: argparse.Namespace) -> str:
@@ -70,7 +71,8 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list[str]], ex
         writer.writerow(header)
         writer.writerows(rows)
         for key, value in extra.items():
-            buf.write(f"# {key}: {value}\n")
+            for item in value if isinstance(value, list) else [value]:
+                buf.write(f"# {key}: {item}\n")
         text = buf.getvalue()
     if args.out:
         try:
@@ -103,6 +105,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if cfg.grid <= 0:
         print("grid step must be positive", file=sys.stderr)
         return 2
+    levels = sweep_levels(cfg)
+    if levels > MAX_GRID_LEVELS:
+        print(
+            f"error: grid step too fine: --grid {args.grid} sweeps at half that step, "
+            f"{levels} levels, over the cap {MAX_GRID_LEVELS}",
+            file=sys.stderr,
+        )
+        return 2
     if cfg.samples is not None and cfg.samples <= 0:
         print("sample count must be positive", file=sys.stderr)
         return 2
@@ -113,14 +123,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
             [res.name, "PASS" if res.passed else "FAIL", str(res.checked), res.detail, res.witness or ""]
             for res in results
         ]
+        replay = {res.name: _replay(res.name, cfg) for res in results if not res.passed}
         # JSON on stdout is the report alone, so it parses; otherwise the text lines come first.
         if args.format == "csv" or args.out:
             for name, status, checked, detail, witness in rows:
                 print(f"{status} {name} checked={checked} {detail}" + (f" witness: {witness}" if witness else ""))
+                if name in replay:
+                    print(f"replay: {replay[name]}")
             print(f"# {_config_line(args)}")
         if args.format == "json" or args.out:
-            _emit(args, ["suite", "status", "checked", "detail", "witness"], rows, {}, out)
+            extra = {"replay": list(replay.values())} if replay else {}
+            _emit(args, ["suite", "status", "checked", "detail", "witness"], rows, extra, out)
     return 0 if all(r.passed for r in results) else 1
+
+
+def _replay(name: str, cfg: SuiteConfig) -> str:
+    """The command that reruns one suite with the run's seed, grid and sample count."""
+    command = f"rglat verify --suite {name} --seed {cfg.seed} --grid {cfg.grid}"
+    return command if cfg.samples is None else f"{command} --samples {cfg.samples}"
 
 
 def _spec_size(spec: dict, key: str) -> int:

@@ -3,8 +3,8 @@
 A lattice is presented through its meet/join/rank callables; the order is
 derived from meet (``x <= y`` iff ``meet(x, y) == x``).  The checks here are
 the parts of rank-modularity theory that do not depend on any particular
-family: the modular defect, the balance residuals, the diamond bounds, the
-Lipschitz chain scan, and top adjunction for unbounded lattices.
+family: the modular defect, the balance and diamond rows, the Lipschitz chain
+scan, and top adjunction for unbounded lattices.
 """
 
 from __future__ import annotations
@@ -116,89 +116,35 @@ def _require_leq(lattice: GradedLattice, lo: Element, hi: Element, label: str) -
         raise PreconditionViolation(f"{label}: {lo!r} is not below {hi!r}")
 
 
-def balance_residuals(
-    lattice: GradedLattice,
-    m: Element,
-    m_small: Element,
-    w: Element,
-    z: Element,
-) -> tuple[RankValue, RankValue]:
-    """The two balance residuals for rank-modular m_small <= m and w <= z.
+def balance_residual(lattice: GradedLattice, x: Element, lo: Element, hi: Element) -> RankValue:
+    """[rk(x^hi)+rk(xvhi)] - [rk(x^lo)+rk(xvlo)] - (rk(hi)-rk(lo)) for lo <= hi.
 
-    First residual:  [rk(m^z)+rk(mvz)] - [rk(m^w)+rk(mvw)] - (rk(z)-rk(w)).
-    Second residual: [rk(m^z)+rk(mvz)] - [rk(m_small^z)+rk(m_smallvz)]
-                     - (rk(m)-rk(m_small)).
-    Both are exactly zero when m and m_small are rank modular.
+    Exactly zero when x is rank modular.  A balance quadruple, rank-modular
+    m_small <= m and w <= z, is the two rows (m; w <= z) and (z; m_small <= m):
+    meet and join commute, so each row reads three of the four elements.
     """
-    _require_leq(lattice, w, z, "balance residuals need w <= z")
-    _require_leq(lattice, m_small, m, "balance residuals need m_small <= m")
+    _require_leq(lattice, lo, hi, "balance residual needs lo <= hi")
     rk = lattice.rank
-    big = rk(lattice.meet(m, z)) + rk(lattice.join(m, z))
-    first = big - rk(lattice.meet(m, w)) - rk(lattice.join(m, w)) - (rk(z) - rk(w))
-    second = (
-        big
-        - rk(lattice.meet(m_small, z))
-        - rk(lattice.join(m_small, z))
-        - (rk(m) - rk(m_small))
-    )
-    return first, second
+    big = rk(lattice.meet(x, hi)) + rk(lattice.join(x, hi))
+    return big - rk(lattice.meet(x, lo)) - rk(lattice.join(x, lo)) - (rk(hi) - rk(lo))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    label: str
-    lhs: RankValue
-    rhs: RankValue
+def diamond_row(
+    lattice: GradedLattice, x: Element, lo: Element, hi: Element
+) -> tuple[RankValue, RankValue, RankValue]:
+    """(rk(x^hi) - rk(x^lo), rk(xvhi) - rk(xvlo), rk(hi) - rk(lo)) for lo <= hi.
 
-    @property
-    def slack(self) -> RankValue:
-        return self.rhs - self.lhs
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs
-
-
-@dataclass(frozen=True)
-class DiamondReport:
-    """The four diamond inequalities with their slacks.
-
-    The two slacks in each row sum exactly to the row's right-hand side
-    whenever the balance residuals vanish.
+    For rank-modular x each rise is at most the height and the two slacks
+    below it sum exactly to the height.  A diamond quadruple is two rows, as
+    in :func:`balance_residual`.
     """
-
-    checks: tuple[BoundCheck, BoundCheck, BoundCheck, BoundCheck]
-
-    def row_slack_sums(self) -> tuple[RankValue, RankValue]:
-        a, b, c, d = self.checks
-        return (a.slack + b.slack, c.slack + d.slack)
-
-    def row_rhs(self) -> tuple[RankValue, RankValue]:
-        return (self.checks[0].rhs, self.checks[2].rhs)
-
-
-def diamond_bounds(
-    lattice: GradedLattice,
-    m: Element,
-    m_small: Element,
-    w: Element,
-    z: Element,
-) -> DiamondReport:
-    """Check the four rank-difference bounds for modular m_small <= m, w <= z."""
-    _require_leq(lattice, w, z, "diamond bounds need w <= z")
-    _require_leq(lattice, m_small, m, "diamond bounds need m_small <= m")
+    _require_leq(lattice, lo, hi, "diamond row needs lo <= hi")
     rk = lattice.rank
-    height = rk(z) - rk(w)
-    drop = rk(m) - rk(m_small)
-    meet_mz = rk(lattice.meet(m, z))
-    join_mz = rk(lattice.join(m, z))
-    checks = (
-        BoundCheck("meet along w<z", meet_mz - rk(lattice.meet(m, w)), height),
-        BoundCheck("join along w<z", join_mz - rk(lattice.join(m, w)), height),
-        BoundCheck("meet along m_small<m", meet_mz - rk(lattice.meet(m_small, z)), drop),
-        BoundCheck("join along m_small<m", join_mz - rk(lattice.join(m_small, z)), drop),
+    return (
+        rk(lattice.meet(x, hi)) - rk(lattice.meet(x, lo)),
+        rk(lattice.join(x, hi)) - rk(lattice.join(x, lo)),
+        rk(hi) - rk(lo),
     )
-    return DiamondReport(checks)
 
 
 def lipschitz_scan(

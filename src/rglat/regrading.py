@@ -246,16 +246,6 @@ class IntervalRegrader:
         evaluator = _SweepEvaluator(self, EMPTY, step)
         return evaluator.rows("chief", evaluator.join_rows())
 
-    def sweep_through(self, z: IntervalSet, step: Fraction) -> list[SweepRow]:
-        """Rank-ordered sweep of the projection chain through z: one row per side and level.
-
-        The chain parameter plateaus across the gaps of z, so consecutive rows
-        can repeat one element, with equal rank and value.  One profile bundle
-        of z serves the whole sweep (see _SweepEvaluator).
-        """
-        evaluator = _SweepEvaluator(self, z, step)
-        return evaluator.rows("meet", evaluator.meet_rows()) + evaluator.rows("join", evaluator.join_rows())
-
 
 class _SweepEvaluator:
     """Closed-form regraded ranks along the projection chain through z, in integers.
@@ -274,7 +264,9 @@ class _SweepEvaluator:
     density value, so D covers the four value columns too.  On a piece a
     grade column has slope 0, 1 or a density value p/q, and a level minus
     the piece's left end is a multiple of Q once scaled, so q divides it and
-    the walk is exact.  Only ``rows`` builds Fractions.
+    the walk is exact.  Only ``rows`` builds Fractions; the sweep gate of
+    ``monotone-surjective`` reads the integer rows, meet side then join side,
+    which is the chain in rank order.
     """
 
     def __init__(self, regrader: "IntervalRegrader", z: IntervalSet, step: Fraction):

@@ -14,6 +14,7 @@ and the suite name, so a run is reproducible from its seed alone.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -23,9 +24,9 @@ from .core import (
     ChainSample,
     CheckResult,
     adjoin_bounds,
-    balance_residuals,
+    balance_residual,
     check_lattice_axioms,
-    diamond_bounds,
+    diamond_row,
     lipschitz_scan,
     rank_modular_defect,
     updown_distance,
@@ -92,6 +93,7 @@ from .regrading import (
     hypothesis_line_sets,
     hypothesis_product_plane,
     IntervalRegrader,
+    _SweepEvaluator,
 )
 
 UPPER = Fraction(2)
@@ -128,6 +130,7 @@ class _FiniteStage:
     modular: tuple
     pairs: tuple  # every (w, z) with w <= z
     strict: tuple  # every (w, z) with w < z, in the same order
+    between: tuple  # for each strict pair, the elements of [w, z] in stage order
 
 
 def _tabled(family: FiniteFamily) -> FiniteFamily:
@@ -169,7 +172,8 @@ def _finite_stage(make: Callable[[int], FiniteFamily]) -> _FiniteStage:
     leq = family.lattice.leq
     pairs = tuple((w, z) for w in elems for z in elems if leq(w, z))
     strict = tuple((w, z) for w, z in pairs if w != z)
-    return _FiniteStage(family, elems, tuple(rank_modular_elements(family)), pairs, strict)
+    between = tuple(tuple(x for x in elems if leq(w, x) and leq(x, z)) for w, z in strict)
+    return _FiniteStage(family, elems, tuple(rank_modular_elements(family)), pairs, strict, between)
 
 
 def _stages() -> list[_FiniteStage]:
@@ -197,42 +201,68 @@ def suite_lattice_axioms(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outco
 
 # --- balance residuals and diamond bounds -------------------------------------
 
-def _quadruple_suite(cfg: SuiteConfig, rng: random.Random, check: Callable) -> Iterator[Outcome]:
+def _quadruple_suite(
+    cfg: SuiteConfig, rng: random.Random, row: Callable, holds: Callable, witness: Callable
+) -> Iterator[Outcome]:
     """One per-quadruple check over random intervals and all partitions of 4.
 
-    ``check(lattice, m, ms, w, z)`` returns None or why it failed.  It runs
-    on random nested interval quadruples, then on every pair ms <= m of
-    rank-modular partitions against every pair w <= z.
+    A quadruple ms <= m of rank-modular elements and w <= z passes when both
+    of its rows do, ``row(lattice, m, w, z)`` and ``row(lattice, z, ms, m)``,
+    each by ``holds(value)``; ``witness(first, second)`` says why a quadruple
+    fails.  It runs on random nested interval quadruples, then on every pair
+    ms <= m of rank-modular partitions against every pair w <= z.  A
+    partition row reads three of the four elements, so each distinct row is
+    evaluated and checked once per run.
     """
+    def checked(lattice, x, lo, hi):
+        value = row(lattice, x, lo, hi)
+        return value, holds(value)
+
+    def verdict(first, second) -> str | None:
+        (a, a_holds), (b, b_holds) = first, second
+        return None if a_holds and b_holds else witness(a, b)
+
     lattice = interval_lattice(Ambient(UPPER))
     for _ in range(cfg.samples or 1000):
         m, ms, w, z = random_nested_quadruple(rng, UPPER)
-        why = check(lattice, m, ms, w, z)
+        why = verdict(checked(lattice, m, w, z), checked(lattice, z, ms, m))
         yield f"{why} at m={m!r} ms={ms!r} w={w!r} z={z!r}" if why else None
     stage = _finite_stage(partition_family)
     plattice = stage.family.lattice
     mods = stage.modular
-    for ms, m in [(ms, m) for ms in mods for m in mods if plattice.leq(ms, m)]:
-        for w, z in stage.pairs:
-            why = check(plattice, m, ms, w, z)
+    nested = [(ms, m) for ms in mods for m in mods if plattice.leq(ms, m)]
+    along_pairs = {m: [checked(plattice, m, w, z) for w, z in stage.pairs] for m in {m for _, m in nested}}
+    for ms, m in nested:
+        along_mods = {z: checked(plattice, z, ms, m) for z in stage.elements}
+        for (w, z), first in zip(stage.pairs, along_pairs[m]):
+            why = verdict(first, along_mods[z])
             yield f"partition {why} at m={m!r} ms={ms!r} w={w!r} z={z!r}" if why else None
 
 
-def _balance_check(lattice, m, ms, w, z) -> str | None:
-    r1, r2 = balance_residuals(lattice, m, ms, w, z)
-    if r1 != 0 or r2 != 0:
-        return f"residuals ({r1}, {r2})"
-    return None
+def _balance_holds(residual) -> bool:
+    return residual == 0
 
 
-def _diamond_check(lattice, m, ms, w, z) -> str | None:
-    report = diamond_bounds(lattice, m, ms, w, z)
-    broken = next((c for c in report.checks if not c.holds), None)
-    if broken:
-        return f"bound {broken.label!r} broken: lhs {broken.lhs} > rhs {broken.rhs}"
-    if report.row_slack_sums() != report.row_rhs():
-        return "row slacks do not sum to the row height"
-    return None
+def _balance_witness(first, second) -> str:
+    return f"residuals ({first}, {second})"
+
+
+_DIAMOND_LABELS = ("meet along w<z", "join along w<z", "meet along m_small<m", "join along m_small<m")
+
+
+def _diamond_holds(row) -> bool:
+    """Both rises within the height, and their slacks summing to it."""
+    meet, join, height = row
+    return meet <= height and join <= height and (height - meet) + (height - join) == height
+
+
+def _diamond_witness(first, second) -> str:
+    """The first broken bound of the four, else the row sum that fails."""
+    (a, b, h), (c, d, k) = first, second
+    for label, lhs, rhs in zip(_DIAMOND_LABELS, (a, b, c, d), (h, h, k, k)):
+        if not lhs <= rhs:
+            return f"bound {label!r} broken: lhs {lhs} > rhs {rhs}"
+    return "row slacks do not sum to the row height"
 
 
 # --- Lipschitz chain scans ----------------------------------------------------
@@ -301,12 +331,11 @@ def suite_interval_projection(cfg: SuiteConfig, rng: random.Random) -> Iterator[
     for stage in _stages():
         flattice = stage.family.lattice
         for m in stage.modular:
-            for w, z in stage.strict:
+            for (w, z), between in zip(stage.strict, stage.between):
                 e = flattice.join(w, flattice.meet(m, z))
-                for x in stage.elements:
-                    if flattice.leq(w, x) and flattice.leq(x, z):
-                        ok = rank_modular_defect(flattice, e, x) == 0
-                        yield None if ok else f"finite relative defect nonzero at m={m!r} w={w!r} z={z!r} x={x!r}"
+                for x in between:
+                    ok = rank_modular_defect(flattice, e, x) == 0
+                    yield None if ok else f"finite relative defect nonzero at m={m!r} w={w!r} z={z!r} x={x!r}"
 
 
 # --- profiles and gradings ----------------------------------------------------
@@ -383,40 +412,50 @@ def suite_level_set(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
 def _check_sweep(rows, lo, hi, max_gap: Fraction) -> str | None:
     """The chain's elements increase from lo to hi, each by at most max_gap.
 
-    Consecutive rows of equal rank are one element: the chain parameter
-    plateaus across the gaps of z.  The first row of each run stands for it.
-    One walk finds every witness; a non-increase is reported first, then
-    wrong endpoints, then the first gap over max_gap.  Each step compares
-    cross-multiplied numerators (denominators are positive), so the walk
-    builds no Fraction.
+    ``rows`` are a sweep evaluator's integer rows (rank, num, den): the
+    regraded value is num / den with den > 0, and the ranks of one chain
+    share one scale.  Consecutive rows of equal rank are one element: the
+    chain parameter plateaus across the gaps of z.  The first row of each
+    run stands for it.  One walk finds every witness; a non-increase is
+    reported first, then wrong endpoints, then the first gap over max_gap.
+    Each step compares cross-multiplied numerators, so the walk builds a
+    Fraction only for a witness.
     """
     g, h = max_gap.numerator, max_gap.denominator
     first = last = last_rank = wide = None
-    for row in rows:
-        if row.rank == last_rank:
+    for rank, num, den in rows:
+        if rank == last_rank:
             continue
-        value = row.regraded
         if last is None:
-            first = value
+            first = num, den
         else:
-            # value - last is rise / (q * lq).
-            q, lq = value.denominator, last.denominator
-            rise = value.numerator * lq - last.numerator * q
+            # The rise over the last value is rise / (den * last_den).
+            last_num, last_den = last
+            rise = num * last_den - last_num * den
             if rise <= 0:
                 return "regraded column not strictly increasing"
-            if wide is None and rise * h > g * q * lq:
-                wide = f"regraded gap {last}..{value} wider than {max_gap}"
-        last, last_rank = value, row.rank
-    if first != lo or last != hi:
-        return f"endpoints {first}..{last} instead of {lo}..{hi}"
+            if wide is None and rise * h > g * den * last_den:
+                wide = f"regraded gap {Fraction(*last)}..{Fraction(num, den)} wider than {max_gap}"
+        last, last_rank = (num, den), rank
+    if first[0] * lo.denominator != lo.numerator * first[1] or last[0] * hi.denominator != hi.numerator * last[1]:
+        return f"endpoints {Fraction(*first)}..{Fraction(*last)} instead of {lo}..{hi}"
     return wide
+
+
+def _sweep_step(cfg: SuiteConfig) -> Fraction:
+    return cfg.grid / 2
+
+
+def sweep_levels(cfg: SuiteConfig) -> int:
+    """Levels on each side of a monotone-surjective sweep, whose step is half the grid."""
+    return math.ceil(UPPER / _sweep_step(cfg)) + 1
 
 
 def suite_monotone_surjective(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     stage = counterexample_stage()
     lo = stage.regraded(EMPTY)
     hi = stage.regraded(stage.top)
-    step = cfg.grid / 2
+    step = _sweep_step(cfg)
     # Along a chain the regraded value is continuous and piecewise linear in the
     # level, with slope 0 or 1, or on the exchange branches a ratio of two density
     # values.  So neighbouring elements of a sweep differ by at most L * step,
@@ -424,11 +463,13 @@ def suite_monotone_surjective(cfg: SuiteConfig, rng: random.Random) -> Iterator[
     values = stage.density.values
     max_gap = max(values) / min(values) * step
 
-    why = _check_sweep(stage.sweep_chief(step), lo, hi, max_gap)
+    # The chief chain is the join side of the projection chain through EMPTY.
+    why = _check_sweep(_SweepEvaluator(stage, EMPTY, step).join_rows(), lo, hi, max_gap)
     yield f"chief chain: {why}" if why else None
     for _ in range(cfg.samples or 50):
         z = random_interval_set(rng, UPPER, max_pieces=3)
-        why = _check_sweep(stage.sweep_through(z, step), lo, hi, max_gap)
+        sweep = _SweepEvaluator(stage, z, step)
+        why = _check_sweep(sweep.meet_rows() + sweep.join_rows(), lo, hi, max_gap)
         yield f"chain through {z!r}: {why}" if why else None
     pairs = [random_comparable_pair(rng, UPPER) for _ in range(200)]
     yield stage.monotone_check(pairs)
@@ -607,11 +648,11 @@ SUITES: dict[str, tuple[Checks, str]] = {
         suite_lattice_axioms, "idempotence, commutativity, absorption, associativity, rank monotonicity"
     ),
     "balance": (
-        functools.partial(_quadruple_suite, check=_balance_check),
+        functools.partial(_quadruple_suite, row=balance_residual, holds=_balance_holds, witness=_balance_witness),
         "both balance residuals exactly zero (random interval + exhaustive partition)",
     ),
     "diamond": (
-        functools.partial(_quadruple_suite, check=_diamond_check),
+        functools.partial(_quadruple_suite, row=diamond_row, holds=_diamond_holds, witness=_diamond_witness),
         "four diamond bounds with exact row-sum slack identity",
     ),
     "lipschitz": (suite_lipschitz, "meet/join chain scans stay within slope 1"),

@@ -6,11 +6,12 @@ summed cell by cell between the sets' own endpoints, and chains are built
 from the bare order relation.  ``fraction_intersect`` and ``fraction_union``
 are the interval kernels' walks in plain ``Fraction`` comparisons, which
 pin the package's integer walks down to the endpoint objects they return.
-Two exceptions read the package's own objects: ``cutset_gap``, the general
-cover test on the family's own order, which pins the rank-level check of
-explicit cutsets; and ``fraction_sweep``, the closed-form sweep in plain
-``Fraction`` arithmetic, which pins the package's integer sweep value for
-value.
+Some read the package's own objects: ``cutset_gap``, the general cover
+test on the family's own order, which pins the rank-level check of explicit
+cutsets; ``fraction_sweep``, the closed-form sweep in plain ``Fraction``
+arithmetic, which pins the package's integer sweep value for value; and
+``quadruple_balance`` and ``quadruple_diamond``, the balance and diamond
+checks on whole quadruples, which pin the suites' three-element rows.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ class _FractionSweepEvaluator:
 
 
 def fraction_sweep(regrader, z, step: Fraction) -> list:
-    """``sweep_through(z, step)`` rows, or ``sweep_chief(step)`` rows when z is None."""
+    """The rows of the chain through z, meet side then join side, or ``sweep_chief(step)`` rows when z is None."""
     upper = regrader.ambient.upper
     levels = [k * step for k in range(math.ceil(upper / step))] + [upper]
     if z is None:
@@ -279,8 +280,8 @@ def fraction_sweep(regrader, z, step: Fraction) -> list:
 
 
 def fraction_check_sweep(rows, lo, hi, max_gap: Fraction) -> str | None:
-    """``suites._check_sweep`` in Fraction arithmetic, one pass per witness kind."""
-    values = [next(run).regraded for _, run in itertools.groupby(rows, key=lambda r: r.rank)]
+    """``suites._check_sweep`` on (rank, regraded) Fraction rows, one pass per witness kind."""
+    values = [next(run)[1] for _, run in itertools.groupby(rows, key=lambda r: r[0])]
     if any(a >= b for a, b in zip(values, values[1:])):
         return "regraded column not strictly increasing"
     if values[0] != lo or values[-1] != hi:
@@ -289,6 +290,48 @@ def fraction_check_sweep(rows, lo, hi, max_gap: Fraction) -> str | None:
         if b - a > max_gap:
             return f"regraded gap {a}..{b} wider than {max_gap}"
     return None
+
+
+# --- balance and diamond on whole quadruples ----------------------------------
+
+def quadruple_balance(lattice, m, m_small, w, z):
+    """The two balance residuals of rank-modular m_small <= m and w <= z, and the suite's witness.
+
+    The residuals share rk(m^z) + rk(mvz), read once with m first.  The
+    witness is None when both residuals vanish.
+    """
+    rk = lattice.rank
+    big = rk(lattice.meet(m, z)) + rk(lattice.join(m, z))
+    first = big - rk(lattice.meet(m, w)) - rk(lattice.join(m, w)) - (rk(z) - rk(w))
+    second = big - rk(lattice.meet(m_small, z)) - rk(lattice.join(m_small, z)) - (rk(m) - rk(m_small))
+    why = f"residuals ({first}, {second})" if first != 0 or second != 0 else None
+    return (first, second), why
+
+
+def quadruple_diamond(lattice, m, m_small, w, z):
+    """The four diamond bounds (label, lhs, rhs) of one quadruple, and the suite's witness.
+
+    The witness names the first broken bound; with all four holding, it
+    reports a row whose two slacks do not sum to the row's height.
+    """
+    rk = lattice.rank
+    height, drop = rk(z) - rk(w), rk(m) - rk(m_small)
+    meet_mz, join_mz = rk(lattice.meet(m, z)), rk(lattice.join(m, z))
+    bounds = [
+        ("meet along w<z", meet_mz - rk(lattice.meet(m, w)), height),
+        ("join along w<z", join_mz - rk(lattice.join(m, w)), height),
+        ("meet along m_small<m", meet_mz - rk(lattice.meet(m_small, z)), drop),
+        ("join along m_small<m", join_mz - rk(lattice.join(m_small, z)), drop),
+    ]
+    broken = next((b for b in bounds if not b[1] <= b[2]), None)
+    slack = [rhs - lhs for _, lhs, rhs in bounds]
+    if broken:
+        why = f"bound {broken[0]!r} broken: lhs {broken[1]} > rhs {broken[2]}"
+    elif (slack[0] + slack[1], slack[2] + slack[3]) != (height, drop):
+        why = "row slacks do not sum to the row height"
+    else:
+        why = None
+    return bounds, why
 
 
 # --- subsets through the containment order ------------------------------------

@@ -92,6 +92,47 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert "Traceback" not in captured.err
 
+    def test_grid_past_the_sweep_cap_fails_before_any_suite_runs(self, tmp_path, capsys):
+        report = tmp_path / "rep.txt"
+        report.write_text("an earlier report\n")
+        assert main(["verify", "--suite", "all", "--grid", "1/100000", "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "--grid 1/100000" in captured.err
+        assert "Traceback" not in captured.err
+        assert report.read_text() == "an earlier report\n"
+
+    def test_a_failure_prints_a_replay_command_that_reproduces_it(self, monkeypatch, capsys):
+        # The first sweep passes, the next fails: the witness names the random
+        # chain the seed drew and the row count the grid gives.
+        calls = []
+
+        def forced(rows, lo, hi, max_gap):
+            calls.append(rows)
+            return None if len(calls) == 1 else f"forced after {len(rows)} rows"
+
+        monkeypatch.setattr("rglat.suites._check_sweep", forced)
+        argv = ["verify", "--suite", "monotone-surjective", "--seed", "5", "--grid", "1/2", "--samples", "3"]
+        assert main(argv) == 1
+        fail, replay, config = capsys.readouterr().out.splitlines()
+        assert fail.startswith("FAIL monotone-surjective checked=1 failed witness: chain through")
+        assert replay == "replay: rglat verify --suite monotone-surjective --seed 5 --grid 1/2 --samples 3"
+        assert config.startswith("# command=verify")
+
+        calls.clear()
+        assert main(replay.removeprefix("replay: rglat ").split()) == 1
+        assert capsys.readouterr().out.splitlines()[:2] == [fail, replay]
+
+        calls.clear()
+        assert main([*argv, "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["replay"] == [replay.removeprefix("replay: ")]
+        assert fail.endswith(payload["rows"][0][4])
+
+    def test_a_passing_report_has_no_replay(self, capsys):
+        assert main(["verify", "--suite", "finite-counts", "--format", "json"]) == 0
+        assert "replay" not in json.loads(capsys.readouterr().out)
+
     def test_sample_override_runs(self, capsys):
         assert main(["verify", "--suite", "balance", "--samples", "50", "--seed", "3"]) == 0
 

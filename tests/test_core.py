@@ -6,9 +6,9 @@ import pytest
 from rglat.core import (
     ChainSample,
     adjoin_bounds,
-    balance_residuals,
+    balance_residual,
     check_lattice_axioms,
-    diamond_bounds,
+    diamond_row,
     lipschitz_scan,
     rank_modular_defect,
     updown_distance,
@@ -82,7 +82,7 @@ class TestBalanceResiduals:
         lattice = interval_lattice(Ambient(Fraction(2)))
         m, m_small = iset((0, "3/2")), iset((0, "1/2"))
         w, z = iset((1, "3/2")), iset((1, 2))
-        r1, r2 = balance_residuals(lattice, m, m_small, w, z)
+        r1, r2 = balance_residual(lattice, m, w, z), balance_residual(lattice, z, m_small, m)
         assert (r1, r2) == (ZERO, ZERO)
         # Rebuild the first residual from grid-counted measures.
         mz = [(1, Fraction(3, 2))]
@@ -100,38 +100,38 @@ class TestBalanceResiduals:
         lattice = boolean_family(4).lattice
         w = BitSubset.from_members(4, [2])
         m = BitSubset.from_members(4, [1, 2])
-        r1, _ = balance_residuals(lattice, m, m, w, w)
-        assert r1 == ZERO
+        assert balance_residual(lattice, m, w, w) == ZERO
 
     def test_partition_instance(self):
         m = part([1, 2, 3], [4])
         m_small = part([1, 2], [3], [4])
         w = SetPartition.discrete(4)
         z = part([1, 4], [2], [3])
-        assert balance_residuals(P4.lattice, m, m_small, w, z) == (ZERO, ZERO)
+        rows = (balance_residual(P4.lattice, m, w, z), balance_residual(P4.lattice, z, m_small, m))
+        assert rows == (ZERO, ZERO)
 
     def test_non_comparable_precondition_reports_witnesses(self):
         lattice = boolean_family(4).lattice
         a = BitSubset.from_members(4, [1])
         b = BitSubset.from_members(4, [2])
         with pytest.raises(PreconditionViolation, match="not below"):
-            balance_residuals(lattice, a, a, a, b)
+            balance_residual(lattice, a, a, b)
 
 
 class TestDiamondBounds:
     def test_interval_instance_all_pass(self):
         lattice = interval_lattice(Ambient(Fraction(2)))
-        report = diamond_bounds(lattice, iset((0, 1)), iset((0, "1/2")), iset(("1/2", 1)), iset(("1/2", 2)))
-        assert all(c.holds for c in report.checks)
-        assert all(c.slack >= ZERO for c in report.checks)
-        assert report.row_slack_sums() == report.row_rhs()
+        m, m_small, w, z = iset((0, 1)), iset((0, "1/2")), iset(("1/2", 1)), iset(("1/2", 2))
+        for meet, join, height in (diamond_row(lattice, m, w, z), diamond_row(lattice, z, m_small, m)):
+            assert ZERO <= meet <= height and ZERO <= join <= height
+            assert (height - meet) + (height - join) == height
 
     def test_top_meet_row_has_zero_slack(self):
         lattice = boolean_family(4).lattice
         w = BitSubset.from_members(4, [1])
         z = BitSubset.from_members(4, [1, 2, 3])
-        report = diamond_bounds(lattice, lattice.top, lattice.top, w, z)
-        assert report.checks[0].slack == ZERO
+        meet, _, height = diamond_row(lattice, lattice.top, w, z)
+        assert height - meet == ZERO
 
     def test_exhaustive_partition_quadruples(self):
         lattice = P4.lattice
@@ -143,9 +143,16 @@ class TestDiamondBounds:
                 if not lattice.leq(m_small, m):
                     continue
                 for w, z in comp:
-                    report = diamond_bounds(lattice, m, m_small, w, z)
-                    assert all(c.holds for c in report.checks)
-                    assert report.row_slack_sums() == report.row_rhs()
+                    for meet, join, height in (diamond_row(lattice, m, w, z), diamond_row(lattice, z, m_small, m)):
+                        assert meet <= height and join <= height
+                        assert (height - meet) + (height - join) == height
+
+    def test_non_comparable_precondition_reports_witnesses(self):
+        lattice = boolean_family(4).lattice
+        a = BitSubset.from_members(4, [1])
+        b = BitSubset.from_members(4, [2])
+        with pytest.raises(PreconditionViolation, match="not below"):
+            diamond_row(lattice, a, a, b)
 
 
 class TestLipschitzScan:

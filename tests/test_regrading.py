@@ -50,6 +50,7 @@ from rglat.regrading import (
     hypothesis_line_sets,
     hypothesis_product_plane,
     _grid,
+    _SweepEvaluator,
 )
 
 from oracle_helpers import (
@@ -66,6 +67,17 @@ from strategies import interval_sets, step_densities
 
 TWO = Fraction(2)
 HALF = Fraction(1, 2)
+
+
+def through_rows(regrader, z, step):
+    """The projection chain through z, meet side then join side, in rank order.
+
+    The sweep evaluator's integer rows, read as Fractions the way
+    ``sweep_chief`` reads the chief chain's.
+    """
+    sweep = _SweepEvaluator(regrader, z, step)
+    return sweep.rows("meet", sweep.meet_rows()) + sweep.rows("join", sweep.join_rows())
+
 
 # Finite families with their order taken from the bare representation, not
 # from the package's meet.
@@ -184,9 +196,9 @@ class TestProjection:
         [
             lambda r, z: r.project(z),
             lambda r, z: r.regraded(z),
-            lambda r, z: r.sweep_through(z, Fraction(1, 4)),
+            lambda r, z: through_rows(r, z, Fraction(1, 4)),
         ],
-        ids=["project", "regraded", "sweep_through"],
+        ids=["project", "regraded", "sweep"],
     )
     @pytest.mark.parametrize("density", [None, StepDensity((0, 1, 2), (1, 2))], ids=["measure", "density"])
     @pytest.mark.parametrize("z", [iset((1, 3)), iset((-1, 1))], ids=["past-upper", "below-zero"])
@@ -333,7 +345,7 @@ class TestSweeps:
         with pytest.raises(PreconditionViolation, match="float"):
             stage().sweep_chief(0.3)
         with pytest.raises(PreconditionViolation, match="float"):
-            stage().sweep_through(iset((1, 2)), 0.25)
+            through_rows(stage(), iset((1, 2)), 0.25)
 
     def test_degenerate_two_point_grid(self):
         rows = stage().sweep_chief(TWO)
@@ -368,7 +380,7 @@ class TestSweeps:
         # One row per side and level; the meet side plateaus at rank 0 over the
         # gap (0, 1] of z, and the join side starts at z, where the meet side ends.
         regrader = stage()
-        rows = regrader.sweep_through(iset((1, "7/4")), Fraction(1, 8))
+        rows = through_rows(regrader, iset((1, "7/4")), Fraction(1, 8))
         assert len(rows) == 2 * 17
         assert rows[0].regraded == regrader.regraded(EMPTY)
         assert rows[-1].regraded == regrader.regraded(regrader.top)
@@ -674,7 +686,7 @@ def test_sweep_agrees_with_per_element_projection(z, regrader):
     # Two routes to the same numbers: the closed-form sweep off z's profiles,
     # and a fresh projection of each materialized chain element.
     step = Fraction(1, 8)
-    rows = [(r, chain_point(regrader, z, r.level, r.side)) for r in regrader.sweep_through(z, step)]
+    rows = [(r, chain_point(regrader, z, r.level, r.side)) for r in through_rows(regrader, z, step)]
     rows += [(r, regrader.chief(r.level)) for r in regrader.sweep_chief(step)]
     for row, element in rows:
         assert row.rank == measure(element)
@@ -722,7 +734,7 @@ def sets_touching_the_ends(draw, upper: Fraction):
 def test_integer_sweep_matches_the_fraction_oracle(regrader, data, step):
     # Row for row, value for value, against the same closed form in Fractions.
     z = data.draw(sets_touching_the_ends(regrader.ambient.upper))
-    assert regrader.sweep_through(z, step) == fraction_sweep(regrader, z, step)
+    assert through_rows(regrader, z, step) == fraction_sweep(regrader, z, step)
     assert regrader.sweep_chief(step) == fraction_sweep(regrader, None, step)
 
 
@@ -730,7 +742,7 @@ def test_sweep_matches_hand_computed_chain():
     # Along the meet side of the chain through (1, 2] the regraded rank is
     # 2s - 3 below the cutset and s - 3/2 above it, s the right endpoint.
     regrader = counterexample_stage()
-    evaluator_rows = regrader.sweep_through(iset((1, 2)), Fraction(1, 8))
+    evaluator_rows = through_rows(regrader, iset((1, 2)), Fraction(1, 8))
     by_key = {(r.side, r.level): r for r in evaluator_rows}
     assert by_key[("meet", Fraction(5, 4))].regraded == Fraction(-1, 2)
     assert by_key[("meet", Fraction(3, 2))].regraded == Fraction(0)

@@ -34,6 +34,14 @@ def test_tables_agree_with_a_fresh_family_on_every_ordered_pair(name):
         assert tables.rank(x) == kernels.rank(x)
 
 
+@pytest.mark.parametrize("name", STAGES)
+def test_each_strict_pair_carries_its_interval_in_stage_order(name):
+    stage, kernels = _finite_stage(STAGES[name]), STAGES[name](4).lattice
+    assert len(stage.between) == len(stage.strict)
+    for (w, z), between in zip(stage.strict, stage.between):
+        assert between == tuple(x for x in stage.elements if kernels.leq(w, x) and kernels.leq(x, z))
+
+
 def test_a_kernel_result_outside_the_enumeration_is_an_internal_error():
     family = boolean_family(2)
     stray = dataclasses.replace(family.lattice, meet=lambda x, y: BitSubset(3, 0))

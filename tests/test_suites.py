@@ -6,17 +6,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rglat.core import CheckResult, GradedLattice
+from rglat.core import CheckResult, GradedLattice, diamond_row
 from rglat.finite import BitSubset
-from rglat.regrading import SweepRow
-from rglat.suites import SUITES, SuiteConfig, SuiteResult, _check_sweep, _diamond_check, run_suite
+from rglat.suites import (
+    SUITES,
+    SuiteConfig,
+    SuiteResult,
+    _check_sweep,
+    _diamond_holds,
+    _diamond_witness,
+    run_suite,
+)
 
 from oracle_helpers import fraction_check_sweep
 from strategies import rationals
 
 
 def rows(*values):
-    return [SweepRow("chief", Fraction(i), Fraction(i), Fraction(v)) for i, v in enumerate(values)]
+    """Integer sweep rows (rank, num, den), one element per rank.
+
+    Row i carries its value over (i + 1) times the reduced denominator, as a
+    sweep's rows need not be reduced.
+    """
+    rows = []
+    for i, v in enumerate(map(Fraction, values)):
+        rows.append((i, (i + 1) * v.numerator, (i + 1) * v.denominator))
+    return rows
 
 
 LO, HI = Fraction(-1), Fraction(1)
@@ -39,9 +54,7 @@ def test_sweep_gate_reports_a_sweep_that_does_not_increase():
 
 def test_sweep_gate_counts_equal_rank_rows_as_one_element():
     # The middle element repeats over a plateau of the chain parameter.
-    plateau = [SweepRow("meet", Fraction(i), Fraction(r), Fraction(v)) for i, (r, v) in enumerate(
-        [(0, -1), (1, 0), (1, 0), (2, 1)]
-    )]
+    plateau = [(0, -1, 1), (8, 0, 1), (8, 0, 3), (16, 2, 2)]
     assert _check_sweep(plateau, LO, HI, Fraction(1)) is None
 
 
@@ -51,18 +64,22 @@ def test_sweep_gate_reports_missed_endpoints():
 
 
 @given(
-    steps=st.lists(st.tuples(st.integers(0, 1), rationals(-1, 2, 6)), min_size=1, max_size=8),
+    steps=st.lists(
+        st.tuples(st.integers(0, 1), rationals(-1, 2, 6), st.integers(1, 6)), min_size=1, max_size=8
+    ),
     lo=rationals(-1, 0, 2),
     hi=rationals(0, 3, 2),
     max_gap=rationals(1, 2, 4),
 )
 def test_sweep_gate_matches_the_fraction_oracle(steps, lo, hi, max_gap):
     # Each step keeps the rank or raises it by one; a kept rank repeats the element.
+    # Each row carries its value over a multiple of the reduced denominator.
     rank, value, sweep = 0, lo, []
-    for i, (rank_step, rise) in enumerate(steps):
+    for rank_step, rise, k in steps:
         rank, value = rank + rank_step, value + rise
-        sweep.append(SweepRow("join", Fraction(i), Fraction(rank), value))
-    assert _check_sweep(sweep, lo, hi, max_gap) == fraction_check_sweep(sweep, lo, hi, max_gap)
+        sweep.append((rank, k * value.numerator, k * value.denominator))
+    oracle_rows = [(r, Fraction(num, den)) for r, num, den in sweep]
+    assert _check_sweep(sweep, lo, hi, max_gap) == fraction_check_sweep(oracle_rows, lo, hi, max_gap)
 
 
 def test_counterexample_counts_the_comparisons_it_makes():
@@ -132,5 +149,7 @@ def test_diamond_check_names_the_first_broken_bound():
     # w = 0 <= z = 0b10 climbs from rank 1 to 5, more than the height 1.
     ranks = {0: Fraction(0), 1: Fraction(1), 2: Fraction(1), 3: Fraction(5)}
     lattice = GradedLattice("skewed-b2", operator.and_, operator.or_, ranks.__getitem__, bottom=0, top=3)
-    why = _diamond_check(lattice, 1, 0, 0, 2)
-    assert why == "bound 'join along w<z' broken: lhs 4 > rhs 1"
+    m, ms, w, z = 1, 0, 0, 2
+    first, second = diamond_row(lattice, m, w, z), diamond_row(lattice, z, ms, m)
+    assert not _diamond_holds(first)
+    assert _diamond_witness(first, second) == "bound 'join along w<z' broken: lhs 4 > rhs 1"
