@@ -3,8 +3,8 @@
 A lattice is presented through its meet/join/rank callables; the order is
 derived from meet (``x <= y`` iff ``meet(x, y) == x``).  The checks here are
 the parts of rank-modularity theory that do not depend on any particular
-family: the modular defect, the balance and diamond rows, the Lipschitz chain
-scan, and top adjunction for unbounded lattices.
+family: the modular defect, the diamond row behind the balance and diamond
+checks, the Lipschitz chain scan, and top adjunction for unbounded lattices.
 """
 
 from __future__ import annotations
@@ -111,34 +111,19 @@ def rank_modular_defect(lattice: GradedLattice, m: Element, x: Element) -> RankV
     return join_rank + meet_rank - lattice.rank(x) - lattice.rank(m)
 
 
-def _require_leq(lattice: GradedLattice, lo: Element, hi: Element, label: str) -> None:
-    if not lattice.leq(lo, hi):
-        raise PreconditionViolation(f"{label}: {lo!r} is not below {hi!r}")
-
-
-def balance_residual(lattice: GradedLattice, x: Element, lo: Element, hi: Element) -> RankValue:
-    """[rk(x^hi)+rk(xvhi)] - [rk(x^lo)+rk(xvlo)] - (rk(hi)-rk(lo)) for lo <= hi.
-
-    Exactly zero when x is rank modular.  A balance quadruple, rank-modular
-    m_small <= m and w <= z, is the two rows (m; w <= z) and (z; m_small <= m):
-    meet and join commute, so each row reads three of the four elements.
-    """
-    _require_leq(lattice, lo, hi, "balance residual needs lo <= hi")
-    rk = lattice.rank
-    big = rk(lattice.meet(x, hi)) + rk(lattice.join(x, hi))
-    return big - rk(lattice.meet(x, lo)) - rk(lattice.join(x, lo)) - (rk(hi) - rk(lo))
-
-
 def diamond_row(
     lattice: GradedLattice, x: Element, lo: Element, hi: Element
 ) -> tuple[RankValue, RankValue, RankValue]:
     """(rk(x^hi) - rk(x^lo), rk(xvhi) - rk(xvlo), rk(hi) - rk(lo)) for lo <= hi.
 
-    For rank-modular x each rise is at most the height and the two slacks
-    below it sum exactly to the height.  A diamond quadruple is two rows, as
-    in :func:`balance_residual`.
+    For rank-modular x each rise is at most the height and the two rises sum
+    exactly to it: the balance identity.  A balance or diamond quadruple,
+    rank-modular m_small <= m and w <= z, is the two rows (m; w <= z) and
+    (z; m_small <= m): meet and join commute, so each row reads three of the
+    four elements.
     """
-    _require_leq(lattice, lo, hi, "diamond row needs lo <= hi")
+    if not lattice.leq(lo, hi):
+        raise PreconditionViolation(f"diamond row needs lo <= hi: {lo!r} is not below {hi!r}")
     rk = lattice.rank
     return (
         rk(lattice.meet(x, hi)) - rk(lattice.meet(x, lo)),

@@ -18,7 +18,6 @@ the two-speed density instance where that failure is visible.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,9 +241,11 @@ class IntervalRegrader:
         return CheckResult(True, checked)
 
     def sweep_chief(self, step: Fraction) -> list[SweepRow]:
-        # The chief chain is the join side of the projection chain through EMPTY.
-        evaluator = _SweepEvaluator(self, EMPTY, step)
-        return evaluator.rows("chief", evaluator.join_rows())
+        # The projection chain through a chief element m_t is the chief chain itself,
+        # as m_t ^ m_mu and m_t v m_mu are prefixes.  So every m_t crosses the cutset
+        # at m_{t*}, of measure t*, and has rank t and regraded rank t - t*.
+        grid, den = _grid(self.ambient.upper, step)
+        return [SweepRow("chief", t, t, t - self.chief_alpha) for t in (Fraction(k, den) for k in grid)]
 
 
 class _SweepEvaluator:
@@ -264,7 +265,7 @@ class _SweepEvaluator:
     density value, so D covers the four value columns too.  On a piece a
     grade column has slope 0, 1 or a density value p/q, and a level minus
     the piece's left end is a multiple of Q once scaled, so q divides it and
-    the walk is exact.  Only ``rows`` builds Fractions; the sweep gate of
+    the walk is exact.  It builds no Fraction; the sweep gate of
     ``monotone-surjective`` reads the integer rows, meet side then join side,
     which is the chain in rank order.
     """
@@ -333,57 +334,31 @@ class _SweepEvaluator:
         )
         return num, self.scale * rise
 
-    def meet_rows(self) -> list[tuple[int, int, int]]:
-        """(rank, regraded numerator, regraded denominator) of z ^ m_level for each level.
+    def side_rows(self, side: str) -> list[tuple[int, int, int]]:
+        """(rank, regraded numerator, regraded denominator) of z ^ m_level or z v m_level.
 
-        The rank is over ``scale``.
+        One row per level, on the "meet" or the "join" side; the rank is over
+        ``scale``.  The sides mirror each other, so only the branch tests differ.
         """
-        d, c = self.scale, self.level
+        d, c, meet = self.scale, self.level, side == "meet"
+        columns = [(self.grade_meet, self.measure_meet), (self.grade_join, self.measure_join)]
+        own, other = columns if meet else columns[::-1]
         rows = []
-        for x, (grade, rank) in zip(self.grid, self._walk(self.grade_meet, self.measure_meet)):
-            if grade >= c:
-                # Above the cutset the crossing is shared with z itself, which lies above it too.
+        for x, (grade, rank) in zip(self.grid, self._walk(*own)):
+            if (grade >= c) == meet:
+                # The element lies on z's side of the cutset, so it shares z's crossing.
                 rows.append((rank, rank - self.alpha, d))
-            elif x < self.chief_alpha:
-                # The crossing happens on the bare prefix chain above m_level.
+            elif (x < self.chief_alpha) == meet:
+                # m_level lies on the far side of t*: below it on the meet side, the crossing
+                # happens on the bare prefix chain above m_level; above it on the join side,
+                # the chief crossing lies below m_level.  Either way it is the crossing.
                 rows.append((rank, rank - self.chief_alpha, d))
             else:
-                # (z ^ m_level) v m_mu = (z v m_mu) ^ m_level for mu <= level.
+                # Meet side: (z ^ m_level) v m_mu = (z v m_mu) ^ m_level for mu <= level.
+                # Join side: (z v m_level) ^ m_mu = m_level v (z ^ m_mu) for mu >= level.
                 target = c + self.grade_of_element - grade
-                rows.append((rank, *self._exchange(self.grade_join, self.measure_join, target)))
+                rows.append((rank, *self._exchange(*other, target)))
         return rows
-
-    def join_rows(self) -> list[tuple[int, int, int]]:
-        """(rank, regraded numerator, regraded denominator) of z v m_level for each level.
-
-        The rank is over ``scale``.
-        """
-        d, c = self.scale, self.level
-        rows = []
-        for x, (grade, rank) in zip(self.grid, self._walk(self.grade_join, self.measure_join)):
-            if grade < c:
-                # Below the cutset every join-side element shares z's crossing, as z lies below it too.
-                rows.append((rank, rank - self.alpha, d))
-            elif x >= self.chief_alpha:
-                # m_level lies above the chief crossing, which is then the crossing.
-                rows.append((rank, rank - self.chief_alpha, d))
-            else:
-                # (z v m_level) ^ m_mu = m_level v (z ^ m_mu) for mu >= level.
-                target = c + self.grade_of_element - grade
-                rows.append((rank, *self._exchange(self.grade_meet, self.measure_meet, target)))
-        return rows
-
-    @functools.cached_property
-    def levels(self) -> list[Fraction]:
-        return [Fraction(x, self.scale) for x in self.grid]
-
-    def rows(self, side: str, columns: list[tuple[int, int, int]]) -> list[SweepRow]:
-        """The exact rows of one side: the only Fractions a sweep builds."""
-        d = self.scale
-        return [
-            SweepRow(side, level, Fraction(rank, d), Fraction(num, den))
-            for level, (rank, num, den) in zip(self.levels, columns)
-        ]
 
 
 class FiniteRegrader:

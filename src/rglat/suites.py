@@ -24,14 +24,13 @@ from .core import (
     ChainSample,
     CheckResult,
     adjoin_bounds,
-    balance_residual,
     check_lattice_axioms,
     diamond_row,
     lipschitz_scan,
     rank_modular_defect,
     updown_distance,
 )
-from .errors import PreconditionViolation
+from .errors import LatticeError, PreconditionViolation
 from .finite import (
     FiniteFamily,
     PlanePoint,
@@ -201,22 +200,20 @@ def suite_lattice_axioms(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outco
 
 # --- balance residuals and diamond bounds -------------------------------------
 
-def _quadruple_suite(
-    cfg: SuiteConfig, rng: random.Random, row: Callable, holds: Callable, witness: Callable
-) -> Iterator[Outcome]:
+def _quadruple_suite(cfg: SuiteConfig, rng: random.Random, holds: Callable, witness: Callable) -> Iterator[Outcome]:
     """One per-quadruple check over random intervals and all partitions of 4.
 
     A quadruple ms <= m of rank-modular elements and w <= z passes when both
-    of its rows do, ``row(lattice, m, w, z)`` and ``row(lattice, z, ms, m)``,
-    each by ``holds(value)``; ``witness(first, second)`` says why a quadruple
-    fails.  It runs on random nested interval quadruples, then on every pair
-    ms <= m of rank-modular partitions against every pair w <= z.  A
-    partition row reads three of the four elements, so each distinct row is
-    evaluated and checked once per run.
+    of its diamond rows do, ``diamond_row(lattice, m, w, z)`` and
+    ``diamond_row(lattice, z, ms, m)``, each by ``holds(row)``;
+    ``witness(first, second)`` says why a quadruple fails.  It runs on random
+    nested interval quadruples, then on every pair ms <= m of rank-modular
+    partitions against every pair w <= z.  A partition row reads three of the
+    four elements, so each distinct row is evaluated and checked once per run.
     """
     def checked(lattice, x, lo, hi):
-        value = row(lattice, x, lo, hi)
-        return value, holds(value)
+        row = diamond_row(lattice, x, lo, hi)
+        return row, holds(row)
 
     def verdict(first, second) -> str | None:
         (a, a_holds), (b, b_holds) = first, second
@@ -239,21 +236,24 @@ def _quadruple_suite(
             yield f"partition {why} at m={m!r} ms={ms!r} w={w!r} z={z!r}" if why else None
 
 
-def _balance_holds(residual) -> bool:
-    return residual == 0
+def _balance_holds(row) -> bool:
+    """The meet and join rises sum to the height: the balance residual is zero."""
+    meet, join, height = row
+    return meet + join == height
 
 
 def _balance_witness(first, second) -> str:
-    return f"residuals ({first}, {second})"
+    (a, b, h), (c, d, k) = first, second
+    return f"residuals ({a + b - h}, {c + d - k})"
 
 
 _DIAMOND_LABELS = ("meet along w<z", "join along w<z", "meet along m_small<m", "join along m_small<m")
 
 
 def _diamond_holds(row) -> bool:
-    """Both rises within the height, and their slacks summing to it."""
+    """Both rises within the height, and the balance identity."""
     meet, join, height = row
-    return meet <= height and join <= height and (height - meet) + (height - join) == height
+    return meet <= height and join <= height and _balance_holds(row)
 
 
 def _diamond_witness(first, second) -> str:
@@ -464,12 +464,12 @@ def suite_monotone_surjective(cfg: SuiteConfig, rng: random.Random) -> Iterator[
     max_gap = max(values) / min(values) * step
 
     # The chief chain is the join side of the projection chain through EMPTY.
-    why = _check_sweep(_SweepEvaluator(stage, EMPTY, step).join_rows(), lo, hi, max_gap)
+    why = _check_sweep(_SweepEvaluator(stage, EMPTY, step).side_rows("join"), lo, hi, max_gap)
     yield f"chief chain: {why}" if why else None
     for _ in range(cfg.samples or 50):
         z = random_interval_set(rng, UPPER, max_pieces=3)
         sweep = _SweepEvaluator(stage, z, step)
-        why = _check_sweep(sweep.meet_rows() + sweep.join_rows(), lo, hi, max_gap)
+        why = _check_sweep(sweep.side_rows("meet") + sweep.side_rows("join"), lo, hi, max_gap)
         yield f"chain through {z!r}: {why}" if why else None
     pairs = [random_comparable_pair(rng, UPPER) for _ in range(200)]
     yield stage.monotone_check(pairs)
@@ -648,11 +648,11 @@ SUITES: dict[str, tuple[Checks, str]] = {
         suite_lattice_axioms, "idempotence, commutativity, absorption, associativity, rank monotonicity"
     ),
     "balance": (
-        functools.partial(_quadruple_suite, row=balance_residual, holds=_balance_holds, witness=_balance_witness),
+        functools.partial(_quadruple_suite, holds=_balance_holds, witness=_balance_witness),
         "both balance residuals exactly zero (random interval + exhaustive partition)",
     ),
     "diamond": (
-        functools.partial(_quadruple_suite, row=diamond_row, holds=_diamond_holds, witness=_diamond_witness),
+        functools.partial(_quadruple_suite, holds=_diamond_holds, witness=_diamond_witness),
         "four diamond bounds with exact row-sum slack identity",
     ),
     "lipschitz": (suite_lipschitz, "meet/join chain scans stay within slope 1"),
@@ -683,17 +683,24 @@ SUITES: dict[str, tuple[Checks, str]] = {
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
-    """Run one suite: count its passing checks, stop at the first failure."""
+    """Run one suite: count its passing checks, stop at the first failure.
+
+    A suite that raises a ``LatticeError`` or a ``RuntimeError`` fails with
+    the exception as its witness, after the checks counted so far.
+    """
     checks, detail = SUITES[name]
     checked = 0
-    for outcome in checks(cfg, random.Random(f"{cfg.seed}:{name}")):
-        if outcome is None:
-            checked += 1
-        elif isinstance(outcome, CheckResult) and outcome.ok:
-            checked += outcome.checked
-        else:
-            witness = outcome.witness if isinstance(outcome, CheckResult) else outcome
-            return SuiteResult(name, False, checked, "failed", witness)
+    try:
+        for outcome in checks(cfg, random.Random(f"{cfg.seed}:{name}")):
+            if outcome is None:
+                checked += 1
+            elif isinstance(outcome, CheckResult) and outcome.ok:
+                checked += outcome.checked
+            else:
+                witness = outcome.witness if isinstance(outcome, CheckResult) else outcome
+                return SuiteResult(name, False, checked, "failed", witness)
+    except (LatticeError, RuntimeError) as exc:
+        return SuiteResult(name, False, checked, "failed", f"{type(exc).__name__}: {exc}")
     return SuiteResult(name, True, checked, detail)
 
 

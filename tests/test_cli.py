@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rglat.cli import main
+from rglat.errors import PreconditionViolation
 from rglat.finite import boolean_family, element_from_json, element_to_json, partition_family, subspace_family
 from rglat.intervals import (
     Ambient,
@@ -20,6 +21,7 @@ from rglat.intervals import (
 )
 from rglat.rank import format_fraction
 from rglat.regrading import FiniteRegrader, IntervalRegrader, LevelCutset
+from rglat.suites import SUITES
 
 from strategies import interval_sets, step_densities
 
@@ -128,6 +130,29 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["replay"] == [replay.removeprefix("replay: ")]
         assert fail.endswith(payload["rows"][0][4])
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [
+            ("lipschitz", PreconditionViolation("chain ranks must strictly increase, got 3 then 3")),
+            ("profiles", RuntimeError("projection missed the cutset level")),
+        ],
+    )
+    def test_a_suite_that_raises_fails_alone(self, monkeypatch, capsys, name, error):
+        def raising(cfg, rng):
+            yield None
+            raise error
+
+        monkeypatch.setitem(SUITES, name, (raising, "never reported"))
+        assert main(["verify", "--suite", "all", "--samples", "5"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fail = f"FAIL {name} checked=1 failed witness: {type(error).__name__}: {error}"
+        assert lines[lines.index(fail) + 1] == f"replay: rglat verify --suite {name} --seed 7 --grid 1/64 --samples 5"
+        passed = [line.split()[1] for line in lines if line.startswith("PASS ")]
+        assert passed == [other for other in SUITES if other != name]
+        # A malformed command still fails before any suite runs.
+        assert main(["verify", "--suite", "all", "--grid", "0"]) == 2
+        assert not any(line.startswith(("PASS", "FAIL")) for line in capsys.readouterr().out.splitlines())
 
     def test_a_passing_report_has_no_replay(self, capsys):
         assert main(["verify", "--suite", "finite-counts", "--format", "json"]) == 0

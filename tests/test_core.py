@@ -6,7 +6,6 @@ import pytest
 from rglat.core import (
     ChainSample,
     adjoin_bounds,
-    balance_residual,
     check_lattice_axioms,
     diamond_row,
     lipschitz_scan,
@@ -23,6 +22,7 @@ from rglat.finite import (
 )
 from rglat.intervals import Ambient, IntervalSet, chief_element, interval_lattice
 from rglat.rank import POS_INF, Rank
+from rglat.suites import _balance_holds
 
 from oracle_helpers import (
     blocks_of,
@@ -77,13 +77,22 @@ class TestRankModularDefect:
         assert rank_modular_defect(with_top, with_top.top, iset((-1, 1))) == ZERO
 
 
+def residual(row):
+    """The balance residual a diamond row carries: its two rises minus its height."""
+    meet, join, height = row
+    return meet + join - height
+
+
 class TestBalanceResiduals:
+    # Balance is read off the diamond rows: a row holds when its rises sum to its height.
+
     def test_interval_instance_against_measure_oracle(self):
         lattice = interval_lattice(Ambient(Fraction(2)))
         m, m_small = iset((0, "3/2")), iset((0, "1/2"))
         w, z = iset((1, "3/2")), iset((1, 2))
-        r1, r2 = balance_residual(lattice, m, w, z), balance_residual(lattice, z, m_small, m)
-        assert (r1, r2) == (ZERO, ZERO)
+        rows = diamond_row(lattice, m, w, z), diamond_row(lattice, z, m_small, m)
+        assert (residual(rows[0]), residual(rows[1])) == (ZERO, ZERO)
+        assert all(map(_balance_holds, rows))
         # Rebuild the first residual from grid-counted measures.
         mz = [(1, Fraction(3, 2))]
         mvz = [(0, 2)]
@@ -94,28 +103,31 @@ class TestBalanceResiduals:
             - grid_measure(mw) - grid_measure(mvw)
             - (grid_measure([(1, 2)]) - grid_measure([(1, Fraction(3, 2))]))
         )
-        assert first == 0
+        assert first == residual(rows[0]) == 0
 
     def test_degenerate_chain_gives_zero_first_residual(self):
         lattice = boolean_family(4).lattice
         w = BitSubset.from_members(4, [2])
         m = BitSubset.from_members(4, [1, 2])
-        assert balance_residual(lattice, m, w, w) == ZERO
+        row = diamond_row(lattice, m, w, w)
+        assert residual(row) == ZERO and _balance_holds(row)
 
     def test_partition_instance(self):
         m = part([1, 2, 3], [4])
         m_small = part([1, 2], [3], [4])
         w = SetPartition.discrete(4)
         z = part([1, 4], [2], [3])
-        rows = (balance_residual(P4.lattice, m, w, z), balance_residual(P4.lattice, z, m_small, m))
-        assert rows == (ZERO, ZERO)
+        rows = (diamond_row(P4.lattice, m, w, z), diamond_row(P4.lattice, z, m_small, m))
+        assert (residual(rows[0]), residual(rows[1])) == (ZERO, ZERO)
+        assert all(map(_balance_holds, rows))
 
     def test_non_comparable_precondition_reports_witnesses(self):
         lattice = boolean_family(4).lattice
+        # A reversed pair is refused too: here hi lies strictly below lo.
         a = BitSubset.from_members(4, [1])
-        b = BitSubset.from_members(4, [2])
+        b = BitSubset.from_members(4, [1, 2])
         with pytest.raises(PreconditionViolation, match="not below"):
-            balance_residual(lattice, a, a, b)
+            diamond_row(lattice, a, b, a)
 
 
 class TestDiamondBounds:

@@ -14,6 +14,11 @@ A parameter default is an option, so it must have two values in use: some
 call in ``src/rglat`` or ``scripts`` to a function of that name passes the
 parameter, and another leaves it out.  A call with ``*args`` or ``**kwargs``
 counts as passing every parameter.
+
+A parameter of a private function, or of a method of a private class, to
+which every call by name passes the same literal is a constant in disguise.
+A function with no such call, say one reached only through
+``functools.partial``, is not judged.
 """
 
 import ast
@@ -159,3 +164,51 @@ def test_every_parameter_default_is_both_passed_and_omitted():
             if uses != {True, False}:
                 one_value.append(f"{path.stem}.{name}({param})")
     assert one_value == []
+
+
+def _private_parameters(tree: ast.Module):
+    """(qualified name, function name, parameter, positional index or None) per parameter of a private function.
+
+    Private functions are those at module level whose name starts with an
+    underscore, and the methods of classes whose name does.  Dunder methods,
+    ``self``/``cls`` and ``*args``/``**kwargs`` are skipped.
+    """
+    functions = [
+        (node.name, node, 0) for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    ]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                    functions.append((f"{node.name}.{item.name}", item, 0 if static else 1))
+    for qualified, node, skip in functions:
+        if _is_dunder(node.name):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        for index, arg in enumerate(positional[skip:]):
+            yield qualified, node.name, arg.arg, index
+        for arg in node.args.kwonlyargs:
+            yield qualified, node.name, arg.arg, None
+
+
+def _passed(call: ast.Call, param: str, index: int | None):
+    """The expression a call passes for the parameter, or None if it is left out or unpacked."""
+    for keyword in call.keywords:
+        if keyword.arg == param:
+            return keyword.value
+    if index is None or index >= len(call.args) or any(isinstance(a, ast.Starred) for a in call.args[: index + 1]):
+        return None
+    return call.args[index]
+
+
+def test_no_private_parameter_is_always_passed_one_literal():
+    calls = [call for path in PROGRAM for call in _calls(path)]
+    constant = []
+    for path in PACKAGE:
+        for qualified, name, param, index in _private_parameters(_parse(path)):
+            passed = [_passed(call, param, index) for called, call in calls if called == name]
+            if passed and all(isinstance(v, ast.Constant) for v in passed):
+                if len({(type(v.value), v.value) for v in passed}) == 1:
+                    constant.append(f"{path.stem}.{qualified}({param})")
+    assert constant == []

@@ -21,6 +21,8 @@ CASES = [
     (["counterexample", "--format", "json"], "counterexample.json"),
     (["limit", "{golden}/third.json"], "limit_third.csv"),
     (["regrade", "{golden}/density_spec.json", "--grid", "1/4"], "regrade_density.csv"),
+    # 3/10 does not divide 7/3: the last chief row, at 7/3, is off the grid.
+    (["regrade", "{golden}/density7_3_spec.json", "--grid", "3/10"], "regrade_density7_3.csv"),
     (["regrade", "{golden}/boolean3_spec.json"], "regrade_boolean3.csv"),
     (["regrade", "{golden}/partition4_spec.json"], "regrade_partition4.csv"),
     (["regrade", "{golden}/subspace2_3_spec.json"], "regrade_subspace2_3.csv"),

@@ -1,8 +1,10 @@
 """The balance and diamond suites check each quadruple as two three-element rows.
 
-The rows are pinned against the quadruple formulas of ``oracle_helpers``:
-the same residuals, the same four bounds and the same witness text, on
-every quadruple of the exhaustive stages and on random interval quadruples.
+Both suites read ``core.diamond_row``.  The rows are pinned against the
+quadruple formulas of ``oracle_helpers``: the balance residuals each row
+carries (its rises minus its height), the same four bounds and the same
+witness text, on every quadruple of the exhaustive stages and on random
+interval quadruples.
 Each check runs under the lattice's own rank, where every quadruple passes,
 and under its square, which is not modular, so the witnesses are exercised.
 The traffic guard counts the partition stage's lattice calls per run.
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 
 import rglat.regrading as regrading
 import rglat.suites as suites
-from rglat.core import balance_residual, diamond_row
+from rglat.core import diamond_row
 from rglat.finite import boolean_family, partition_family
 from rglat.intervals import Ambient, intersect, interval_lattice, union
 from rglat.suites import (
@@ -46,13 +48,12 @@ def verdict(holds, witness, first, second):
 
 def check_rows(lattice, m, ms, w, z) -> tuple:
     """Assert the rows agree with the quadruple formulas; return both witnesses."""
-    b1, b2 = balance_residual(lattice, m, w, z), balance_residual(lattice, z, ms, m)
-    residuals, balance_why = quadruple_balance(lattice, m, ms, w, z)
-    assert (b1, b2) == residuals
-    assert verdict(_balance_holds, _balance_witness, b1, b2) == balance_why
     d1, d2 = diamond_row(lattice, m, w, z), diamond_row(lattice, z, ms, m)
-    bounds, diamond_why = quadruple_diamond(lattice, m, ms, w, z)
     (a, b, h), (c, d, k) = d1, d2
+    residuals, balance_why = quadruple_balance(lattice, m, ms, w, z)
+    assert (a + b - h, c + d - k) == residuals
+    assert verdict(_balance_holds, _balance_witness, d1, d2) == balance_why
+    bounds, diamond_why = quadruple_diamond(lattice, m, ms, w, z)
     assert [(lhs, rhs) for _, lhs, rhs in bounds] == [(a, h), (b, h), (c, k), (d, k)]
     assert verdict(_diamond_holds, _diamond_witness, d1, d2) == diamond_why
     return balance_why, diamond_why

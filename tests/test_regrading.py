@@ -41,6 +41,7 @@ from rglat.regrading import (
     IntervalRegrader,
     LevelCutset,
     ProjectionResult,
+    SweepRow,
     counterexample_report,
     counterexample_stage,
     cutset_from_json,
@@ -72,11 +73,15 @@ HALF = Fraction(1, 2)
 def through_rows(regrader, z, step):
     """The projection chain through z, meet side then join side, in rank order.
 
-    The sweep evaluator's integer rows, read as Fractions the way
-    ``sweep_chief`` reads the chief chain's.
+    The sweep evaluator's integer rows, read as Fraction ``SweepRow``s.
     """
     sweep = _SweepEvaluator(regrader, z, step)
-    return sweep.rows("meet", sweep.meet_rows()) + sweep.rows("join", sweep.join_rows())
+    levels = [Fraction(x, sweep.scale) for x in sweep.grid]
+    return [
+        SweepRow(side, level, Fraction(rank, sweep.scale), Fraction(num, den))
+        for side in ("meet", "join")
+        for level, (rank, num, den) in zip(levels, sweep.side_rows(side))
+    ]
 
 
 # Finite families with their order taken from the bare representation, not

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rglat.core import CheckResult, GradedLattice, diamond_row
+from rglat.errors import PreconditionViolation
 from rglat.finite import BitSubset
 from rglat.suites import (
     SUITES,
@@ -129,6 +130,31 @@ def test_runner_seeds_the_random_by_seed_and_name(monkeypatch):
         yield str(rng.random())
 
     assert run_fake(monkeypatch, checks).witness == str(random.Random("5:fake").random())
+
+
+@pytest.mark.parametrize(
+    "error, witness",
+    [
+        (PreconditionViolation("ranks must increase"), "PreconditionViolation: ranks must increase"),
+        (RuntimeError("projection missed the cutset level"), "RuntimeError: projection missed the cutset level"),
+    ],
+)
+def test_a_suite_that_raises_fails_with_the_checks_counted_so_far(monkeypatch, error, witness):
+    def checks(cfg, rng):
+        yield None
+        yield CheckResult(True, 2)
+        raise error
+
+    assert run_fake(monkeypatch, checks) == SuiteResult("fake", False, 3, "failed", witness)
+
+
+def test_a_suite_that_raises_anything_else_is_not_caught(monkeypatch):
+    def checks(cfg, rng):
+        yield None
+        raise TypeError("a program error")
+
+    with pytest.raises(TypeError, match="a program error"):
+        run_fake(monkeypatch, checks)
 
 
 def test_an_unknown_suite_raises_key_error():
