@@ -16,17 +16,15 @@ _DENOMINATORS = (8, 16, 32, 64)
 
 def random_interval_set(rng: random.Random, upper: Fraction, max_pieces: int = 3) -> IntervalSet:
     """A canonical union of up to max_pieces intervals inside (0, upper]."""
-    upper = Fraction(upper)
     k = rng.randint(0, max_pieces)
     if k == 0:
         return EMPTY
     den = rng.choice(_DENOMINATORS)
     cuts = rng.sample(range(den + 1), min(2 * k, den + 1))
     cuts.sort()
-    nums, scale = [upper.numerator * c for c in cuts], upper.denominator * den
     # The cuts are distinct and sorted, so the pieces are disjoint and non-adjacent.
-    pieces = tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in zip(nums[::2], nums[1::2]))
-    return IntervalSet._trusted(pieces, (nums[: 2 * len(pieces)], scale))
+    # upper is an int or a Fraction; both carry numerator and denominator.
+    return IntervalSet._of([upper.numerator * c for c in cuts[: len(cuts) // 2 * 2]], upper.denominator * den)
 
 
 def random_density(rng: random.Random, upper: Fraction) -> StepDensity:

@@ -50,61 +50,6 @@ class Ambient:
             raise AmbientMismatch(f"({a}, {b}] lies outside (0, {self.upper}]")
 
 
-@dataclass(frozen=True)
-class IntervalSet:
-    """Canonical finite union of disjoint, non-adjacent half-open intervals."""
-
-    intervals: tuple[Pair, ...] = ()
-
-    def __post_init__(self):
-        prev_hi: Fraction | None = None
-        for a, b in self.intervals:
-            if not isinstance(a, Fraction) or not isinstance(b, Fraction):
-                raise ValueError("endpoints must be Fractions; use normalize()")
-            if not a < b:
-                raise ValueError(f"empty or reversed interval ({a}, {b}]")
-            if prev_hi is not None and not prev_hi < a:
-                raise ValueError("intervals must be disjoint and non-adjacent")
-            prev_hi = b
-
-    @classmethod
-    def _trusted(cls, intervals: tuple[Pair, ...], ints: tuple[list[int], int]) -> "IntervalSet":
-        """Wrap intervals the kernels built canonical, with their integer form, skipping the checks above."""
-        u = object.__new__(cls)
-        object.__setattr__(u, "intervals", intervals)
-        object.__setattr__(u, "_ints", ints)
-        return u
-
-    @functools.cached_property
-    def _ints(self) -> tuple[list[int], int]:
-        """The integer form (nums, d): ``Fraction(nums[k], d)`` is the k-th endpoint.
-
-        d is a common multiple of the endpoint denominators, not always the
-        least.  Built at most once per set; the kernels hand theirs in.
-        """
-        return _numerators(self.endpoints())
-
-    @classmethod
-    def of(cls, *pairs) -> "IntervalSet":
-        return normalize(pairs)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def endpoints(self) -> tuple[Fraction, ...]:
-        return tuple(itertools.chain.from_iterable(self.intervals))
-
-    def __repr__(self) -> str:
-        if not self.intervals:
-            return "IntervalSet()"
-        body = " u ".join(f"({a},{b}]" for a, b in self.intervals)
-        return f"IntervalSet[{body}]"
-
-
-EMPTY = IntervalSet()
-
-
 def _scaled(values: Iterable[Fraction], scale: int) -> list[int]:
     """Numerators of values over scale, which each denominator divides."""
     return [v.numerator * (scale // v.denominator) for v in values]
@@ -129,27 +74,97 @@ def _common(x: tuple[list[int], int], y: tuple[list[int], int]) -> tuple[list[in
     return xs, ys, d
 
 
-def _merged(pieces: Sequence[Pair], nums: list[int], d: int) -> IntervalSet:
-    """The canonical union of the nonempty pieces, given their endpoint numerators over d.
+class IntervalSet:
+    """Canonical finite union of disjoint, non-adjacent half-open intervals.
 
-    Sorted on left-end numerators and merged on <=, so the pieces come out
-    disjoint and non-adjacent.  The sort is stable and the result is built
-    from the input's own endpoints.
+    The value of a set is its integer form ``_ints = (nums, d)``:
+    ``Fraction(nums[k], d)`` is the k-th endpoint, and d is a common multiple
+    of the endpoint denominators, not always the least.  ``==`` and ``hash``
+    read the form, so sets over different d compare by value.  The kernels
+    read and build forms only; the ``Fraction`` pairs of ``intervals`` are
+    built at most once per set, and only where something reads them.
     """
-    out: list[Pair] = []
-    ints: list[int] = []
-    hi = 0
-    for p in sorted(range(len(pieces)), key=nums[::2].__getitem__):
-        a, b = nums[2 * p], nums[2 * p + 1]
-        if out and a <= hi:  # overlapping or adjacent: extend the last piece
-            if b > hi:
-                out[-1] = (out[-1][0], pieces[p][1])
-                ints[-1] = hi = b
+
+    def __init__(self, intervals: Iterable[Pair]):
+        pairs = tuple((a, b) for a, b in intervals)
+        prev_hi: Fraction | None = None
+        for a, b in pairs:
+            if not isinstance(a, Fraction) or not isinstance(b, Fraction):
+                raise ValueError("endpoints must be Fractions; use normalize()")
+            if not a < b:
+                raise ValueError(f"empty or reversed interval ({a}, {b}]")
+            if prev_hi is not None and not prev_hi < a:
+                raise ValueError("intervals must be disjoint and non-adjacent")
+            prev_hi = b
+        self.__dict__.update(intervals=pairs, _ints=_numerators(list(itertools.chain.from_iterable(pairs))))
+
+    @classmethod
+    def _of(cls, nums: list[int], d: int) -> "IntervalSet":
+        """Wrap an integer form the kernels built canonical, skipping the checks above."""
+        u = object.__new__(cls)
+        u.__dict__["_ints"] = (nums, d)
+        return u
+
+    def __setattr__(self, name, value):
+        # A set is a value that may key a dict; the constructors write __dict__ directly.
+        raise AttributeError(f"IntervalSet is immutable; cannot set {name!r}")
+
+    @functools.cached_property
+    def intervals(self) -> tuple[Pair, ...]:
+        nums, d = self._ints
+        ends = iter([Fraction(n, d) for n in nums])
+        return tuple(zip(ends, ends))
+
+    def __eq__(self, other):
+        if not isinstance(other, IntervalSet):
+            return NotImplemented
+        (xs, dx), (ys, dy) = self._ints, other._ints
+        if dx == dy:
+            return xs == ys
+        return len(xs) == len(ys) and all(x * dy == y * dx for x, y in zip(xs, ys))
+
+    def __hash__(self):
+        # The form over the least d, which is the one with gcd(d, *nums) == 1.
+        nums, d = self._ints
+        g = math.gcd(d, *nums)
+        return hash((d // g, *(n // g for n in nums)))
+
+    @classmethod
+    def of(cls, *pairs) -> "IntervalSet":
+        return normalize(pairs)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._ints[0]
+
+    def endpoints(self) -> tuple[Fraction, ...]:
+        return tuple(itertools.chain.from_iterable(self.intervals))
+
+    def __repr__(self) -> str:
+        if self.is_empty:
+            return "IntervalSet()"
+        body = " u ".join(f"({a},{b}]" for a, b in self.intervals)
+        return f"IntervalSet[{body}]"
+
+
+EMPTY = IntervalSet(())
+
+
+def _merged(nums: list[int], d: int) -> IntervalSet:
+    """The canonical union of the nonempty pieces (nums[2k], nums[2k + 1]] over d.
+
+    Sorted on left ends and merged on <=, so the pieces come out disjoint
+    and non-adjacent.
+    """
+    out: list[int] = []
+    for k in sorted(range(0, len(nums), 2), key=nums.__getitem__):
+        a, b = nums[k], nums[k + 1]
+        if out and a <= out[-1]:  # overlapping or adjacent: extend the last piece
+            if b > out[-1]:
+                out[-1] = b
         else:
-            out.append(pieces[p])
-            ints += (a, b)
-            hi = b
-    return IntervalSet._trusted(tuple(out), (ints, d))
+            out += (a, b)
+    return IntervalSet._of(out, d)
 
 
 def _checked_numerators(pieces: Sequence[Pair], ambient: Ambient | None) -> tuple[list[int], int]:
@@ -169,7 +184,11 @@ def _checked_numerators(pieces: Sequence[Pair], ambient: Ambient | None) -> tupl
 
 
 def normalize(raw: Iterable[Sequence], ambient: Ambient | None = None) -> IntervalSet:
-    """Validate raw (a, b] pairs in input order, then sort and merge overlaps and adjacencies."""
+    """Validate raw (a, b] pairs in input order, then sort and merge overlaps and adjacencies.
+
+    Canonical input, such as a JSON payload, keeps its converted pairs as the
+    result's ``intervals``, so reading them builds no Fraction.
+    """
     pieces: list[Pair] = []
     try:
         for pair in raw:
@@ -182,33 +201,33 @@ def normalize(raw: Iterable[Sequence], ambient: Ambient | None = None) -> Interv
     except Exception:
         _checked_numerators(pieces, ambient)  # a bad pair before the unreadable one comes first
         raise
-    return _merged(pieces, *_checked_numerators(pieces, ambient))
+    nums, d = _checked_numerators(pieces, ambient)
+    u = _merged(nums, d)
+    if u._ints[0] == nums:  # nothing moved or merged
+        u.__dict__["intervals"] = tuple(pieces)
+    return u
 
 
 def intersect(u: IntervalSet, v: IntervalSet) -> IntervalSet:
-    """Two-pointer walk on both integer forms, emitting u's and v's own endpoints."""
+    """Two-pointer walk on both integer forms."""
     if u.is_empty or v.is_empty:
         return EMPTY
     un, vn, d = _common(u._ints, v._ints)
-    ue, ve = u.endpoints(), v.endpoints()
-    out: list[Pair] = []
-    ints: list[int] = []
+    out: list[int] = []
     i = j = 0
     while i < len(un) and j < len(vn):
-        # On ties u's endpoint is kept.
-        lo, lo_end = (un[i], ue[i]) if un[i] >= vn[j] else (vn[j], ve[j])
+        lo = un[i] if un[i] >= vn[j] else vn[j]
         if un[i + 1] <= vn[j + 1]:
-            hi, hi_end = un[i + 1], ue[i + 1]
+            hi = un[i + 1]
             i += 2
         else:
-            hi, hi_end = vn[j + 1], ve[j + 1]
+            hi = vn[j + 1]
             j += 2
         if lo < hi:
-            out.append((lo_end, hi_end))
-            ints += (lo, hi)
+            out += (lo, hi)
     # Two pieces can only touch where u or v has a gap, and canonical gaps are
     # nonempty, so the result is canonical too.
-    return IntervalSet._trusted(tuple(out), (ints, d))
+    return IntervalSet._of(out, d)
 
 
 def union(u: IntervalSet, v: IntervalSet) -> IntervalSet:
@@ -217,8 +236,7 @@ def union(u: IntervalSet, v: IntervalSet) -> IntervalSet:
     if v.is_empty:
         return u
     un, vn, d = _common(u._ints, v._ints)
-    # u's pieces come first, so on equal left ends the stable sort keeps u's.
-    return _merged(u.intervals + v.intervals, un + vn, d)
+    return _merged(un + vn, d)
 
 
 def measure(u: IntervalSet) -> Fraction:
@@ -527,7 +545,10 @@ def profile_bundle(ambient: Ambient, z: IntervalSet, density: StepDensity | None
 # --- JSON forms (rationals as "p/q" strings, bit-exact round trip) ---
 
 def interval_set_to_json(u: IntervalSet) -> dict:
-    return {"intervals": [[format_fraction(a), format_fraction(b)] for a, b in u.intervals]}
+    """The ``p/q`` strings of format_fraction, read off the integer form."""
+    nums, d = u._ints
+    ends = iter([f"{n // (g := math.gcd(n, d))}/{d // g}" for n in nums])
+    return {"intervals": [[a, b] for a, b in zip(ends, ends)]}
 
 
 def interval_set_from_json(data: dict, ambient: Ambient | None = None) -> IntervalSet:

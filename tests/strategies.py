@@ -17,7 +17,7 @@ def interval_sets(draw, upper: Fraction = Fraction(2), max_pieces: int = 3) -> I
     den = draw(st.sampled_from(DENOMINATORS))
     k = draw(st.integers(0, min(max_pieces, (den + 1) // 2)))
     if k == 0:
-        return IntervalSet()
+        return IntervalSet(())
     cuts = sorted(draw(st.lists(st.integers(0, den), min_size=2 * k, max_size=2 * k, unique=True)))
     pairs = [
         (upper * lo / den, upper * hi / den)

@@ -182,7 +182,7 @@ class TestLipschitzScan:
     def test_bottom_meets_are_flat(self):
         lattice = interval_lattice(Ambient(Fraction(2)))
         chain = self._prefix_chain(lattice)
-        assert lipschitz_scan(lattice, chain, IntervalSet(), "meet") == ZERO
+        assert lipschitz_scan(lattice, chain, IntervalSet(()), "meet") == ZERO
 
     def test_partition_chains_stay_within_one(self):
         from rglat.finite import enumerate_maximal_chains
@@ -197,7 +197,7 @@ class TestLipschitzScan:
     def test_bad_mode_rejected(self):
         lattice = interval_lattice(Ambient(Fraction(2)))
         with pytest.raises(PreconditionViolation):
-            lipschitz_scan(lattice, self._prefix_chain(lattice), IntervalSet(), "avg")
+            lipschitz_scan(lattice, self._prefix_chain(lattice), IntervalSet(()), "avg")
 
 
 class TestAdjoinBounds:

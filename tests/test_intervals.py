@@ -201,13 +201,9 @@ class TestTrustedKernelResults:
     @settings(max_examples=200)
     @example(u=iset((0, HALF), (1, TWO)), v=iset((0, 1), (Fraction(3, 2), TWO)))  # equal ends
     @given(u=mixed_sets(), v=mixed_sets())
-    def test_kernels_return_the_callers_endpoint_objects(self, u, v):
-        # The integer walks pick the same Fraction objects as the Fraction walks,
-        # u's on ties, and build none of their own.
+    def test_kernels_match_the_fraction_walks(self, u, v):
         for got, want in ((intersect(u, v), fraction_intersect), (union(u, v), fraction_union)):
-            expected = want(u.intervals, v.intervals)
-            assert got.intervals == expected
-            assert all(x is y for got_pair, pair in zip(got.intervals, expected) for x, y in zip(got_pair, pair))
+            assert got.intervals == want(u.intervals, v.intervals)
 
     @settings(max_examples=200)
     @example(u=iset((0, HALF)), v=iset((HALF, 1)))
@@ -262,6 +258,105 @@ class TestTrustedKernelResults:
         assert all(type(v) is Fraction for v in prof.breakpoints + prof.values)
         assert prof.value_at("3/4") == Fraction(7, 4)
         assert prof.min_level_at_value(2) == Fraction(5, 6)
+
+
+def _gen_sets():
+    """Draws of gen.random_interval_set on (0, 2], int-only until something reads their pairs."""
+    return st.integers(0, 2**32).map(lambda seed: random_interval_set(random.Random(seed), TWO, max_pieces=4))
+
+
+def _same_set_many_ways(u):
+    """u built several ways, over different denominators d."""
+    nums, d = u._ints
+    cover = IntervalSet(((Fraction(-1, 3), Fraction(7, 3)),))  # holds (0, 2], over d = 3
+    return [
+        u,
+        intersect(u, cover),
+        union(u, EMPTY),
+        normalize(u.intervals),
+        IntervalSet._of([2 * n for n in nums], 2 * d),  # the same draw at a doubled scale
+    ]
+
+
+class TestIntegerFormValue:
+    """An IntervalSet's value is its integer form; == and hash read it across denominators."""
+
+    @settings(max_examples=200)
+    @example(u=iset((0, HALF)), v=iset((0, HALF)))
+    @example(u=iset((0, HALF)), v=iset((0, Fraction(1, 3))))
+    @example(u=EMPTY, v=EMPTY)
+    @given(u=mixed_sets() | _gen_sets(), v=mixed_sets() | _gen_sets())
+    def test_equality_and_hash_match_the_endpoint_pairs(self, u, v):
+        us, vs = _same_set_many_ways(u), _same_set_many_ways(v)
+        same = u.intervals == v.intervals
+        for x in us:
+            for y in vs:
+                assert (x == y) is same and (x != y) is not same
+                if same:
+                    assert hash(x) == hash(y)
+
+    def test_empty_is_equal_however_built(self):
+        ways = [
+            EMPTY,
+            IntervalSet(()),
+            IntervalSet([]),
+            normalize([]),
+            intersect(iset((0, HALF)), iset((1, TWO))),
+            intersect(iset((0, Fraction(1, 3))), iset((HALF, Fraction(5, 7)))),
+            IntervalSet._of([], 12),
+        ]
+        assert all(w == EMPTY and w.is_empty and w.intervals == () for w in ways)
+        assert len({hash(w) for w in ways}) == 1
+        assert all(repr(w) == "IntervalSet()" for w in ways)
+
+    def test_list_input_works_like_tuple_input(self):
+        listed = IntervalSet([(Fraction(0), Fraction(1))])
+        tupled = IntervalSet(((Fraction(0), Fraction(1)),))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.intervals == ((Fraction(0), Fraction(1)),)
+        assert union(listed, IntervalSet(((Fraction(2), Fraction(3)),))) == iset((0, 1), (2, 3))
+        assert union(IntervalSet(((Fraction(2), Fraction(3)),)), listed) == iset((0, 1), (2, 3))
+        assert len({listed, tupled}) == 1
+
+    def test_a_set_is_immutable(self):
+        u = iset((0, HALF))
+        with pytest.raises(AttributeError):
+            u.intervals = ()
+        with pytest.raises(AttributeError):
+            u._ints = ([], 1)
+        assert u == iset((0, HALF))
+
+    def test_int_only_kernels_build_no_fraction(self):
+        # Fraction.__new__ counts every Fraction built anywhere, arithmetic included,
+        # so this also covers the names rglat.intervals and rglat.gen import.
+        rng = random.Random(2026)
+        upper = Fraction(7, 3)
+        built = []
+        real_new = Fraction.__dict__["__new__"]
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counting_new)
+        try:
+            draws = [random_interval_set(rng, upper, max_pieces=4) for _ in range(200)]
+            drawn = len(built)
+            results = [intersect(u, v) for u, v in zip(draws, draws[1:])]
+            results += [union(u, v) for u, v in zip(draws, draws[2:])]
+            results += [union(intersect(u, v), w) for u, v, w in zip(draws, draws[3:], draws[5:])]
+            kernels = len(built) - drawn
+            before = len(built)
+            total = measure(results[-1])
+            measured = len(built) - before
+        finally:
+            Fraction.__new__ = real_new
+        assert (drawn, kernels, measured) == (0, 0, 1)
+        # The draws are real: their pairs, built now, match the integer kernels.
+        assert any(not u.is_empty for u in results)
+        assert total == grid_measure(results[-1].intervals, Fraction(0), upper)
+        for u, v in zip(draws[:20], draws[1:21]):
+            assert intersect(u, v).intervals == fraction_intersect(u.intervals, v.intervals)
 
 
 class TestMeasure:
