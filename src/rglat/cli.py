@@ -118,7 +118,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     # The report file is opened before the suites run, so an unwritable path fails fast.
     with _open_out(args.out) if args.out else contextlib.nullcontext() as out:
-        results = run_suites(names, cfg)
+        results, timings = run_suites(names, cfg)
         rows = [
             [res.name, "PASS" if res.passed else "FAIL", str(res.checked), res.detail, res.witness or ""]
             for res in results
@@ -133,6 +133,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"# {_config_line(args)}")
         if args.format == "json" or args.out:
             extra = {"replay": list(replay.values())} if replay else {}
+            if args.format == "json":
+                # Wall-clock seconds: the one part of a JSON report that differs between runs.
+                extra["timings"] = timings
             _emit(args, ["suite", "status", "checked", "detail", "witness"], rows, extra, out)
     return 0 if all(r.passed for r in results) else 1
 

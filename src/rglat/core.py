@@ -221,6 +221,10 @@ def check_lattice_axioms(
     """Idempotence, commutativity, absorption, associativity, rank monotonicity.
 
     Pairs and triples are exhausted up to 4000 of each, sampled beyond that.
+    Each pair's meet and join, in both orders, are computed once: absorption
+    and the strict-order rank checks reuse them, and so does every triple
+    whose (x, y) or (y, z) is a visited pair, in either order, as each one
+    is when pairs are exhausted.
     """
     cap = 4000
     elems = list(samples)
@@ -233,18 +237,22 @@ def check_lattice_axioms(
     pairs = list(itertools.combinations(range(len(elems)), 2))
     if len(pairs) > cap:
         pairs = [tuple(rng.sample(range(len(elems)), 2)) for _ in range(cap)]
+    visited = {}  # (i, j) and (j, i) -> (meet, join) of elems[i] and elems[j]
     for i, j in pairs:
         x, y = elems[i], elems[j]
         m1, m2 = lattice.meet(x, y), lattice.meet(y, x)
         j1, j2 = lattice.join(x, y), lattice.join(y, x)
         if m1 != m2 or j1 != j2:
             return CheckResult(False, checked, f"commutativity fails at ({x!r}, {y!r})")
-        if lattice.meet(x, lattice.join(x, y)) != x or lattice.join(x, lattice.meet(x, y)) != x:
+        if lattice.meet(x, j1) != x or lattice.join(x, m1) != x:
             return CheckResult(False, checked, f"absorption fails at ({x!r}, {y!r})")
-        if lattice.lt(x, y) and not lattice.rank(x) < lattice.rank(y):
+        # x < y iff x != y and x ^ y == x, and y < x iff y != x and y ^ x == y.
+        if x != y and m1 == x and not lattice.rank(x) < lattice.rank(y):
             return CheckResult(False, checked, f"rank not strictly increasing at ({x!r}, {y!r})")
-        if lattice.lt(y, x) and not lattice.rank(y) < lattice.rank(x):
+        if y != x and m2 == y and not lattice.rank(y) < lattice.rank(x):
             return CheckResult(False, checked, f"rank not strictly increasing at ({y!r}, {x!r})")
+        # The two orders' results are equal by now; keeping one pair of them holds less memory.
+        visited[i, j] = visited[j, i] = m1, j1
         checked += 1
 
     n = len(elems)
@@ -254,9 +262,11 @@ def check_lattice_axioms(
             triples = [tuple(rng.sample(range(n), 3)) for _ in range(cap)]
         for i, j, k in triples:
             x, y, z = elems[i], elems[j], elems[k]
-            if lattice.meet(lattice.meet(x, y), z) != lattice.meet(x, lattice.meet(y, z)):
+            meet_xy, join_xy = visited.get((i, j)) or (lattice.meet(x, y), lattice.join(x, y))
+            meet_yz, join_yz = visited.get((j, k)) or (lattice.meet(y, z), lattice.join(y, z))
+            if lattice.meet(meet_xy, z) != lattice.meet(x, meet_yz):
                 return CheckResult(False, checked, f"meet associativity fails at ({x!r}, {y!r}, {z!r})")
-            if lattice.join(lattice.join(x, y), z) != lattice.join(x, lattice.join(y, z)):
+            if lattice.join(join_xy, z) != lattice.join(x, join_yz):
                 return CheckResult(False, checked, f"join associativity fails at ({x!r}, {y!r}, {z!r})")
             checked += 1
     return CheckResult(True, checked)

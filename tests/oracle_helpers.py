@@ -11,7 +11,9 @@ test on the family's own order, which pins the rank-level check of explicit
 cutsets; ``fraction_sweep``, the closed-form sweep in plain ``Fraction``
 arithmetic, which pins the package's integer sweep value for value; and
 ``quadruple_balance`` and ``quadruple_diamond``, the balance and diamond
-checks on whole quadruples, which pin the suites' three-element rows.
+checks on whole quadruples, which pin the suites' three-element rows; and
+``recomputing_lattice_axioms``, the axiom checker that calls the kernels
+afresh for every identity, which pins the checker's reuse of pair results.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
+from rglat.core import CheckResult
 from rglat.finite import rank_layers
 from rglat.intervals import EMPTY, profile_bundle
 from rglat.regrading import SweepRow
@@ -332,6 +336,54 @@ def quadruple_diamond(lattice, m, m_small, w, z):
     else:
         why = None
     return bounds, why
+
+
+# --- lattice axioms, every identity from fresh kernel calls --------------------
+
+def recomputing_lattice_axioms(lattice, samples, rng: random.Random) -> CheckResult:
+    """The axiom checker as it was before it reused pair results.
+
+    Same order of checks, same sampling of pairs and triples from ``rng``,
+    same witnesses; each identity calls meet, join and ``lt`` again.
+    """
+    cap = 4000
+    elems = list(samples)
+    checked = 0
+    for x in elems:
+        if lattice.meet(x, x) != x or lattice.join(x, x) != x:
+            return CheckResult(False, checked, f"idempotence fails at {x!r}")
+        checked += 1
+
+    pairs = list(itertools.combinations(range(len(elems)), 2))
+    if len(pairs) > cap:
+        pairs = [tuple(rng.sample(range(len(elems)), 2)) for _ in range(cap)]
+    for i, j in pairs:
+        x, y = elems[i], elems[j]
+        m1, m2 = lattice.meet(x, y), lattice.meet(y, x)
+        j1, j2 = lattice.join(x, y), lattice.join(y, x)
+        if m1 != m2 or j1 != j2:
+            return CheckResult(False, checked, f"commutativity fails at ({x!r}, {y!r})")
+        if lattice.meet(x, lattice.join(x, y)) != x or lattice.join(x, lattice.meet(x, y)) != x:
+            return CheckResult(False, checked, f"absorption fails at ({x!r}, {y!r})")
+        if lattice.lt(x, y) and not lattice.rank(x) < lattice.rank(y):
+            return CheckResult(False, checked, f"rank not strictly increasing at ({x!r}, {y!r})")
+        if lattice.lt(y, x) and not lattice.rank(y) < lattice.rank(x):
+            return CheckResult(False, checked, f"rank not strictly increasing at ({y!r}, {x!r})")
+        checked += 1
+
+    n = len(elems)
+    if n >= 3:
+        triples = list(itertools.combinations(range(n), 3))
+        if len(triples) > cap:
+            triples = [tuple(rng.sample(range(n), 3)) for _ in range(cap)]
+        for i, j, k in triples:
+            x, y, z = elems[i], elems[j], elems[k]
+            if lattice.meet(lattice.meet(x, y), z) != lattice.meet(x, lattice.meet(y, z)):
+                return CheckResult(False, checked, f"meet associativity fails at ({x!r}, {y!r}, {z!r})")
+            if lattice.join(lattice.join(x, y), z) != lattice.join(x, lattice.join(y, z)):
+                return CheckResult(False, checked, f"join associativity fails at ({x!r}, {y!r}, {z!r})")
+            checked += 1
+    return CheckResult(True, checked)
 
 
 # --- subsets through the containment order ------------------------------------

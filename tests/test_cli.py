@@ -81,7 +81,26 @@ class TestVerify:
         assert (name, status, witness) == ("tower", "PASS", "") and int(checked) > 0
         out = tmp_path / "report.json"
         assert main(["verify", "--suite", "tower", "--format", "json", "--out", str(out)]) == 0
-        assert json.loads(out.read_text()) == printed
+        written = json.loads(out.read_text())
+        # Elapsed seconds differ between runs, so the comparison drops exactly the timings.
+        assert set(written["timings"]) == set(printed.pop("timings")) == {"tower"}
+        del written["timings"]
+        assert written == printed
+
+    def test_json_report_schema_with_timings(self, capsys):
+        assert main(["verify", "--suite", "all", "--samples", "2", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["config", "columns", "rows", "timings"]
+        assert [row[0] for row in payload["rows"]] == list(payload["timings"]) == list(SUITES)
+        assert all(type(elapsed) is float and elapsed >= 0 for elapsed in payload["timings"].values())
+
+    def test_csv_report_is_the_same_from_run_to_run(self, tmp_path, capsys):
+        # Only the JSON report carries timings; the CSV report stays byte-identical.
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["verify", "--suite", "tower", "--out", str(first)]) == 0
+        assert main(["verify", "--suite", "tower", "--out", str(second)]) == 0
+        assert first.read_text() == second.read_text()
+        assert "timings" not in first.read_text()
 
     def test_unwritable_out_fails_before_any_suite_runs(self, tmp_path, monkeypatch, capsys):
         def run_suites(names, cfg):
@@ -128,6 +147,7 @@ class TestVerify:
         calls.clear()
         assert main([*argv, "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["config", "columns", "rows", "replay", "timings"]
         assert payload["replay"] == [replay.removeprefix("replay: ")]
         assert fail.endswith(payload["rows"][0][4])
 

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rglat.core import (
     ChainSample,
+    GradedLattice,
     adjoin_bounds,
     check_lattice_axioms,
     diamond_row,
@@ -30,6 +33,7 @@ from oracle_helpers import (
     oracle_partition_join,
     oracle_partition_meet,
     partition_rank,
+    recomputing_lattice_axioms,
     refines,
     rgs_partitions,
 )
@@ -244,6 +248,142 @@ class TestAxiomChecker:
             rank=lambda x: Rank(x),
         )
         assert not check_lattice_axioms(broken, [0, 1, 2, 3], random.Random(0)).ok
+
+
+def _base_tables(kind: str, n: int):
+    """Meet, join and rank tables of the chain 0 < ... < n-1, or of 0 < n-2 atoms < n-1."""
+    if kind == "chain":
+        return (
+            [[min(i, j) for j in range(n)] for i in range(n)],
+            [[max(i, j) for j in range(n)] for i in range(n)],
+            list(range(n)),
+        )
+    top = n - 1
+
+    def meet(i, j):
+        return i if i == j or j == top else j if i == top else 0
+
+    def join(i, j):
+        return i if i == j or j == 0 else j if i == 0 else top
+
+    return (
+        [[meet(i, j) for j in range(n)] for i in range(n)],
+        [[join(i, j) for j in range(n)] for i in range(n)],
+        [0] + [1] * (n - 2) + [2],
+    )
+
+
+@st.composite
+def axiom_tables(draw):
+    """Meet, join and rank tables on 3-6 elements: a real lattice with up to three cells rewritten."""
+    n = draw(st.integers(3, 6))
+    meet, join, ranks = _base_tables(draw(st.sampled_from(("chain", "diamond"))), n)
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        table, i, j, value = draw(st.sampled_from((meet, join))), draw(index), draw(index), draw(index)
+        table[i][j] = value
+        if draw(st.booleans()):
+            table[j][i] = value
+    if draw(st.booleans()):
+        ranks[draw(index)] = draw(st.integers(0, n))
+    return tuple(map(tuple, meet)), tuple(map(tuple, join)), tuple(ranks)
+
+
+def table_lattice(tables) -> GradedLattice:
+    meet, join, ranks = tables
+    return GradedLattice("table", lambda x, y: meet[x][y], lambda x, y: join[x][y], ranks.__getitem__)
+
+
+# One table per way the checker can fail, each found by a search over axiom_tables.
+FAILING_TABLES = {
+    "idempotence": (((0, 0, 0), (0, 1, 1), (0, 2, 2)), ((0, 1, 2), (1, 1, 2), (2, 2, 0)), (0, 1, 2)),
+    "commutativity": (((0, 0, 0), (0, 1, 1), (0, 2, 2)), ((0, 1, 2), (1, 1, 2), (2, 2, 2)), (0, 1, 2)),
+    "absorption": (((0, 1, 1), (1, 1, 1), (1, 1, 2)), ((0, 1, 2), (1, 1, 2), (2, 2, 2)), (0, 1, 2)),
+    "rank not strictly increasing": (
+        ((0, 0, 0), (0, 1, 1), (0, 1, 2)), ((0, 1, 1), (1, 1, 2), (1, 2, 2)), (0, 0, 2)
+    ),
+    "meet associativity": (
+        ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 0), (0, 1, 0, 3)),
+        ((0, 1, 2, 3), (1, 1, 2, 3), (2, 2, 2, 2), (3, 3, 2, 3)),
+        (0, 1, 2, 3),
+    ),
+    "join associativity": (
+        ((0, 0, 0), (0, 1, 1), (0, 1, 2)), ((0, 1, 1), (1, 1, 2), (1, 2, 2)), (0, 1, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", FAILING_TABLES)
+def test_each_pinned_table_fails_the_way_it_is_named(kind):
+    tables = FAILING_TABLES[kind]
+    res = recomputing_lattice_axioms(table_lattice(tables), range(len(tables[2])), random.Random(0))
+    assert not res.ok and res.witness.startswith(kind)
+
+
+def _with_examples(test):
+    for tables in FAILING_TABLES.values():
+        test = example(tables=tables)(test)
+    return test
+
+
+@settings(max_examples=300)
+@_with_examples
+@given(tables=axiom_tables())
+def test_axiom_checker_matches_the_recomputing_oracle(tables):
+    lattice, elems = table_lattice(tables), range(len(tables[2]))
+    assert check_lattice_axioms(lattice, elems, random.Random(3)) == recomputing_lattice_axioms(
+        lattice, elems, random.Random(3)
+    )
+
+
+def _bent_join(lattice: GradedLattice, a, b, value) -> GradedLattice:
+    """The lattice with the join of a and b, in both orders, replaced by value."""
+
+    def join(x, y):
+        return value if {x, y} == {a, b} else lattice.join(x, y)
+
+    return GradedLattice("bent", lattice.meet, join, lattice.rank)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_axiom_checker_matches_the_oracle_when_pairs_are_sampled(seed):
+    # 128 elements: 8,128 pairs and 341,376 triples, so both are sampled, and
+    # some sampled triples read a pair the pair loop never visited.
+    fam = boolean_family(7)
+    elems = fam.elements()
+    n, replay = len(elems), random.Random(seed)
+    pairs = {tuple(replay.sample(range(n), 2)) for _ in range(4000)}
+    triples = [tuple(replay.sample(range(n), 3)) for _ in range(4000)]
+    i, j, _ = next(
+        t for t in triples
+        if t[:2] not in pairs and t[1::-1] not in pairs and not fam.lattice.comparable(elems[t[0]], elems[t[1]])
+    )
+    # The pair loop joins only its pairs and comparable ones, so a wrong join on
+    # that unvisited incomparable pair passes it; a triple catches it.
+    bent = _bent_join(fam.lattice, elems[i], elems[j], fam.lattice.bottom)
+    for lattice in (fam.lattice, bent):
+        got = check_lattice_axioms(lattice, elems, random.Random(seed))
+        assert got == recomputing_lattice_axioms(lattice, elems, random.Random(seed))
+    assert got.checked > n + 4000 and got.witness.startswith("join associativity")
+
+
+def test_axiom_checker_calls_the_kernels_six_times_per_pair_and_four_per_triple():
+    fam = partition_family(4)
+    calls = []
+
+    def counted(op):
+        def call(x, y):
+            calls.append(op)
+            return getattr(fam.lattice, op)(x, y)
+        return call
+
+    lattice = GradedLattice("counted", counted("meet"), counted("join"), fam.lattice.rank)
+    elems = fam.elements()
+    res = check_lattice_axioms(lattice, elems, random.Random(0))
+    n = len(elems)
+    pairs, triples = n * (n - 1) // 2, n * (n - 1) * (n - 2) // 6
+    assert res.ok and res.checked == n + pairs + triples
+    assert len(calls) == 2 * n + 6 * pairs + 4 * triples
 
 
 def test_updown_distance_matches_symmetric_difference_measure():

@@ -12,8 +12,10 @@ call is dead weight.
 
 A parameter default is an option, so it must have two values in use: some
 call in ``src/rglat`` or ``scripts`` to a function of that name passes the
-parameter, and another leaves it out.  A call with ``*args`` or ``**kwargs``
-counts as passing every parameter.
+parameter, and another leaves it out.  A class is called by its own name, so
+the defaults of its ``__init__`` and ``__new__`` are judged by the calls of
+the class name.  A call with ``*args`` or ``**kwargs`` counts as passing
+every parameter.
 
 A parameter of a private function, or of a method of a private class, to
 which every call by name passes the same literal is a constant in disguise.
@@ -111,14 +113,18 @@ def test_every_method_is_used_outside_tests():
     assert unused == []
 
 
-def _defaults(tree: ast.Module):
-    """(function name, parameter, positional index or None) per parameter default.
+_CONSTRUCTORS = ("__init__", "__new__")
 
+
+def _defaults(tree: ast.Module):
+    """(called name, parameter, positional index or None) per parameter default.
+
+    The called name is the function's own, or the class's for a constructor.
     The index counts call arguments, so it skips ``self`` or ``cls`` on
     methods that are not static.
     """
-    methods = {
-        id(item)
+    owner = {
+        id(item): node.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
         for item in node.body
@@ -127,20 +133,21 @@ def _defaults(tree: ast.Module):
     }
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = owner[id(node)] if node.name in _CONSTRUCTORS and id(node) in owner else node.name
             args = node.args
             positional = args.posonlyargs + args.args
-            skip = 1 if id(node) in methods else 0
+            skip = 1 if id(node) in owner else 0
             first = len(positional) - len(args.defaults)
             for index, arg in enumerate(positional[first:], first):
-                yield node.name, arg.arg, index - skip
+                yield called, arg.arg, index - skip
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield node.name, arg.arg, None
+                    yield called, arg.arg, None
 
 
-def _calls(path: Path):
+def _calls(tree: ast.Module):
     """(called name, call node) for every call by a plain or attribute name."""
-    for node in ast.walk(_parse(path)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Name):
@@ -155,15 +162,46 @@ def _passes(call: ast.Call, param: str, index: int | None) -> bool:
     return any(k.arg == param for k in call.keywords) or (index is not None and len(call.args) > index)
 
 
-def test_every_parameter_default_is_both_passed_and_omitted():
-    calls = [call for path in PROGRAM for call in _calls(path)]
+def _one_value_defaults(package: dict[str, ast.Module], program: list[ast.Module]) -> list[str]:
+    """``module.name(parameter)`` per default in ``package`` not both passed and omitted by ``program``."""
+    calls = [call for tree in program for call in _calls(tree)]
     one_value = []
-    for path in PACKAGE:
-        for name, param, index in _defaults(_parse(path)):
+    for stem, tree in package.items():
+        for name, param, index in _defaults(tree):
             uses = {_passes(call, param, index) for called, call in calls if called == name}
             if uses != {True, False}:
-                one_value.append(f"{path.stem}.{name}({param})")
-    assert one_value == []
+                one_value.append(f"{stem}.{name}({param})")
+    return one_value
+
+
+def test_every_parameter_default_is_both_passed_and_omitted():
+    package = {path.stem: _parse(path) for path in PACKAGE}
+    assert _one_value_defaults(package, [_parse(path) for path in PROGRAM]) == []
+
+
+CONSTRUCTOR_SOURCE = """
+class Kept:
+    def __init__(self, value, scale=1):
+        self.value = value * scale
+
+class Unused:
+    def __new__(cls, value, *, exact=True):
+        return super().__new__(cls)
+
+def build(k, unused):
+    return Kept(k), Kept(k, 2), Unused(k, exact=unused), Unused(k, exact=False)
+
+def lone(value, scale=1):
+    return Kept(value, scale=scale)
+"""
+
+
+def test_constructor_defaults_are_judged_by_calls_of_the_class_name():
+    # Kept's scale is both passed and omitted; Unused's exact is always passed;
+    # lone's scale is never called, so it has no second value either.
+    tree = ast.parse(CONSTRUCTOR_SOURCE)
+    flagged = sorted(_one_value_defaults({"synthetic": tree}, [tree]))
+    assert flagged == ["synthetic.Unused(exact)", "synthetic.lone(scale)"]
 
 
 def _private_parameters(tree: ast.Module):
@@ -203,7 +241,7 @@ def _passed(call: ast.Call, param: str, index: int | None):
 
 
 def test_no_private_parameter_is_always_passed_one_literal():
-    calls = [call for path in PROGRAM for call in _calls(path)]
+    calls = [call for path in PROGRAM for call in _calls(_parse(path))]
     constant = []
     for path in PACKAGE:
         for qualified, name, param, index in _private_parameters(_parse(path)):

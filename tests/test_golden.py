@@ -29,6 +29,8 @@ CASES = [
     (["verify", "--suite", "tower"], "verify_tower.txt"),
     (["verify", "--suite", "finite-counts"], "verify_finite_counts.txt"),
     (["verify", "--suite", "finite-regrade"], "verify_finite_regrade.txt"),
+    (["verify", "--suite", "all", "--seed", "2026", "--samples", "5"], "verify_all_seed2026_samples5.txt"),
+    (["verify", "--suite", "all", "--seed", "3"], "verify_all_seed3.txt"),
 ]
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rglat.core import CheckResult, GradedLattice, diamond_row
+from rglat.core import CheckResult, GradedLattice, diamond_row, rank_modular_defect, updown_distance
 from rglat.errors import PreconditionViolation
-from rglat.finite import BitSubset
+from rglat.finite import BitSubset, boolean_family, partition_family
 from rglat.suites import (
     SUITES,
     SuiteConfig,
@@ -16,6 +16,7 @@ from rglat.suites import (
     _check_sweep,
     _diamond_holds,
     _diamond_witness,
+    _finite_stage,
     run_suite,
 )
 
@@ -179,3 +180,119 @@ def test_diamond_check_names_the_first_broken_bound():
     first, second = diamond_row(lattice, m, w, z), diamond_row(lattice, z, ms, m)
     assert not _diamond_holds(first)
     assert _diamond_witness(first, second) == "bound 'join along w<z' broken: lhs 4 > rhs 1"
+
+
+# --- per-run tables: call counts, and a wrong value seen as the recomputing loop sees it
+
+SEED7 = SuiteConfig(seed=7)
+
+
+def stages():
+    """The Boolean-4 and partition-4 stages the suites read now (other tests rebuild them)."""
+    return _finite_stage(boolean_family), _finite_stage(partition_family)
+
+
+def count_calls(monkeypatch, name: str, real, wrong: dict | None = None) -> list:
+    """Replace ``rglat.suites.<name>`` by ``real`` wrapped to record each call on a finite stage.
+
+    ``wrong`` maps (lattice, a, b) to the value returned instead of the real one.
+    """
+    by_lattice = {id(stage.family.lattice): stage for stage in stages()}
+    calls = []
+
+    def wrapped(lattice, a, b):
+        if id(lattice) in by_lattice:
+            calls.append((by_lattice[id(lattice)], a, b))
+        value = (wrong or {}).get((id(lattice), a, b))
+        return real(lattice, a, b) if value is None else value
+
+    monkeypatch.setattr(f"rglat.suites.{name}", wrapped)
+    return calls
+
+
+def recomputing_meet_contraction(stage, distance):
+    """The partition half of ``metric`` with two distance calls per check."""
+    lattice = stage.family.lattice
+    for m in stage.modular:
+        for x in stage.elements:
+            for y in stage.elements:
+                lhs = distance(lattice, lattice.meet(m, x), lattice.meet(m, y))
+                yield f"meet contraction fails at m={m!r}" if lhs > distance(lattice, x, y) else None
+
+
+def recomputing_finite_projection(defect):
+    """The finite half of ``interval-projection`` with one defect call per check."""
+    for stage in stages():
+        lattice = stage.family.lattice
+        for m in stage.modular:
+            for (w, z), between in zip(stage.strict, stage.between):
+                e = lattice.join(w, lattice.meet(m, z))
+                for x in between:
+                    ok = defect(lattice, e, x) == 0
+                    yield None if ok else f"finite relative defect nonzero at m={m!r} w={w!r} z={z!r} x={x!r}"
+
+
+def expected_from_the_last_half(suite: str, half) -> SuiteResult:
+    """The result of ``suite`` when its last half is ``half``, from a passing run's count."""
+    outcomes = list(half)
+    passing = run_suite(suite, SEED7)
+    first = next((i for i, why in enumerate(outcomes) if why is not None), None)
+    if first is None:
+        return passing
+    before = passing.checked - len(outcomes)
+    return SuiteResult(suite, False, before + first, "failed", outcomes[first])
+
+
+def test_metric_reads_its_partition_distances_from_one_table(monkeypatch):
+    calls = count_calls(monkeypatch, "updown_distance", updown_distance)
+    assert run_suite("metric", SEED7).passed
+    # 15 x 15 stage pairs, instead of two calls for each of 12 x 15 x 15 checks.
+    elems = stages()[1].elements
+    assert len(calls) == 225
+    assert {(a, b) for _, a, b in calls} == {(a, b) for a in elems for b in elems}
+
+
+def test_interval_projection_computes_each_finite_defect_once(monkeypatch):
+    calls = count_calls(monkeypatch, "rank_modular_defect", rank_modular_defect)
+    assert run_suite("interval-projection", SEED7).passed
+    # One call per distinct (e, x), instead of 5,508, one per check.
+    assert len(calls) == len(set(calls)) == 463
+    assert sum(stage is stages()[1] for stage, _, _ in calls) == 207
+
+
+@pytest.mark.parametrize("wrong", ["negative", "large"])
+def test_a_wrong_partition_distance_fails_metric_as_the_recomputing_loop_does(monkeypatch, wrong):
+    stage = stages()[1]
+    lattice, elems = stage.family.lattice, stage.elements
+    # A negative distance breaks a right-hand side; a large one on (bottom, bottom)
+    # breaks the left-hand side of every m, x, y whose meets with m are the bottom.
+    bottom = lattice.bottom
+    key, value = ((elems[3], elems[7]), Fraction(-1)) if wrong == "negative" else ((bottom, bottom), Fraction(5))
+
+    def distance(lat, a, b):
+        return value if lat is lattice and (a, b) == key else updown_distance(lat, a, b)
+
+    expected = expected_from_the_last_half("metric", recomputing_meet_contraction(stage, distance))
+    count_calls(monkeypatch, "updown_distance", updown_distance, {(id(lattice), *key): value})
+    result = run_suite("metric", SEED7)
+    assert not result.passed and result == expected
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["boolean", "partition"])
+def test_a_wrong_finite_defect_fails_interval_projection_as_the_recomputing_loop_does(monkeypatch, which):
+    stage = stages()[which]
+    lattice = stage.family.lattice
+    seen = []
+    for m in stage.modular:
+        for (w, z), between in zip(stage.strict, stage.between):
+            e = lattice.join(w, lattice.meet(m, z))
+            seen.extend((e, x) for x in between if (e, x) not in seen)
+    key = seen[len(seen) // 2]
+
+    def defect(lat, e, x):
+        return Fraction(1) if lat is lattice and (e, x) == key else rank_modular_defect(lat, e, x)
+
+    expected = expected_from_the_last_half("interval-projection", recomputing_finite_projection(defect))
+    count_calls(monkeypatch, "rank_modular_defect", rank_modular_defect, {(id(lattice), *key): Fraction(1)})
+    result = run_suite("interval-projection", SEED7)
+    assert not result.passed and result == expected
