@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import random
+import threading
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -711,11 +713,52 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
     return SuiteResult(name, True, checked, detail)
 
 
+def _timed_suite(name: str, cfg: SuiteConfig) -> tuple[SuiteResult, float]:
+    start = time.perf_counter()
+    result = run_suite(name, cfg)
+    return result, time.perf_counter() - start
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _fork_context(workers: int):
+    """The ``fork`` start method when ``workers`` processes may be forked, else None.
+
+    Only a single-threaded process forks: a forked child would inherit the
+    locks that other threads hold, but not the threads that release them.
+    """
+    if workers < 2 or threading.active_count() > 1:
+        return None
+    import multiprocessing  # imported only by a run that forks
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
 def run_suites(names, cfg: SuiteConfig) -> tuple[list[SuiteResult], dict[str, float]]:
-    """Run the suites in order; also return each one's elapsed seconds, by name."""
-    results, timings = [], {}
-    for name in names:
-        start = time.perf_counter()
-        results.append(run_suite(name, cfg))
-        timings[name] = time.perf_counter() - start
-    return results, timings
+    """Run the suites; return their results in ``names`` order and each one's elapsed seconds, by name.
+
+    The suites run on forked workers, one per usable CPU and at most one per
+    suite.  The finite stages are built first, so every worker reads the
+    parent's copy.  With one worker, or where this process may not fork, the
+    suites run here and no process starts.  Each suite is timed where it
+    runs, so the timings of a pooled run overlap.  A worker that dies breaks
+    the run with ``BrokenProcessPool``; a suite that raises fails alone, as
+    in :func:`run_suite`.
+    """
+    names = list(names)
+    workers = min(_usable_cpus(), len(names))
+    context = _fork_context(workers)
+    if context is None:
+        timed = [_timed_suite(name, cfg) for name in names]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        _stages()
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            timed = list(pool.map(_timed_suite, names, [cfg] * len(names)))
+    return [result for result, _ in timed], {name: seconds for name, (_, seconds) in zip(names, timed)}

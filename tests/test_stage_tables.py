@@ -1,22 +1,26 @@
 """The exhaustive suites' meet, join and rank tables against the bare kernels."""
 
 import dataclasses
+import functools
 import itertools
 
 import pytest
 
 import rglat.finite as finite
+import rglat.suites as suites
 from rglat.finite import BitSubset, boolean_family, partition_family
 from rglat.suites import SuiteConfig, _finite_stage, _tabled, run_suite
 
 STAGES = {"boolean-4": boolean_family, "partition-4": partition_family}
 
+# Captured at import, as a verify run's parent holds its stages when it forks.
+CAPTURED = {name: _finite_stage(make) for name, make in STAGES.items()}
+
 
 @pytest.fixture
-def fresh_stages():
-    _finite_stage.cache_clear()
-    yield
-    _finite_stage.cache_clear()
+def fresh_stages(monkeypatch):
+    """Stages built afresh for one test; the process's own stages stay as they are."""
+    monkeypatch.setattr(suites, "_finite_stage", functools.cache(_finite_stage.__wrapped__))
 
 
 @pytest.mark.parametrize("name", STAGES)
@@ -63,3 +67,10 @@ def test_the_exhaustive_suites_call_each_partition_kernel_once_per_pair(monkeypa
     for name in ("balance", "diamond", "interval-projection", "metric"):
         assert run_suite(name, SuiteConfig(seed=7)).passed, name
     assert 0 < len(calls) <= 2 * 15 ** 2
+    assert suites._finite_stage(partition_family) is not CAPTURED["partition-4"]
+
+
+@pytest.mark.parametrize("name", STAGES)
+def test_a_stage_captured_before_a_fresh_stages_test_is_still_the_one_the_suites_read(name):
+    # Runs after the test above, in file order.
+    assert suites._finite_stage(STAGES[name]) is CAPTURED[name]

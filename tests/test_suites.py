@@ -188,7 +188,7 @@ SEED7 = SuiteConfig(seed=7)
 
 
 def stages():
-    """The Boolean-4 and partition-4 stages the suites read now (other tests rebuild them)."""
+    """The Boolean-4 and partition-4 stages the suites read."""
     return _finite_stage(boolean_family), _finite_stage(partition_family)
 
 
