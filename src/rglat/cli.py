@@ -89,7 +89,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    # Decoding errors (bad JSON, bad UTF-8) are ValueErrors; deep nesting is a RecursionError.
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -155,16 +156,14 @@ def _spec_size(spec: dict, key: str) -> int:
 
 
 def _family_from_spec(spec: dict):
+    # A bad size raises a LatticeError from the family constructor.
     kind = spec.get("kind")
-    try:
-        if kind == "boolean":
-            return boolean_family(_spec_size(spec, "n"))
-        if kind == "partition":
-            return partition_family(_spec_size(spec, "n"))
-        if kind == "subspace":
-            return subspace_family(_spec_size(spec, "p"), _spec_size(spec, "n"))
-    except ValueError as exc:
-        raise InputFormatError(f"bad {kind} lattice spec: {spec!r}") from exc
+    if kind == "boolean":
+        return boolean_family(_spec_size(spec, "n"))
+    if kind == "partition":
+        return partition_family(_spec_size(spec, "n"))
+    if kind == "subspace":
+        return subspace_family(_spec_size(spec, "p"), _spec_size(spec, "n"))
     raise InputFormatError(f"unknown lattice kind {kind!r}")
 
 

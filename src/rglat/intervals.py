@@ -412,8 +412,6 @@ class PiecewiseLinearProfile:
     def min_level_at_value(self, target: Fraction) -> Fraction:
         """Least argument where the profile attains target (profile must be increasing)."""
         target = exact_fraction(target)
-        if not self.is_weakly_increasing:
-            raise PreconditionViolation("min_level_at_value needs a weakly increasing profile")
         vs, xs = self.values, self.breakpoints
         if not vs[0] <= target <= vs[-1]:
             raise PreconditionViolation(f"value {target} not attained by profile")

@@ -176,9 +176,9 @@ class IntervalRegrader:
                 f"level {cutset.value} is not strictly inside (0, {total}); "
                 "the level set is not an antichain cutset"
             )
-        # t*, the chief chain's own crossing: the prefix (0, level] grades at least
-        # the cutset value exactly when level >= t*.  It depends on the cutset alone.
-        self.chief_alpha = self._solve(profile_bundle(ambient, EMPTY, cutset.density))[2]
+        # t*, the chief chain's own crossing: the least level whose prefix (0, level] grades
+        # the cutset value (the value itself under measure).  It depends on the cutset alone.
+        self.chief_alpha = cutset.value if cutset.density is None else cutset.density.prefix_inverse(cutset.value)
 
     @property
     def density(self) -> StepDensity | None:

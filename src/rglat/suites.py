@@ -419,12 +419,12 @@ def suite_level_set(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
 def _check_sweep(rows, lo, hi, max_gap: Fraction) -> str | None:
     """The chain's elements increase from lo to hi, each by at most max_gap.
 
-    ``rows`` are a sweep evaluator's integer rows (rank, num, den): the
-    regraded value is num / den with den > 0, and the ranks of one chain
-    share one scale.  Consecutive rows of equal rank are one element: the
-    chain parameter plateaus across the gaps of z.  The first row of each
-    run stands for it.  One walk finds every witness; a non-increase is
-    reported first, then wrong endpoints, then the first gap over max_gap.
+    ``rows`` are (rank, num, den), the regraded value being num / den with
+    den > 0: a sweep evaluator's integer rows, or ``sweep_chief`` rows.
+    Consecutive rows of equal rank are one element: the chain parameter
+    plateaus across the gaps of z, and the first row of each run stands for
+    it.  One walk finds every witness; a non-increase is reported first,
+    then wrong endpoints, then the first gap over max_gap.
     Each step compares cross-multiplied numerators, so the walk builds a
     Fraction only for a witness.
     """
@@ -470,8 +470,8 @@ def suite_monotone_surjective(cfg: SuiteConfig, rng: random.Random) -> Iterator[
     values = stage.density.values
     max_gap = max(values) / min(values) * step
 
-    # The chief chain is the join side of the projection chain through EMPTY.
-    why = _check_sweep(_SweepEvaluator(stage, EMPTY, step).side_rows("join"), lo, hi, max_gap)
+    rows = [(row.rank, row.regraded.numerator, row.regraded.denominator) for row in stage.sweep_chief(step)]
+    why = _check_sweep(rows, lo, hi, max_gap)
     yield f"chief chain: {why}" if why else None
     for _ in range(cfg.samples or 50):
         z = random_interval_set(rng, UPPER, max_pieces=3)
@@ -695,7 +695,8 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
     """Run one suite: count its passing checks, stop at the first failure.
 
     A suite that raises a ``LatticeError`` or a ``RuntimeError`` fails with
-    the exception as its witness, after the checks counted so far.
+    the exception as its witness, after the checks counted so far; any other
+    exception is a program error, reported as an ``internal error:`` witness.
     """
     checks, detail = SUITES[name]
     checked = 0
@@ -710,6 +711,8 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
                 return SuiteResult(name, False, checked, "failed", witness)
     except (LatticeError, RuntimeError) as exc:
         return SuiteResult(name, False, checked, "failed", f"{type(exc).__name__}: {exc}")
+    except Exception as exc:
+        return SuiteResult(name, False, checked, "failed", f"internal error: {type(exc).__name__}: {exc}")
     return SuiteResult(name, True, checked, detail)
 
 

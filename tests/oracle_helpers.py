@@ -14,6 +14,8 @@ arithmetic, which pins the package's integer sweep value for value; and
 checks on whole quadruples, which pin the suites' three-element rows; and
 ``recomputing_lattice_axioms``, the axiom checker that calls the kernels
 afresh for every identity, which pins the checker's reuse of pair results.
+``up_down_path_lengths`` walks the covers of the bare order, so it pins
+the up-down distance without its rank-and-join formula.
 """
 
 from __future__ import annotations
@@ -423,6 +425,39 @@ def maximal_chains(elements, leq) -> list[tuple]:
         return [(x,) + rest for y in elements if covers(x, y) for rest in walk(y)]
 
     return walk(bottom)
+
+
+def up_down_path_lengths(elements, leq) -> dict:
+    """(x, y) -> the fewest cover steps from x up to some u, then down to y.
+
+    A breadth-first walk up the covers of the bare order gives the climb from
+    each element to everything above it.  A path down from u to y is a climb
+    from y to u read backwards, so the length is the least climb(x, u) +
+    climb(y, u) over the common upper bounds u.  No rank or join is read.
+    """
+    above = {
+        x: [y for y in elements if x != y and leq(x, y) and not any(
+            z != x and z != y and leq(x, z) and leq(z, y) for z in elements
+        )]
+        for x in elements
+    }
+    climbs = {}
+    for x in elements:
+        steps, frontier = {x: 0}, [x]
+        while frontier:
+            reached = []
+            for e in frontier:
+                for y in above[e]:
+                    if y not in steps:
+                        steps[y] = steps[e] + 1
+                        reached.append(y)
+            frontier = reached
+        climbs[x] = steps
+    return {
+        (x, y): min(climbs[x][u] + climbs[y][u] for u in climbs[x] if u in climbs[y])
+        for x in elements
+        for y in elements
+    }
 
 
 def count_maximal_chains(elements, leq) -> int:

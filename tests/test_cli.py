@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import json
@@ -520,3 +521,78 @@ def test_argparse_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["regrade"])  # missing the spec argument
     assert exc.value.code == 2
+
+
+UNREADABLE_FILES = {
+    "nested-arrays": b"[" * 100_000,
+    "nested-objects": b'{"a":' * 3_000,
+    "utf-16-bytes": b"\xff\xfe" + '{"intervals": []}'.encode("utf-16-le"),
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_FILES.values(), ids=UNREADABLE_FILES.keys())
+@pytest.mark.parametrize("command", ["regrade", "limit"])
+def test_an_unreadable_file_is_an_input_error(command, content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        {"kind": "subspace", "p": 4, "n": 2},
+        {"kind": "subspace", "p": -3, "n": 2},
+        {"kind": "subspace", "p": 10**9 + 7, "n": 2},
+        {"kind": "subspace", "p": 2, "n": 9},
+        {"kind": "boolean", "n": 0},
+        {"kind": "partition", "n": 9},
+    ],
+    ids=["p-4", "p-minus-3", "p-1e9+7", "subspace-n-9", "boolean-n-0", "partition-n-9"],
+)
+def test_a_bad_family_size_is_a_lattice_error(lattice, tmp_path, capsys):
+    spec = {**finite_spec("boolean", []), "lattice": lattice}
+    assert main(["regrade", write_json(tmp_path / "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# Every spec and target file among the goldens; counterexample.json is a report.
+GOLDEN_INPUTS = {path.name: path.read_bytes() for path in GOLDEN.glob("*.json") if path.name != "counterexample.json"}
+
+
+@st.composite
+def damaged_inputs(draw) -> tuple[str, bytes]:
+    """A golden spec or target, truncated, with a byte flipped, nested deep, re-encoded or behind a BOM."""
+    name = draw(st.sampled_from(sorted(GOLDEN_INPUTS)))
+    raw = GOLDEN_INPUTS[name]
+    how = draw(st.sampled_from(["truncate", "flip", "nest", "encode", "bom"]))
+    if how == "truncate":
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    elif how == "flip":
+        i = draw(st.integers(0, len(raw) - 1))
+        raw = raw[:i] + bytes([raw[i] ^ draw(st.integers(1, 255))]) + raw[i + 1 :]
+    elif how == "nest":
+        opening, closing = draw(st.sampled_from([(b"[", b"]"), (b'{"a":', b"}")]))
+        depth = draw(st.integers(1, 5_000))
+        raw = opening * depth + raw + closing * depth
+    elif how == "encode":
+        raw = raw.decode("utf-8").encode(draw(st.sampled_from(["utf-16", "utf-16-be", "utf-32", "latin-1"])))
+    else:
+        raw = draw(st.sampled_from([codecs.BOM_UTF8, codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE])) + raw
+    return name, raw
+
+
+@settings(max_examples=60)
+@given(case=damaged_inputs())
+def test_damaged_golden_inputs_keep_the_exit_contract(case, tmp_path_factory):
+    name, raw = case
+    path = tmp_path_factory.mktemp("bytes") / name
+    path.write_bytes(raw)
+    command = "limit" if name == "third.json" else "regrade"
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, str(path)]) in (0, 1, 2)

@@ -22,12 +22,14 @@ from rglat.finite import (
     boolean_family,
     partition_family,
     rank_modular_elements,
+    subspace_family,
 )
 from rglat.intervals import Ambient, IntervalSet, chief_element, interval_lattice
 from rglat.rank import POS_INF, Rank
 from rglat.suites import _balance_holds
 
 from oracle_helpers import (
+    bare_order,
     blocks_of,
     grid_measure,
     oracle_partition_join,
@@ -36,6 +38,7 @@ from oracle_helpers import (
     recomputing_lattice_axioms,
     refines,
     rgs_partitions,
+    up_down_path_lengths,
 )
 
 ZERO = Rank(0)
@@ -393,6 +396,27 @@ def test_updown_distance_matches_symmetric_difference_measure():
     # In a Boolean lattice of sets the up-down distance is the measure of the
     # symmetric difference.
     assert updown_distance(lattice, u, v) == Rank(grid_measure([(0, Fraction(1, 2)), (1, Fraction(3, 2))]))
+
+
+@pytest.mark.parametrize(
+    "kind, family",
+    [("partition", P4), ("boolean", boolean_family(4)), ("subspace", subspace_family(2, 3))],
+    ids=["partition-4", "boolean-4", "subspace-2-3"],
+)
+def test_updown_distance_is_the_shortest_up_then_down_cover_path(kind, family):
+    # On the non-modular partition lattice this tells the up-down distance
+    # from the down-up one, rank(x) + rank(y) - 2 rank(x ^ y).
+    elems = family.elements()
+    paths = up_down_path_lengths(elems, bare_order(kind))
+    for x in elems:
+        for y in elems:
+            assert updown_distance(family.lattice, x, y) == paths[x, y]
+
+
+def test_updown_distance_on_two_crossing_partitions():
+    x, y = part([1, 2], [3, 4]), part([1, 3], [2, 4])
+    assert updown_distance(P4.lattice, x, y) == 2
+    assert up_down_path_lengths(P4.elements(), bare_order("partition"))[x, y] == 2
 
 
 def test_partition_meet_join_agree_with_order_scan_oracle():

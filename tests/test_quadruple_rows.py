@@ -29,6 +29,7 @@ from rglat.suites import (
     _diamond_holds,
     _diamond_witness,
     run_suite,
+    sweep_levels,
 )
 
 from oracle_helpers import quadruple_balance, quadruple_diamond
@@ -135,14 +136,18 @@ def test_the_partition_half_evaluates_each_distinct_row_once_per_run(monkeypatch
     assert runs[0] == runs[1]
 
 
-def test_monotone_surjective_builds_no_sweep_row(monkeypatch):
-    built = []
+def test_monotone_surjective_builds_sweep_rows_for_the_chief_chain_only(monkeypatch):
+    # The sampled chains are checked on integer rows; only the chief chain is
+    # read off sweep_chief, once.
+    built = Counter()
+    real = regrading.SweepRow
 
-    def sweep_row(*args):
-        built.append(args)
-        raise AssertionError("monotone-surjective built a SweepRow")
+    def sweep_row(side, *args):
+        built[side] += 1
+        return real(side, *args)
 
     monkeypatch.setattr(regrading, "SweepRow", sweep_row)
-    result = run_suite("monotone-surjective", SuiteConfig(seed=7))
+    cfg = SuiteConfig(seed=7)
+    result = run_suite("monotone-surjective", cfg)
     assert result.passed and result.checked == 251
-    assert built == []
+    assert built == {"chief": sweep_levels(cfg)} and sweep_levels(cfg) == 257

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rglat.regrading as regrading
 from rglat.cli import main
 from rglat.core import CheckResult
 from rglat.errors import AmbientMismatch, CutsetError, PreconditionViolation, SizeCapExceeded
@@ -34,6 +35,7 @@ from rglat.intervals import (
     union,
 )
 from rglat.rank import Rank
+from rglat.suites import SuiteConfig, run_suite
 from rglat.regrading import (
     MAX_GRID_LEVELS,
     ExplicitCutset,
@@ -741,6 +743,43 @@ def test_integer_sweep_matches_the_fraction_oracle(regrader, data, step):
     z = data.draw(sets_touching_the_ends(regrader.ambient.upper))
     assert through_rows(regrader, z, step) == fraction_sweep(regrader, z, step)
     assert regrader.sweep_chief(step) == fraction_sweep(regrader, None, step)
+
+
+@settings(max_examples=100)
+@given(regrader=st.one_of(sweep_stages(), oracle_stages()))
+def test_chief_crossing_is_the_solved_crossing_of_the_empty_set(regrader):
+    # The chief chain is the join side of the projection chain through EMPTY.
+    bundle = profile_bundle(regrader.ambient, EMPTY, regrader.density)
+    assert regrader.chief_alpha == regrader._solve(bundle)[2]
+
+
+@pytest.mark.parametrize(
+    "cutset, t_star",
+    [
+        (LevelCutset(Fraction(3, 4)), Fraction(3, 4)),
+        (LevelCutset(Fraction(1), StepDensity((0, 1, 2), (1, 2))), Fraction(1)),
+        (LevelCutset(Fraction(2), StepDensity((0, 1, 2), (1, 2))), Fraction(3, 2)),
+        (LevelCutset(Fraction(6, 5), StepDensity((0, "1/3", 2), (3, "1/5"))), Fraction(1, 3) + Fraction(1)),
+    ],
+)
+def test_a_regrader_builds_no_profile_bundle(monkeypatch, cutset, t_star):
+    def refused(*args):
+        raise AssertionError("a profile bundle was built")
+
+    monkeypatch.setattr(regrading, "profile_bundle", refused)
+    assert IntervalRegrader(TWO, cutset).chief_alpha == t_star
+
+
+def test_monotone_surjective_fails_a_chief_sweep_off_by_half_the_crossing(monkeypatch):
+    real = IntervalRegrader.sweep_chief
+
+    def halved(self, step):
+        return [SweepRow(r.side, r.level, r.rank, r.rank - self.chief_alpha / 2) for r in real(self, step)]
+
+    monkeypatch.setattr(IntervalRegrader, "sweep_chief", halved)
+    result = run_suite("monotone-surjective", SuiteConfig(seed=7))
+    assert not result.passed and result.checked == 0
+    assert result.witness == "chief chain: endpoints -1/2..3/2 instead of -1..1"
 
 
 def test_sweep_matches_hand_computed_chain():

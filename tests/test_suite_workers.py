@@ -84,6 +84,23 @@ def test_a_failing_suite_sends_its_witness_and_replay_back_from_a_worker(pools, 
 
 
 @forks
+def test_a_suite_that_raises_a_program_error_in_a_worker_fails_alone(pools, monkeypatch, capsys):
+    def raising(cfg, rng):
+        yield None
+        raise IndexError("list index out of range")
+
+    monkeypatch.setitem(SUITES, "level-set", (raising, "never reported"))
+    assert main(["verify", "--suite", "all", "--seed", "2026", "--samples", "5"]) == 1
+    assert pools == [2]
+    lines = capsys.readouterr().out.splitlines()
+    fail = "FAIL level-set checked=1 failed witness: internal error: IndexError: list index out of range"
+    assert [line for line in lines if line.startswith("FAIL ")] == [fail]
+    assert lines[lines.index(fail) + 1] == "replay: rglat verify --suite level-set --seed 2026 --grid 1/64 --samples 5"
+    passed = [line.split()[1] for line in lines if line.startswith("PASS ")]
+    assert passed == [name for name in SUITES if name != "level-set"] and len(passed) == 17
+
+
+@forks
 def test_a_pooled_verify_leaves_no_process_or_thread_behind(pools, capsys):
     threads = threading.active_count()
     assert main(["verify", "--suite", "all", "--samples", "5"]) == 0
