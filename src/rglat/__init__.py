@@ -17,7 +17,6 @@ from .finite import (
     product_plane_lattice,
     subspace_family,
 )
-from .limits import EmbeddingFamily, boolean_to_interval, cauchy_approx
 from .rank import NEG_INF, POS_INF, Rank
 from .regrading import (
     ExplicitCutset,
@@ -28,6 +27,16 @@ from .regrading import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The tower names load rglat.limits on first use: only ``verify`` and ``limit`` need it.
+    if name not in ("EmbeddingFamily", "boolean_to_interval", "cauchy_approx"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .limits import EmbeddingFamily, boolean_to_interval, cauchy_approx
+
+    return locals()[name]
+
 
 __all__ = [
     "Ambient",

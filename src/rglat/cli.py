@@ -17,6 +17,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import finite
 from .errors import InputFormatError, LatticeError
@@ -28,7 +29,6 @@ from .finite import (
     subspace_family,
 )
 from .intervals import Ambient, interval_set_from_json, interval_set_to_json, measure
-from .limits import cauchy_approx, tower_checks
 from .rank import format_fraction, parse_fraction
 from .regrading import (
     MAX_GRID_LEVELS,
@@ -38,7 +38,9 @@ from .regrading import (
     counterexample_report,
     cutset_from_json,
 )
-from .suites import SUITES, SuiteConfig, run_suites, sweep_levels
+
+if TYPE_CHECKING:
+    from .suites import SuiteConfig
 
 
 def _config_line(args: argparse.Namespace) -> str:
@@ -95,6 +97,9 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Loaded here, before any worker forks, so that no other command pays for the suites.
+    from .suites import SUITES, SuiteConfig, run_suites, sweep_levels
+
     if args.suite == "all":
         names = list(SUITES)
     elif args.suite in SUITES:
@@ -248,6 +253,8 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def cmd_limit(args: argparse.Namespace) -> int:
+    from .limits import cauchy_approx, tower_checks
+
     payload = _load_json(args.target)
     target = interval_set_from_json(payload, Ambient(Fraction(1)))
     try:

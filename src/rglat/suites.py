@@ -550,6 +550,7 @@ def suite_metric(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
 def suite_tower(cfg: SuiteConfig, rng: random.Random) -> Iterator[Outcome]:
     checks = tower_checks()
     checks["isometry_subspace"] = embedding_check(F2_SUBSPACE_TOWER, 2, 4)
+    checks["isometry_boolean_4_8"] = embedding_check(BOOLEAN_TOWER, 4, 8)
     for label, res in checks.items():
         yield res if res.ok else f"{label}: {res.witness}"
     for k, n in ((2, 4), (4, 8)):
@@ -749,9 +750,10 @@ def run_suites(names, cfg: SuiteConfig) -> tuple[list[SuiteResult], dict[str, fl
     suite.  The finite stages are built first, so every worker reads the
     parent's copy.  With one worker, or where this process may not fork, the
     suites run here and no process starts.  Each suite is timed where it
-    runs, so the timings of a pooled run overlap.  A worker that dies breaks
-    the run with ``BrokenProcessPool``; a suite that raises fails alone, as
-    in :func:`run_suite`.
+    runs, so the timings of a pooled run overlap.  A suite that raises fails
+    alone, as in :func:`run_suite`.  A worker that dies breaks the pool, and
+    every suite not finished by then fails with a ``BrokenProcessPool``
+    witness, 0 checks and 0 seconds; rerun alone, a suite runs in process.
     """
     names = list(names)
     workers = min(_usable_cpus(), len(names))
@@ -760,8 +762,16 @@ def run_suites(names, cfg: SuiteConfig) -> tuple[list[SuiteResult], dict[str, fl
         timed = [_timed_suite(name, cfg) for name in names]
     else:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         _stages()
+        timed = []
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            timed = list(pool.map(_timed_suite, names, [cfg] * len(names)))
+            futures = [pool.submit(_timed_suite, name, cfg) for name in names]
+            for name, future in zip(names, futures):
+                try:
+                    timed.append(future.result())
+                except BrokenProcessPool as exc:
+                    witness = f"internal error: {type(exc).__name__}: {exc}"
+                    timed.append((SuiteResult(name, False, 0, "failed", witness), 0.0))
     return [result for result, _ in timed], {name: seconds for name, (_, seconds) in zip(names, timed)}

@@ -2,6 +2,9 @@ import codecs
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,7 +110,7 @@ class TestVerify:
         def run_suites(names, cfg):
             raise AssertionError("the suites ran before the report file was opened")
 
-        monkeypatch.setattr("rglat.cli.run_suites", run_suites)
+        monkeypatch.setattr("rglat.suites.run_suites", run_suites)
         assert main(["verify", "--suite", "all", "--out", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"input error: cannot write {tmp_path}")
@@ -596,3 +599,43 @@ def test_damaged_golden_inputs_keep_the_exit_contract(case, tmp_path_factory):
     command = "limit" if name == "third.json" else "regrade"
     with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
         assert main([command, str(path)]) in (0, 1, 2)
+
+
+COLD_START = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "rglat")
+
+golden = sys.argv[1]
+import rglat.cli
+seen = {"import": loaded()}
+try:
+    getattr(rglat, "no_such_name")
+except AttributeError:
+    seen["no_such_name"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["codes"] = [rglat.cli.main(["regrade", golden + "/density_spec.json"]), rglat.cli.main(["counterexample"])]
+    seen["regrade"] = loaded()
+    seen["codes"].append(rglat.cli.main(["limit", golden + "/third.json"]))
+    seen["limit"] = loaded()
+from rglat import *
+seen["unbound"] = [name for name in rglat.__all__ if name not in globals()]
+seen["same"] = rglat.cauchy_approx is rglat.limits.cauchy_approx
+print(json.dumps(seen))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # A fresh interpreter: this test session has long since loaded every module.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(GOLDEN)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    core = ["rglat"] + [f"rglat.{name}" for name in ("cli", "core", "errors", "finite", "intervals", "rank", "regrading")]
+    assert seen["import"] == seen["no_such_name"] == seen["regrade"] == core
+    assert seen["codes"] == [0, 0, 0]
+    assert "rglat.limits" in seen["limit"] and "rglat.suites" not in seen["limit"]
+    assert seen["unbound"] == [] and seen["same"]

@@ -1,5 +1,6 @@
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from rglat.core import CheckResult, GradedLattice, diamond_row, rank_modular_defect, updown_distance
 from rglat.errors import PreconditionViolation
-from rglat.finite import BitSubset, boolean_family, partition_family
+from rglat.finite import BitSubset, boolean_family, boolean_lattice, partition_family
 from rglat.suites import (
     SUITES,
     SuiteConfig,
@@ -169,6 +170,17 @@ def test_finite_regrade_fails_with_the_semimodularity_witness(monkeypatch):
     result = run_suite("finite-regrade", SuiteConfig())
     witness = f"boolean-4 is not upper semimodular: {a!r} and {b!r} cover {x!r}"
     assert result == SuiteResult("finite-regrade", False, 0, "failed", witness)
+
+
+def test_tower_fails_on_a_boolean_rank_off_by_one_above_level_4(monkeypatch):
+    # Only the 4 -> 8 embedding check reads a Boolean rank above level 4.
+    def miscounted(n):
+        return replace(boolean_lattice(n), rank=lambda x: Fraction(x.cardinality() + (x.n > 4)))
+
+    monkeypatch.setattr("rglat.finite.boolean_lattice", miscounted)
+    result = run_suite("tower", SuiteConfig())
+    assert not result.passed
+    assert result.witness == "isometry_boolean_4_8: rank not preserved at BitSubset(4, {})"
 
 
 def test_diamond_check_names_the_first_broken_bound():
