@@ -7,16 +7,6 @@ scans, never tolerances for algebraic identities.
 
 from .core import ChainSample, CheckResult, GradedLattice, adjoin_bounds, rank_modular_defect, updown_distance
 from .intervals import Ambient, IntervalSet, StepDensity, interval_lattice, normalize
-from .finite import (
-    BitSubset,
-    PlanePoint,
-    SetPartition,
-    Subspace,
-    boolean_family,
-    partition_family,
-    product_plane_lattice,
-    subspace_family,
-)
 from .rank import NEG_INF, POS_INF, Rank
 from .regrading import (
     ExplicitCutset,
@@ -30,11 +20,16 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # The tower names load rglat.limits on first use: only ``verify`` and ``limit`` need it.
-    if name not in ("EmbeddingFamily", "boolean_to_interval", "cauchy_approx"):
+    # The tower names load rglat.limits, and the finite names rglat.finite, on first use:
+    # ``regrade`` on an interval spec and ``counterexample`` need neither.
+    if name in ("EmbeddingFamily", "boolean_to_interval", "cauchy_approx"):
+        from .limits import EmbeddingFamily, boolean_to_interval, cauchy_approx
+    elif name in ("BitSubset", "PlanePoint", "SetPartition", "Subspace", "boolean_family", "partition_family",
+                  "product_plane_lattice", "subspace_family"):
+        from .finite import (BitSubset, PlanePoint, SetPartition, Subspace, boolean_family, partition_family,
+                             product_plane_lattice, subspace_family)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .limits import EmbeddingFamily, boolean_to_interval, cauchy_approx
-
     return locals()[name]
 
 

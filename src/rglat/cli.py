@@ -19,15 +19,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import finite
 from .errors import InputFormatError, LatticeError
-from .finite import (
-    boolean_family,
-    element_from_json,
-    element_to_json,
-    partition_family,
-    subspace_family,
-)
 from .intervals import Ambient, interval_set_from_json, interval_set_to_json, measure
 from .rank import format_fraction, parse_fraction
 from .regrading import (
@@ -49,7 +41,9 @@ def _config_line(args: argparse.Namespace) -> str:
         if hasattr(args, key) and getattr(args, key) is not None:
             parts.append(f"{key}={getattr(args, key)}")
     if args.command == "verify":
-        parts.append(f"caps=elements:{finite.MAX_ELEMENTS},chains:{finite.MAX_CHAINS}")
+        from .finite import MAX_CHAINS, MAX_ELEMENTS
+
+        parts.append(f"caps=elements:{MAX_ELEMENTS},chains:{MAX_CHAINS}")
     return " ".join(parts)
 
 
@@ -162,6 +156,8 @@ def _spec_size(spec: dict, key: str) -> int:
 
 def _family_from_spec(spec: dict):
     # A bad size raises a LatticeError from the family constructor.
+    from .finite import boolean_family, partition_family, subspace_family
+
     kind = spec.get("kind")
     if kind == "boolean":
         return boolean_family(_spec_size(spec, "n"))
@@ -185,6 +181,8 @@ def cmd_regrade(args: argparse.Namespace) -> int:
     if not isinstance(lattice_spec, dict) or not isinstance(targets, list):
         raise InputFormatError("regrade spec needs a lattice object and a targets array")
     rows: list[list[str]] = []
+    extra: dict[str, list[str]] = {}
+    failed: list[str] = []
     if lattice_spec.get("kind") == "interval":
         if "ambient" not in lattice_spec:
             raise InputFormatError("interval lattice spec is missing 'ambient'")
@@ -193,16 +191,22 @@ def cmd_regrade(args: argparse.Namespace) -> int:
         if not isinstance(cutset, LevelCutset):
             raise InputFormatError("interval regrading needs a level cutset")
         regrader = IntervalRegrader(ambient, cutset)
-        for payload in targets:
+        for k, payload in enumerate(targets):
             z = interval_set_from_json(payload, ambient)
             # The regraded rank is read off the projection, so z is projected once.
-            projection = regrader.project(z)
+            try:
+                projection = regrader.project(z)
+            except RuntimeError as exc:
+                failed.append(f"target {k}: {exc}")
+                continue
+            grade, regraded = regrader.grade(z), measure(z) - measure(projection.element)
+            failed += _sign_gate(k, grade - cutset.value, regraded)
             rows.append([
                 "target",
                 json.dumps(interval_set_to_json(z)["intervals"]),
-                format_fraction(regrader.grade(z)),
+                format_fraction(grade),
                 json.dumps(interval_set_to_json(projection.element)["intervals"]),
-                format_fraction(measure(z) - measure(projection.element)),
+                format_fraction(regraded),
             ])
         if args.grid is not None:
             for row in regrader.sweep_chief(parse_fraction(args.grid)):
@@ -217,22 +221,44 @@ def cmd_regrade(args: argparse.Namespace) -> int:
     else:
         if args.grid is not None:
             raise InputFormatError("--grid sweeps the chief chain of interval specs only")
+        from .finite import element_from_json, element_to_json
+
         family = _family_from_spec(lattice_spec)
         regrader = FiniteRegrader(family, cutset_from_json(cutset_spec, family))
-        for payload in targets:
+        if family.chief_skipped:
+            extra["skipped"] = [family.chief_skipped]
+        for k, payload in enumerate(targets):
             z = element_from_json(family, payload)
-            projection = regrader.project(z)
+            try:
+                projection = regrader.project(z)
+            except RuntimeError as exc:
+                failed.append(f"target {k}: {exc}")
+                continue
             rank = family.lattice.rank(z)
+            regraded = rank - family.lattice.rank(projection.element)
+            failed += _sign_gate(k, rank - regrader.level, regraded)
             rows.append([
                 "target",
                 json.dumps(element_to_json(z)),
                 str(rank),
                 json.dumps(element_to_json(projection.element)),
-                format_fraction(rank - family.lattice.rank(projection.element)),
+                format_fraction(regraded),
             ])
         header = ["kind", "element", "rank", "projection", "regraded"]
-    _emit(args, header, rows, {})
-    return 0
+    if failed:
+        extra["failed"] = failed
+    _emit(args, header, rows, extra)
+    return 1 if failed else 0
+
+
+def _sign_gate(k: int, offset: Fraction, regraded: Fraction) -> list[str]:
+    """Target k's failure, if its regraded value lacks the sign of its grade minus the cutset value.
+
+    The sign is 0 exactly on the cutset, so this also gates the zero level set.
+    """
+    if (regraded > 0) - (regraded < 0) == (offset > 0) - (offset < 0):
+        return []
+    return [f"target {k}: regraded {format_fraction(regraded)}, grade minus cutset value {format_fraction(offset)}"]
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .core import ChainSample, GradedLattice, rank_modular_defect
 from .errors import (
@@ -425,6 +425,8 @@ class FiniteFamily:
     read: Callable[[list], object] = field(repr=False)
     elements: Callable[[], list] = field(repr=False)
     chief_elements: Callable[[], list] = field(repr=False)
+    # Why ``chief`` proved nothing, once it has run on an instance too large to enumerate.
+    chief_skipped: ClassVar[str | None] = None
 
     @functools.cached_property
     def chief(self) -> ChainSample:
@@ -433,12 +435,15 @@ class FiniteFamily:
         Membership in the exhaustively computed modular set is verified
         whenever the instance is small enough to enumerate; a failure is an
         internal error, not a user error.  The proof runs once per instance
-        and is kept on it, so no cache outlives the family.
+        and is kept on it, so no cache outlives the family; so is
+        ``chief_skipped``, the reason when the instance is too large.
         """
         try:
             elems = self.elements()
-        except SizeCapExceeded:
+        except SizeCapExceeded as exc:
             elems = []
+            reason = f"chief chain of {self.lattice.name} not proven rank modular: {exc}"
+            object.__setattr__(self, "chief_skipped", reason)
         chain = self.chief_elements()
         sample = ChainSample.from_elements(self.lattice, chain)
         if list(sample.ranks()) != list(range(len(chain))):

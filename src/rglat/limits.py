@@ -7,6 +7,10 @@ repetition.  Both preserve the renormalized rank (rank over level) and the
 up-down metric, and compose coherently, which is what makes the limit well
 defined.  The completion itself is never materialized: it is witnessed by
 inward grid approximants whose distances shrink like 1/level.
+
+The monotone-limit hypothesis reports for unbounded gradings scan the four
+sup/inf conditions along monotone chains of the line and the product plane,
+where a bounded-interval argument no longer applies.
 """
 
 from __future__ import annotations
@@ -17,18 +21,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .core import CheckResult, updown_distance
+from .core import CheckResult, GradedLattice, adjoin_bounds, updown_distance
 from .errors import PreconditionViolation
 from .finite import (
     BitSubset,
     FiniteFamily,
+    PlanePoint,
     Subspace,
     boolean_family,
     boolean_lattice,
+    product_plane_lattice,
     subspace_family,
     subspace_lattice,
 )
-from .intervals import Ambient, IntervalSet, interval_lattice, normalize
+from .intervals import Ambient, IntervalSet, chief_element, interval_lattice, normalize
+from .rank import POS_INF, RankValue
 
 
 def _require_divides(k: int, n: int) -> None:
@@ -215,3 +222,110 @@ def cauchy_approx(target: IntervalSet, levels: Sequence[int]) -> CauchyReport:
         )
         prev = approx
     return CauchyReport(target=target, rows=tuple(rows))
+
+
+# --- Monotone-limit hypotheses for unbounded gradings ------------------------
+
+CONDITION_NAMES = (
+    "chain-meet-sup",
+    "chain-join-inf",
+    "chief-meet-sup",
+    "chief-join-inf",
+)
+
+
+@dataclass(frozen=True)
+class LimitCondition:
+    """One sup/inf condition, scanned along a monotone chain against a probe.
+
+    ``rows`` pairs each chain parameter with rank(member ^ probe) for a
+    ``-sup`` condition, or rank(member v probe) for an ``-inf`` one, and
+    ``target_value`` is that rank at the chain's limit.  No rows means the
+    condition is vacuous: the grading is bounded on the relevant side, so
+    nothing needs scanning.
+    """
+
+    name: str
+    rows: tuple[tuple[Fraction, RankValue], ...] = ()
+    target_value: RankValue | None = None
+
+    @property
+    def vacuous(self) -> bool:
+        return not self.rows
+
+    @property
+    def scan_value(self) -> RankValue | None:
+        """The scan's sup (largest row) or inf (smallest row)."""
+        if self.vacuous:
+            return None
+        return (max if self.name.endswith("-sup") else min)(v for _, v in self.rows)
+
+    @property
+    def holds(self) -> bool:
+        return self.vacuous or self.scan_value == self.target_value
+
+
+@dataclass(frozen=True)
+class HypothesisReport:
+    conditions: tuple[LimitCondition, ...]
+
+    @property
+    def failing(self) -> tuple[str, ...]:
+        return tuple(c.name for c in self.conditions if not c.holds)
+
+
+def _scan(name: str, lattice: GradedLattice, probe, chain: dict, limit) -> LimitCondition:
+    """Scan ``chain`` (parameter -> member) with meets for ``-sup``, joins for ``-inf``."""
+    op = lattice.meet if name.endswith("-sup") else lattice.join
+    rows = tuple((t, lattice.rank(op(member, probe))) for t, member in chain.items())
+    return LimitCondition(name, rows, lattice.rank(op(limit, probe)))
+
+
+def hypothesis_bounded_interval(upper: Fraction) -> HypothesisReport:
+    """Bounded gradings satisfy all four conditions with nothing to scan."""
+    Ambient(upper)  # validates
+    return HypothesisReport(tuple(LimitCondition(name) for name in CONDITION_NAMES))
+
+
+def hypothesis_line_sets() -> HypothesisReport:
+    """Bounded measurable sets on the line: the far-away chain breaks one condition.
+
+    Both chains rise to the top adjoined at +inf, whose meet with the target
+    (-1, 1] is the target itself, of measure 2.  The chain (1, 1+k] never
+    reaches the target, so its meet scan is stuck at zero; the chief chain
+    (-k/2, k/2] absorbs every bounded set, so its scan attains 2.  Measure
+    is bounded below, making both inf conditions vacuous.
+    """
+    ambient = Ambient(None)
+    lattice = adjoin_bounds(interval_lattice(ambient), POS_INF)
+    target = IntervalSet(((Fraction(-1), Fraction(1)),))
+    far = {k: IntervalSet(((Fraction(1), 1 + k),)) for k in (Fraction(1), Fraction(10), Fraction(1000))}
+    chief = {k: chief_element(ambient, k) for k in map(Fraction, range(1, 5))}
+    return HypothesisReport((
+        _scan("chain-meet-sup", lattice, target, far, lattice.top),
+        LimitCondition("chain-join-inf"),
+        _scan("chief-meet-sup", lattice, target, chief, lattice.top),
+        LimitCondition("chief-join-inf"),
+    ))
+
+
+def hypothesis_product_plane() -> HypothesisReport:
+    """The product plane: both chain conditions fail, both chief ones hold.
+
+    The chain is the vertical axis and the chief chain the horizontal one.
+    Meets of the probe (1, 0) with (0, b) plateau at the origin, rank 0,
+    while its meet with the top is the probe itself, rank 1.  The plane is
+    self-dual under (a, b) -> (-a, -b), so dually joins of (-1, 0) with
+    (0, -b) plateau at rank 0 while its join with the bottom has rank -1.
+    Along the chief chain both scans reach the probe's rank.
+    """
+    lattice = product_plane_lattice()
+    point = PlanePoint.point
+    up, down = point(1, 0), point(-1, 0)
+    bs = (Fraction(1), Fraction(10), Fraction(100))
+    return HypothesisReport((
+        _scan("chain-meet-sup", lattice, up, {b: point(0, b) for b in bs}, lattice.top),
+        _scan("chain-join-inf", lattice, down, {b: point(0, -b) for b in bs}, lattice.bottom),
+        _scan("chief-meet-sup", lattice, up, {b: point(b, 0) for b in bs}, lattice.top),
+        _scan("chief-join-inf", lattice, down, {b: point(-b, 0) for b in bs}, lattice.bottom),
+    ))

@@ -79,6 +79,9 @@ from .limits import (
     cauchy_approx,
     embed_boolean,
     embedding_check,
+    hypothesis_bounded_interval,
+    hypothesis_line_sets,
+    hypothesis_product_plane,
     tower_checks,
     updown_metric,
 )
@@ -91,9 +94,6 @@ from .regrading import (
     counterexample_stage,
     cutset_from_json,
     cutset_to_json,
-    hypothesis_bounded_interval,
-    hypothesis_line_sets,
-    hypothesis_product_plane,
     IntervalRegrader,
     _SweepEvaluator,
 )
@@ -752,8 +752,9 @@ def run_suites(names, cfg: SuiteConfig) -> tuple[list[SuiteResult], dict[str, fl
     suites run here and no process starts.  Each suite is timed where it
     runs, so the timings of a pooled run overlap.  A suite that raises fails
     alone, as in :func:`run_suite`.  A worker that dies breaks the pool, and
-    every suite not finished by then fails with a ``BrokenProcessPool``
-    witness, 0 checks and 0 seconds; rerun alone, a suite runs in process.
+    every suite not finished by then reruns alone on a fresh worker (never
+    here, where a suite that ends its process would end the run): see
+    :func:`_rerun_alone`.
     """
     names = list(names)
     workers = min(_usable_cpus(), len(names))
@@ -771,7 +772,24 @@ def run_suites(names, cfg: SuiteConfig) -> tuple[list[SuiteResult], dict[str, fl
             for name, future in zip(names, futures):
                 try:
                     timed.append(future.result())
-                except BrokenProcessPool as exc:
-                    witness = f"internal error: {type(exc).__name__}: {exc}"
-                    timed.append((SuiteResult(name, False, 0, "failed", witness), 0.0))
+                except BrokenProcessPool:
+                    timed.append(None)
+        timed = [_rerun_alone(name, cfg, context) if t is None else t for name, t in zip(names, timed)]
     return [result for result, _ in timed], {name: seconds for name, (_, seconds) in zip(names, timed)}
+
+
+def _rerun_alone(name: str, cfg: SuiteConfig, context) -> tuple[SuiteResult, float]:
+    """Run one suite on a fresh one-worker pool, after a dead worker broke the shared one.
+
+    A suite that kills this worker too is the one that killed the pool: it
+    fails with 0 checks and 0 seconds.  Any other reports its own result.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(1, mp_context=context) as pool:
+        try:
+            return pool.submit(_timed_suite, name, cfg).result()
+        except BrokenProcessPool:
+            witness = f"internal error: BrokenProcessPool: the worker died running {name} alone"
+            return SuiteResult(name, False, 0, "failed", witness), 0.0

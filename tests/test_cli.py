@@ -24,7 +24,7 @@ from rglat.intervals import (
     interval_set_to_json,
 )
 from rglat.rank import format_fraction
-from rglat.regrading import FiniteRegrader, IntervalRegrader, LevelCutset
+from rglat.regrading import FiniteRegrader, IntervalRegrader, LevelCutset, ProjectionResult
 from rglat.suites import SUITES
 
 from strategies import interval_sets, step_densities
@@ -230,6 +230,64 @@ class TestRegrade:
         assert main(["regrade", path]) == 0
         out = capsys.readouterr().out
         assert "1/1" in out and "-1/1" in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_unproven_chief_chain_is_reported_as_skipped(self, tmp_path, capsys, fmt):
+        # F_5^5 has more subspaces than the element cap, so the chief chain's modularity goes unproven.
+        spec = {
+            "lattice": {"kind": "subspace", "p": 5, "n": 5},
+            "cutset": {"type": "level", "grading": "rank", "value": "2/1"},
+            "targets": [[[1, 0, 0, 0, 0]]],
+        }
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["regrade", path, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        note = "chief chain of subspace-F5^5 not proven rank modular: more than 6000 subspaces of F5^5"
+        if fmt == "csv":
+            assert out.endswith(f"# skipped: {note}\n")
+        else:
+            report = json.loads(out)
+            assert report["skipped"] == [note] and len(report["rows"]) == 1 and "failed" not in report
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_projection_on_the_wrong_side_fails_its_targets(self, tmp_path, capsys, monkeypatch, fmt):
+        # Every target projects to the top, as a join-side crossing: wrong for the targets on and above the cutset.
+        def top_by_join(self, z):
+            return ProjectionResult(self.top, Fraction(2), "join")
+
+        monkeypatch.setattr(IntervalRegrader, "project", top_by_join)
+        path = write_json(tmp_path / "spec.json", FINAL_SPEC)
+        assert main(["regrade", path, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        failed = [
+            "target 0: regraded -1/1, grade minus cutset value 1/1",
+            "target 1: regraded -1/1, grade minus cutset value 0/1",
+        ]
+        if fmt == "csv":
+            assert captured.out.endswith("".join(f"# failed: {line}\n" for line in failed))
+        else:
+            report = json.loads(captured.out)
+            assert report["failed"] == failed and len(report["rows"]) == 3
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("regrader", [IntervalRegrader, FiniteRegrader])
+    def test_a_projection_that_raises_fails_its_target_alone(self, tmp_path, capsys, monkeypatch, regrader):
+        real = regrader.project
+
+        def project(self, z):
+            calls.append(z)
+            if len(calls) == 2:
+                raise RuntimeError("projection missed the cutset level")
+            return real(self, z)
+
+        calls = []
+        monkeypatch.setattr(regrader, "project", project)
+        spec = FINAL_SPEC if regrader is IntervalRegrader else finite_spec("boolean", [[1], [1, 2], [1, 2, 3]], n=3)
+        assert main(["regrade", write_json(tmp_path / "spec.json", spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("# failed: target 1: projection missed the cutset level\n")
+        assert sum(line.startswith("target,") for line in captured.out.splitlines()) == 2
+        assert captured.err == ""
 
     def test_out_of_range_level_is_an_input_error(self, tmp_path, capsys):
         bad = dict(FINAL_SPEC, cutset={"type": "level", "grading": "lebesgue", "value": "9/1"})
@@ -617,11 +675,13 @@ except AttributeError:
 with contextlib.redirect_stdout(io.StringIO()):
     seen["codes"] = [rglat.cli.main(["regrade", golden + "/density_spec.json"]), rglat.cli.main(["counterexample"])]
     seen["regrade"] = loaded()
+    seen["codes"].append(rglat.cli.main(["regrade", golden + "/partition4_spec.json"]))
+    seen["finite_regrade"] = loaded()
     seen["codes"].append(rglat.cli.main(["limit", golden + "/third.json"]))
     seen["limit"] = loaded()
 from rglat import *
 seen["unbound"] = [name for name in rglat.__all__ if name not in globals()]
-seen["same"] = rglat.cauchy_approx is rglat.limits.cauchy_approx
+seen["same"] = [rglat.cauchy_approx is rglat.limits.cauchy_approx, rglat.boolean_family is rglat.finite.boolean_family]
 print(json.dumps(seen))
 """
 
@@ -634,8 +694,9 @@ def test_each_command_loads_only_the_modules_it_runs():
     )
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
-    core = ["rglat"] + [f"rglat.{name}" for name in ("cli", "core", "errors", "finite", "intervals", "rank", "regrading")]
+    core = ["rglat"] + [f"rglat.{name}" for name in ("cli", "core", "errors", "intervals", "rank", "regrading")]
     assert seen["import"] == seen["no_such_name"] == seen["regrade"] == core
-    assert seen["codes"] == [0, 0, 0]
+    assert seen["codes"] == [0, 0, 0, 0]
+    assert seen["finite_regrade"] == sorted(core + ["rglat.finite"])
     assert "rglat.limits" in seen["limit"] and "rglat.suites" not in seen["limit"]
-    assert seen["unbound"] == [] and seen["same"]
+    assert seen["unbound"] == [] and seen["same"] == [True, True]

@@ -28,8 +28,9 @@ from rglat.finite import (
     semimodularity_gap,
     subspace_family,
 )
+from rglat.limits import hypothesis_product_plane
 from rglat.rank import NEG_INF, POS_INF, Rank
-from rglat.regrading import ExplicitCutset, FiniteRegrader, LevelCutset, hypothesis_product_plane
+from rglat.regrading import ExplicitCutset, FiniteRegrader, LevelCutset
 
 from oracle_helpers import (
     antichain_cutsets,

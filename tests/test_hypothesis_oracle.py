@@ -15,7 +15,7 @@ from rglat.core import adjoin_bounds
 from rglat.finite import PlanePoint, product_plane_lattice
 from rglat.intervals import Ambient, IntervalSet, chief_element, interval_lattice
 from rglat.rank import NEG_INF, POS_INF
-from rglat.regrading import (
+from rglat.limits import (
     CONDITION_NAMES,
     LimitCondition,
     _scan,

@@ -26,7 +26,7 @@ from rglat.intervals import (
     profile_bundle,
     union,
 )
-from rglat.regrading import hypothesis_line_sets
+from rglat.limits import hypothesis_line_sets
 
 from oracle_helpers import (
     fraction_intersect,

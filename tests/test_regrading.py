@@ -49,12 +49,10 @@ from rglat.regrading import (
     cutset_from_json,
     cutset_to_json,
     finite_good_chain,
-    hypothesis_bounded_interval,
-    hypothesis_line_sets,
-    hypothesis_product_plane,
     _grid,
     _SweepEvaluator,
 )
+from rglat.limits import hypothesis_bounded_interval, hypothesis_line_sets, hypothesis_product_plane
 
 from oracle_helpers import (
     antichain_cutsets,

@@ -127,10 +127,15 @@ def test_a_dead_worker_fails_verify_instead_of_hanging():
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     lines = done.stdout.splitlines()
-    # The suites that finish before the worker dies keep their rows; which ones do depends on timing.
+    # Each suite the dead worker left unfinished reruns alone, so only the one that kills its worker fails.
     assert [line.split()[1] for line in lines if line.startswith(("PASS ", "FAIL "))] == list(SUITES)
-    [fail] = [line for line in lines if line.startswith("FAIL balance ")]
-    assert fail.startswith("FAIL balance checked=0 failed witness: internal error: BrokenProcessPool: ")
+    passed = [line.split()[1] for line in lines if line.startswith("PASS ")]
+    assert passed == [name for name in SUITES if name != "balance"] and len(passed) == 17
+    [fail] = [line for line in lines if line.startswith("FAIL ")]
+    assert fail == (
+        "FAIL balance checked=0 failed witness: "
+        "internal error: BrokenProcessPool: the worker died running balance alone"
+    )
     assert lines[lines.index(fail) + 1] == "replay: rglat verify --suite balance --seed 7 --grid 1/64 --samples 5"
 
 
